@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success / verified-true / witness found, 1 on
-verified-false or witness not found, 2 on usage or input errors.
+verified-false, witness proven absent, or a search left undecided by its
+budget, 2 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -13,16 +14,17 @@ import sys
 from . import __version__
 from .colored import read_colored, read_rainbow_claim, verify_rainbow_hamilton, \
     write_colored
-from .hypergraph import FormatError, SizeCapExceeded, read_hypergraph, \
-    read_loose_cycle_claim, verify_loose_hamilton, write_hypergraph
+from .hypergraph import BudgetExhausted, FormatError, SizeCapExceeded, \
+    read_hypergraph, read_loose_cycle_claim, verify_loose_hamilton, \
+    write_hypergraph
 from .lab import SweepSpec, contiguity_probe, isolated_experiment, \
     probability_from_c, run_sweep
 from .pipeline import run_pipeline
 from .sampling import hypergraph_from_triple_system, rng_from_seed, sample_gamma, \
     sample_h3, sample_pairing_regular, sample_union_matchings, \
     triple_system_from_hypergraph
-from .solvers import exact_matching, exact_rainbow_hamilton, heuristic_matching, \
-    heuristic_rainbow_hamilton
+from .solvers import DEFAULT_RAINBOW_BUDGET, exact_matching, \
+    exact_rainbow_hamilton
 
 
 def _banner(command: str, **params) -> None:
@@ -74,12 +76,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_solve_matching(args) -> int:
     ts = triple_system_from_hypergraph(read_hypergraph(args.input))
-    _banner("solve matching", input=args.input, method=args.method,
-            seed=args.seed)
-    if args.method == "exact":
-        pm = exact_matching(ts, cap=args.cap)
-    else:
-        pm = heuristic_matching(ts, args.budget, rng_from_seed(args.seed))
+    _banner("solve matching", input=args.input, cap=args.cap)
+    pm = exact_matching(ts, cap=args.cap)
     if pm is None:
         print("no perfect matching found")
         return 1
@@ -90,12 +88,12 @@ def _cmd_solve_matching(args) -> int:
 
 def _cmd_solve_rainbow(args) -> int:
     g, _r = read_colored(args.input)
-    _banner("solve rainbow", input=args.input, method=args.method,
-            seed=args.seed)
-    if args.method == "exact":
-        cert = exact_rainbow_hamilton(g, cap=args.cap)
-    else:
-        cert = heuristic_rainbow_hamilton(g, args.budget, rng_from_seed(args.seed))
+    _banner("solve rainbow", input=args.input, budget=args.budget)
+    try:
+        cert = exact_rainbow_hamilton(g, budget=args.budget)
+    except BudgetExhausted as exc:
+        print(f"undecided: {exc}")
+        return 1
     if cert is None:
         print("no rainbow Hamilton cycle found")
         return 1
@@ -132,16 +130,16 @@ def _cmd_verify_rainbow(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     p = _resolve_p(args, args.n)
-    _banner("pipeline", n=args.n, p=p, r=args.r, seed=args.seed,
-            solver=args.solver)
-    rep = run_pipeline(args.n, p, args.r, args.seed, args.solver)
+    _banner("pipeline", n=args.n, p=p, r=args.r, seed=args.seed)
+    rep = run_pipeline(args.n, p, args.r, args.seed)
     if args.format == "json":
         print(rep.to_json())
     else:
         d = rep.to_dict()
-        for key in ("n", "p", "r", "seed", "solver", "coupling_ok",
+        for key in ("n", "p", "r", "seed", "coupling_ok",
                     "matchings_found", "gstar_built", "rainbow_found",
-                    "lift_verified", "success", "failed_stage"):
+                    "rainbow_undecided", "lift_verified", "success",
+                    "failed_stage"):
             print(f"{key}: {d[key]}")
         if rep.loose_cycle is not None:
             print(f"links: {' '.join(str(v) for v in rep.loose_cycle.links)}")
@@ -230,16 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("solve", help="run an engine on an instance file")
     svsub = pv.add_subparsers(dest="problem", required=True)
-    for name, func in (("matching", _cmd_solve_matching),
-                       ("rainbow", _cmd_solve_rainbow)):
-        sp = svsub.add_parser(name)
-        sp.add_argument("--in", dest="input", required=True)
-        sp.add_argument("--method", choices=("exact", "heuristic"),
-                        default="exact")
-        sp.add_argument("--budget", type=int, default=None)
-        sp.add_argument("--cap", type=int, default=64 if name == "matching" else 20)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.set_defaults(func=func)
+    sm = svsub.add_parser("matching")
+    sm.add_argument("--in", dest="input", required=True)
+    sm.add_argument("--cap", type=int, default=64)
+    sm.set_defaults(func=_cmd_solve_matching)
+    sr = svsub.add_parser("rainbow")
+    sr.add_argument("--in", dest="input", required=True)
+    sr.add_argument("--budget", type=int, default=DEFAULT_RAINBOW_BUDGET,
+                    help="search nodes before giving up undecided")
+    sr.set_defaults(func=_cmd_solve_rainbow)
 
     pf = sub.add_parser("verify", help="check a claimed certificate")
     vfsub = pf.add_subparsers(dest="kind", required=True)
@@ -257,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--c", type=float)
     pp.add_argument("--r", type=int, default=4)
     pp.add_argument("--seed", type=int, default=0)
-    pp.add_argument("--solver", choices=("exact", "heuristic"), default="exact")
     pp.add_argument("--format", choices=("text", "json"), default="text")
     pp.set_defaults(func=_cmd_pipeline)
 

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .hypergraph import FormatError, LooseCycle, Verdict
+from .hypergraph import FormatError, LooseCycle, Verdict, _open_maybe
 
 
 @dataclass(frozen=True)
@@ -208,12 +208,6 @@ def lift_to_loose(cert: CertLike) -> LooseCycle:
 #
 # The file color universe is fixed to 2m+1..4m (the lift convention); the
 # header's r records the equitability parameter the writer intended.
-
-
-def _open_maybe(f, mode: str):
-    if hasattr(f, "read") or hasattr(f, "write"):
-        return f, False
-    return open(f, mode, encoding="utf-8"), True
 
 
 def write_colored(g: ColoredMultigraph, r: int, f) -> None:

@@ -21,6 +21,10 @@ class SizeCapExceeded(ValueError):
     """An exact engine was asked to search beyond its configured cap."""
 
 
+class BudgetExhausted(RuntimeError):
+    """A complete search spent its node budget without deciding."""
+
+
 Triple = tuple[int, int, int]
 
 

@@ -67,7 +67,8 @@ class SweepSpec:
 
     method 'exact' decides each trial with the complete cycle search
     (requires every n within ``loose_cap``); 'pipeline' runs the full
-    reduction with ``pipeline_solver`` engines.
+    reduction, and a trial counts as a success only when it returns a
+    verified loose cycle (an undecided rainbow search is a failure).
     """
 
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
@@ -78,7 +79,6 @@ class SweepSpec:
     seed: int = DEFAULT_SEED
     confidence: float = 0.95
     loose_cap: int = 16
-    pipeline_solver: str = "exact"
 
     def __post_init__(self):
         object.__setattr__(self, "n_values",
@@ -172,7 +172,7 @@ def _trial_success(spec: SweepSpec, cell_index: int, n: int, p: float,
     if spec.method == "exact":
         h = sample_h3(n, p, gen)
         return exact_loose_hamilton(h, cap=spec.loose_cap) is not None
-    rep = _run_pipeline_stream(n, p, spec.r, gen, spec.pipeline_solver)
+    rep = _run_pipeline_stream(n, p, spec.r, gen)
     return rep.success
 
 

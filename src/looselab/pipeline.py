@@ -8,8 +8,11 @@ lifts to a loose Hamilton cycle whose windows all project into the coupled
 hypergraph; the pipeline re-verifies the lifted cycle against the sampled
 instance rather than trusting the construction.
 
-A run aborts at its first failed stage; retries belong to the sweep
-harness, not to a single trial.
+Both searches are the complete engines of ``solvers``.  A run aborts at
+its first failed stage; retries belong to the sweep harness, not to a
+single trial.  A rainbow search that spends its node budget undecided
+fails the rainbow stage with ``rainbow_undecided`` set, so it is never
+read as a proven absence.
 """
 
 from __future__ import annotations
@@ -21,17 +24,16 @@ from typing import Optional, Sequence
 
 from .colored import (ColoredEdge, ColoredMultigraph, RainbowCycleCert,
                       lift_to_loose)
-from .hypergraph import Hypergraph3, LooseCycle, exact_loose_hamilton, \
-    verify_loose_hamilton
-from .sampling import CopySet, TripleSystem, as_generator, derived_rng, \
-    rng_from_seed, sample_coupled
-from .solvers import PerfectMatching, exact_matching, exact_rainbow_hamilton, \
-    heuristic_matching, heuristic_rainbow_hamilton
+from .hypergraph import BudgetExhausted, Hypergraph3, LooseCycle, \
+    exact_loose_hamilton, verify_loose_hamilton
+from .sampling import CopySet, TripleSystem, derived_rng, rng_from_seed, \
+    sample_coupled
+from .solvers import PerfectMatching, exact_matching, exact_rainbow_hamilton
 
 STAGES = ("sample", "matching", "gstar", "rainbow", "lift")
 
 
-def _symmetric_exact_matching(ts: TripleSystem, gen, cap: int,
+def _symmetric_exact_matching(ts: TripleSystem, gen,
                               stats: Optional[dict]) -> Optional[PerfectMatching]:
     # The deterministic engine would hand every saturated system the same
     # witness, collapsing the derived graph to parallel bundles.  Solving
@@ -47,7 +49,7 @@ def _symmetric_exact_matching(ts: TripleSystem, gen, cap: int,
     relabeled = TripleSystem(xs, slots, frozenset(
         (tuple(sorted((xmap[x1], xmap[x2]))), smap[s])
         for (x1, x2), s in ts.present))
-    pm = exact_matching(relabeled, cap=cap, stats=stats)
+    pm = exact_matching(relabeled, stats=stats)
     if pm is None:
         return None
     inv_x = {v: k for k, v in xmap.items()}
@@ -94,45 +96,25 @@ def build_gstar(matchings: Sequence[PerfectMatching],
     return ColoredMultigraph(two_m, copyset.base_colors, edges)
 
 
-def recolor_edges(g: ColoredMultigraph, copyset: CopySet,
-                  rng=None) -> ColoredMultigraph:
-    """Fresh equitable coloring of a pipeline-built graph.
-
-    The edge list is partitioned into 2r consecutive layers of m edges
-    (the order build_gstar emits) and each layer is recolored by a random
-    bijection with one copy-set block.
-    """
-    gen = as_generator(rng)
-    m = copyset.m
-    blocks = copyset.blocks
-    if len(g.edges) != len(blocks) * m:
-        raise ValueError("edge count does not match the copy set")
-    edges: list[ColoredEdge] = []
-    for j, block in enumerate(blocks):
-        layer = g.edges[j * m:(j + 1) * m]
-        order = gen.permutation(m).tolist()
-        edges.extend(ColoredEdge(e.u, e.v, block[k][0])
-                     for e, k in zip(layer, order))
-    return ColoredMultigraph(g.num_vertices, copyset.base_colors, edges)
-
-
 @dataclass
 class PipelineReport:
     """Stage-by-stage record of one reduction run.
 
     A report with ``success`` True always carries a loose cycle that was
     re-verified against the sampled hypergraph inside the run.
+    ``rainbow_undecided`` marks a rainbow stage that failed because the
+    search ran out of nodes, not because no rainbow cycle exists.
     """
 
     n: int
     p: float
     r: int
     seed: Optional[int]
-    solver: str
     coupling_ok: bool = False
     matchings_found: int = 0
     gstar_built: bool = False
     rainbow_found: bool = False
+    rainbow_undecided: bool = False
     lift_verified: bool = False
     success: bool = False
     failed_stage: Optional[str] = None
@@ -155,11 +137,11 @@ class PipelineReport:
             "p": self.p,
             "r": self.r,
             "seed": self.seed,
-            "solver": self.solver,
             "coupling_ok": self.coupling_ok,
             "matchings_found": self.matchings_found,
             "gstar_built": self.gstar_built,
             "rainbow_found": self.rainbow_found,
+            "rainbow_undecided": self.rainbow_undecided,
             "lift_verified": self.lift_verified,
             "success": self.success,
             "failed_stage": self.failed_stage,
@@ -181,16 +163,10 @@ class PipelineReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _run_pipeline_stream(n: int, p: float, r: int, gen, solver: str, *,
+def _run_pipeline_stream(n: int, p: float, r: int, gen, *,
                          seed: Optional[int] = None,
-                         matching_budget: Optional[int] = None,
-                         rainbow_budget: Optional[int] = None,
-                         matching_cap: int = 64,
-                         rainbow_cap: int = 20,
                          keep_instance: bool = False) -> PipelineReport:
-    if solver not in ("exact", "heuristic"):
-        raise ValueError(f"solver must be 'exact' or 'heuristic', got {solver!r}")
-    rep = PipelineReport(n=n, p=float(p), r=r, seed=seed, solver=solver)
+    rep = PipelineReport(n=n, p=float(p), r=r, seed=seed)
 
     t0 = time.perf_counter()
     h, copyset, systems = sample_coupled(n, p, r, gen)
@@ -205,12 +181,8 @@ def _run_pipeline_stream(n: int, p: float, r: int, gen, solver: str, *,
     match_steps = 0
     for ts in systems:
         stats: dict = {}
-        if solver == "exact":
-            pm = _symmetric_exact_matching(ts, gen, matching_cap, stats)
-            match_steps += stats.get("nodes", 0)
-        else:
-            pm = heuristic_matching(ts, matching_budget, gen, stats=stats)
-            match_steps += stats.get("steps", 0)
+        pm = _symmetric_exact_matching(ts, gen, stats)
+        match_steps += stats.get("nodes", 0)
         if pm is None:
             break
         matchings.append(pm)
@@ -231,12 +203,12 @@ def _run_pipeline_stream(n: int, p: float, r: int, gen, solver: str, *,
 
     t0 = time.perf_counter()
     stats = {}
-    if solver == "exact":
-        cert = exact_rainbow_hamilton(gstar, cap=rainbow_cap, stats=stats)
-        rep.stage_steps["rainbow"] = stats.get("nodes", 0)
-    else:
-        cert = heuristic_rainbow_hamilton(gstar, rainbow_budget, gen, stats=stats)
-        rep.stage_steps["rainbow"] = stats.get("steps", 0)
+    try:
+        cert = exact_rainbow_hamilton(gstar, stats=stats)
+    except BudgetExhausted:
+        cert = None
+        rep.rainbow_undecided = True
+    rep.stage_steps["rainbow"] = stats.get("nodes", 0)
     rep.stage_seconds["rainbow"] = time.perf_counter() - t0
     if cert is None:
         rep.failed_stage = "rainbow"
@@ -257,25 +229,17 @@ def _run_pipeline_stream(n: int, p: float, r: int, gen, solver: str, *,
     return rep
 
 
-def run_pipeline(n: int, p: float, r: int = 4, seed: int = 0,
-                 solver: str = "exact", *,
-                 matching_budget: Optional[int] = None,
-                 rainbow_budget: Optional[int] = None,
-                 matching_cap: int = 64,
-                 rainbow_cap: int = 20,
+def run_pipeline(n: int, p: float, r: int = 4, seed: int = 0, *,
                  keep_instance: bool = False) -> PipelineReport:
     """One seeded reduction run; identical arguments give identical reports.
 
-    'exact' uses the complete engines (size-capped, refusals propagate as
-    SizeCapExceeded); 'heuristic' uses the budgeted randomized engines and
-    may miss witnesses that exist.
+    The matching engine's size cap still refuses oversized systems with
+    SizeCapExceeded; the rainbow stage never raises, and reports a search
+    that spent its node budget as ``rainbow_undecided``.
     """
     gen = rng_from_seed(seed)
-    return _run_pipeline_stream(
-        n, p, r, gen, solver, seed=seed,
-        matching_budget=matching_budget, rainbow_budget=rainbow_budget,
-        matching_cap=matching_cap, rainbow_cap=rainbow_cap,
-        keep_instance=keep_instance)
+    return _run_pipeline_stream(n, p, r, gen, seed=seed,
+                                keep_instance=keep_instance)
 
 
 @dataclass(frozen=True)
@@ -318,8 +282,7 @@ class ComparisonTable:
         }
 
 
-def pipeline_vs_oracle(n: int, p: float, r: int, trials: int, seed: int,
-                       solver: str = "exact", *,
+def pipeline_vs_oracle(n: int, p: float, r: int, trials: int, seed: int, *,
                        loose_cap: int = 16) -> ComparisonTable:
     """Run pipeline and exact oracle on the same sampled instances."""
     if n > loose_cap:
@@ -327,7 +290,7 @@ def pipeline_vs_oracle(n: int, p: float, r: int, trials: int, seed: int,
     rows = []
     for t in range(trials):
         gen = derived_rng(seed, t)
-        rep = _run_pipeline_stream(n, p, r, gen, solver, keep_instance=True)
+        rep = _run_pipeline_stream(n, p, r, gen, keep_instance=True)
         oracle = exact_loose_hamilton(rep.hypergraph, cap=loose_cap) is not None
         if rep.success and not oracle:
             raise RuntimeError(

@@ -292,17 +292,6 @@ class TripleSystem:
         return len(self.slots)
 
 
-def complete_triple_system(xs: Sequence[int], slots: Sequence[Slot]) -> TripleSystem:
-    """Every (pair, slot) triple present."""
-    xs = tuple(sorted(xs))
-    present = set()
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            for s in slots:
-                present.add(((xs[i], xs[j]), s))
-    return TripleSystem(xs, tuple(slots), frozenset(present))
-
-
 def sample_gamma(xs: Sequence[int], slots: Sequence[Slot], p1: float,
                  rng=None) -> TripleSystem:
     """Triple system with each of C(2m,2)*m triples kept with probability p1."""

@@ -1,11 +1,12 @@
 """Combinatorial engines: perfect matchings of triple systems and rainbow
 Hamilton cycles of colored multigraphs.
 
-Each problem gets an exact engine (complete search, size-capped) and a
-randomized heuristic (incomplete, budgeted in steps so runs reproduce
-across machines).  Both kinds return only witnesses that pass their
-verifier; the exact engines are additionally complete, which the test
-suite checks against unpruned enumeration oracles at small sizes.
+One complete, seed-free search per problem.  Each returns a witness that
+passes its verifier, or ``None`` only when it has proven that no witness
+exists; the test suite checks both against unpruned enumeration oracles
+at small sizes.  The matching engine refuses oversized inputs up front
+with ``SizeCapExceeded``; the rainbow engine instead spends at most a
+node budget and raises ``BudgetExhausted`` when the search is undecided.
 """
 
 from __future__ import annotations
@@ -13,11 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .colored import ColoredMultigraph, RainbowCycleCert, verify_rainbow_hamilton
-from .hypergraph import SizeCapExceeded, Verdict
-from .sampling import Slot, TripleSystem, as_generator
+from .colored import ColoredMultigraph, RainbowCycleCert
+from .hypergraph import BudgetExhausted, SizeCapExceeded, Verdict
+from .sampling import Slot, TripleSystem
 
 MatchTriple = tuple[tuple[int, int], Slot]
+
+# Search nodes exact_rainbow_hamilton may expand before giving up: about
+# 20x the most any of 1000 seeded pipeline graphs at n=40 needed (~52k).
+DEFAULT_RAINBOW_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -139,132 +144,6 @@ def exact_matching(ts: TripleSystem, *, cap: int = 64, row_cap: int = 200_000,
 
 
 # ---------------------------------------------------------------------------
-# heuristic matching: randomized greedy + eviction walk + 2-for-2 swaps
-# ---------------------------------------------------------------------------
-
-
-def heuristic_matching(ts: TripleSystem, budget: Optional[int] = None, rng=None,
-                       stats: Optional[dict] = None) -> Optional[PerfectMatching]:
-    """Incomplete randomized search; any returned matching is verified.
-
-    Greedy construction from a shuffled triple order, then a random walk:
-    pick an uncovered X vertex, force in a random triple through it and
-    evict whatever it collides with.  Occasionally two chosen triples are
-    swapped for an alternative pair covering the same six elements, and
-    long stagnation triggers a greedy restart.  ``budget`` counts walk
-    steps, not wall-clock.
-    """
-    m = ts.m
-    if m == 0:
-        return PerfectMatching(())
-    rows = _sorted_rows(ts)
-    if not rows:
-        return None
-    if budget is None:
-        budget = 300 + 240 * m
-    gen = as_generator(rng)
-
-    by_x: dict[int, list[int]] = {x: [] for x in ts.xs}
-    by_slot: dict[Slot, list[int]] = {s: [] for s in ts.slots}
-    for rid, ((x1, x2), slot) in enumerate(rows):
-        by_x[x1].append(rid)
-        by_x[x2].append(rid)
-        by_slot[slot].append(rid)
-    if any(not v for v in by_x.values()) or any(not v for v in by_slot.values()):
-        return None  # some element is uncoverable, no matching exists
-
-    owner_x: dict[int, int] = {}
-    owner_slot: dict[Slot, int] = {}
-    chosen: set[int] = set()
-
-    def add(rid: int) -> None:
-        (x1, x2), slot = rows[rid]
-        owner_x[x1] = rid
-        owner_x[x2] = rid
-        owner_slot[slot] = rid
-        chosen.add(rid)
-
-    def drop(rid: int) -> None:
-        (x1, x2), slot = rows[rid]
-        del owner_x[x1]
-        del owner_x[x2]
-        del owner_slot[slot]
-        chosen.discard(rid)
-
-    def greedy() -> None:
-        for rid in list(chosen):
-            drop(rid)
-        for rid in gen.permutation(len(rows)).tolist():
-            (x1, x2), slot = rows[rid]
-            if x1 not in owner_x and x2 not in owner_x and slot not in owner_slot:
-                add(rid)
-
-    def pair_swap() -> None:
-        if len(chosen) < 2:
-            return
-        pool = sorted(chosen)
-        i, j = gen.choice(len(pool), size=2, replace=False).tolist()
-        r1, r2 = pool[i], pool[j]
-        xs4 = set(rows[r1][0]) | set(rows[r2][0])
-        sl2 = {rows[r1][1], rows[r2][1]}
-        local = [rid for x in xs4 for rid in by_x[x]
-                 if set(rows[rid][0]) <= xs4 and rows[rid][1] in sl2]
-        local = sorted(set(local))
-        for a_idx in gen.permutation(len(local)).tolist():
-            ra = local[a_idx]
-            for rb in local:
-                if rb == ra:
-                    continue
-                pa, sa = rows[ra]
-                pb, sb = rows[rb]
-                if set(pa) | set(pb) == xs4 and not set(pa) & set(pb) \
-                        and {sa, sb} == sl2 and {ra, rb} != {r1, r2}:
-                    drop(r1)
-                    drop(r2)
-                    add(ra)
-                    add(rb)
-                    return
-        return
-
-    greedy()
-    best = len(chosen)
-    stale = 0
-    steps = 0
-    restart_after = 40 + 8 * m
-    while len(chosen) < m and steps < budget:
-        steps += 1
-        free_x = sorted(set(ts.xs) - owner_x.keys())
-        x = free_x[int(gen.integers(len(free_x)))]
-        cands = by_x[x]
-        rid = cands[int(gen.integers(len(cands)))]
-        (x1, x2), slot = rows[rid]
-        blockers = {owner_x.get(x1), owner_x.get(x2), owner_slot.get(slot)}
-        blockers.discard(None)
-        for b in sorted(blockers):
-            drop(b)
-        add(rid)
-        if len(chosen) > best:
-            best = len(chosen)
-            stale = 0
-        else:
-            stale += 1
-            if stale % 17 == 0:
-                pair_swap()
-            if stale >= restart_after:
-                greedy()
-                best = len(chosen)
-                stale = 0
-    if stats is not None:
-        stats["steps"] = steps
-    if len(chosen) == m:
-        result = PerfectMatching(tuple(sorted((rows[rid] for rid in chosen),
-                                              key=lambda t: t[0])))
-        if verify_matching(ts, result):
-            return result
-    return None
-
-
-# ---------------------------------------------------------------------------
 # exact rainbow Hamilton cycle: pruned backtracking over (vertex, color)
 # ---------------------------------------------------------------------------
 
@@ -280,10 +159,15 @@ def _rainbow_adjacency(g: ColoredMultigraph) -> dict[int, dict[int, tuple[int, .
             for v, nb in adj.items()}
 
 
-def exact_rainbow_hamilton(g: ColoredMultigraph, *, cap: int = 20,
+def exact_rainbow_hamilton(g: ColoredMultigraph, *,
+                           budget: int = DEFAULT_RAINBOW_BUDGET,
                            stats: Optional[dict] = None
                            ) -> Optional[RainbowCycleCert]:
     """Complete search for a rainbow Hamilton cycle.
+
+    Returns a cert, or ``None`` when no rainbow Hamilton cycle exists;
+    raises ``BudgetExhausted`` when deciding would take more than
+    ``budget`` search nodes.
 
     Backtracks over (next vertex, edge color) extensions from vertex 1,
     with the closing direction canonicalized (second vertex below the
@@ -293,8 +177,6 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *, cap: int = 20,
     to be traversed.
     """
     nv = g.num_vertices
-    if nv > cap:
-        raise SizeCapExceeded(f"{nv} vertices exceed the exact-rainbow cap {cap}")
     if nv < 2:
         return None
     adj = _rainbow_adjacency(g)
@@ -336,11 +218,14 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *, cap: int = 20,
         return allowed <= seen
 
     result: Optional[RainbowCycleCert] = None
+    nodes = 0
 
     def dfs(u: int) -> bool:
-        nonlocal result
-        if stats is not None:
-            stats["nodes"] = stats.get("nodes", 0) + 1
+        nonlocal result, nodes
+        if nodes >= budget:
+            raise BudgetExhausted(
+                f"rainbow search undecided after {budget} nodes")
+        nodes += 1
         if len(path) == nv:
             if nv > 2 and path[1] > path[-1]:
                 return False
@@ -369,132 +254,9 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *, cap: int = 20,
                 colors_seq.pop()
         return False
 
-    dfs(start)
+    try:
+        dfs(start)
+    finally:
+        if stats is not None:
+            stats["nodes"] = stats.get("nodes", 0) + nodes
     return result
-
-
-# ---------------------------------------------------------------------------
-# heuristic rainbow Hamilton cycle: rotation walk with color bookkeeping
-# ---------------------------------------------------------------------------
-
-
-def heuristic_rainbow_hamilton(g: ColoredMultigraph, budget: Optional[int] = None,
-                               rng=None, stats: Optional[dict] = None
-                               ) -> Optional[RainbowCycleCert]:
-    """Incomplete rotation-style local search; returned certs are verified.
-
-    Grows a rainbow path greedily; when stuck, applies a rotation (the new
-    edge's color replaces the color freed by the removed path edge) to
-    move the endpoint, and restarts from a fresh random vertex after long
-    stagnation.  ``budget`` counts loop steps.
-    """
-    nv = g.num_vertices
-    if nv < 2:
-        return None
-    adj = _rainbow_adjacency(g)
-    if any(not adj[v] for v in adj):
-        return None
-    if len({e.color for e in g.edges if e.u != e.v}) < nv:
-        return None
-    if budget is None:
-        budget = 1200 + 2400 * nv
-    gen = as_generator(rng)
-
-    path: list[int] = []
-    pos: dict[int, int] = {}
-    path_colors: list[int] = []
-    used_colors: set[int] = set()
-
-    def restart() -> None:
-        path.clear()
-        pos.clear()
-        path_colors.clear()
-        used_colors.clear()
-        v = int(gen.integers(1, nv + 1))
-        path.append(v)
-        pos[v] = 0
-
-    def rotate(i: int, new_color: int) -> None:
-        # new edge (end, path[i]); edge (path[i], path[i+1]) leaves the path
-        freed = path_colors[i]
-        used_colors.discard(freed)
-        used_colors.add(new_color)
-        tail = path[i + 1:]
-        tail.reverse()
-        del path[i + 1:]
-        path.extend(tail)
-        tail_colors = path_colors[i + 1:]
-        tail_colors.reverse()
-        del path_colors[i:]
-        path_colors.append(new_color)
-        path_colors.extend(tail_colors)
-        for k in range(i + 1, len(path)):
-            pos[path[k]] = k
-
-    def free_color_by_recoloring(c: int) -> bool:
-        # color c blocks the closing edge; try to give the path edge that
-        # holds it another unused parallel color
-        j = path_colors.index(c)
-        for alt in adj[path[j]].get(path[j + 1], ()):
-            if alt not in used_colors:
-                used_colors.discard(c)
-                used_colors.add(alt)
-                path_colors[j] = alt
-                return True
-        return False
-
-    restart()
-    stale = 0
-    steps = 0
-    while steps < budget:
-        steps += 1
-        u = path[-1]
-        if len(path) == nv:
-            first = path[0]
-            closing = [c for c in adj[u].get(first, ())
-                       if c not in used_colors]
-            if not closing:
-                for c in adj[u].get(first, ()):
-                    if free_color_by_recoloring(c):
-                        closing = [c]
-                        break
-            if closing:
-                cert = RainbowCycleCert(tuple(path),
-                                        tuple(path_colors) + (closing[0],))
-                if verify_rainbow_hamilton(g, cert):
-                    if stats is not None:
-                        stats["steps"] = steps
-                    return cert
-        extensions = []
-        rotations = []
-        for w, cs in adj[u].items():
-            free = [c for c in cs if c not in used_colors]
-            if not free:
-                continue
-            if w not in pos:
-                extensions.append((w, free))
-            elif len(path) >= 3 and pos[w] < len(path) - 2:
-                rotations.append((pos[w], free))
-        if extensions:
-            w, free = extensions[int(gen.integers(len(extensions)))]
-            c = free[int(gen.integers(len(free)))]
-            path.append(w)
-            pos[w] = len(path) - 1
-            path_colors.append(c)
-            used_colors.add(c)
-            stale = 0
-        elif rotations:
-            i, free = rotations[int(gen.integers(len(rotations)))]
-            c = free[int(gen.integers(len(free)))]
-            rotate(i, c)
-            stale += 1
-        else:
-            restart()
-            stale = 0
-            continue
-        if stale > 6 * nv + 20:
-            restart()
-            stale = 0
-    if stats is not None:
-        stats["steps"] = steps
-    return None

@@ -100,3 +100,10 @@ def random_hypergraph_instance(rng, n: int, max_edges: int) -> Hypergraph3:
     k = int(rng.integers(0, max_edges + 1))
     idx = rng.choice(len(pool), size=k, replace=False)
     return Hypergraph3(n, [pool[i] for i in sorted(idx.tolist())])
+
+
+def complete_triple_system(xs, slots) -> TripleSystem:
+    """Every (pair, slot) triple present."""
+    xs = tuple(sorted(xs))
+    return TripleSystem(xs, tuple(slots), frozenset(
+        (pair, s) for pair in combinations(xs, 2) for s in slots))

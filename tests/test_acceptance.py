@@ -141,8 +141,7 @@ def test_criterion_4_structural_invariants():
     gstar_count = 0
     for i in range(1000):
         n = 8 if i % 2 else 16
-        rep = run_pipeline(n, 1.0, 4, seed=2000 + i, solver="heuristic",
-                           keep_instance=True)
+        rep = run_pipeline(n, 1.0, 4, seed=2000 + i, keep_instance=True)
         g = rep.gstar
         if g is None:
             bad += 1

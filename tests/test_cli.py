@@ -1,7 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
-from looselab.cli import main
+from looselab.cli import build_parser, main
 from looselab.lab import CSV_HEADER
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(*argv):
@@ -111,12 +115,6 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert "1 2 5" in out and "3 4 6" in out
 
-    def test_matching_heuristic(self, tmp_path):
-        inst = tmp_path / "ts.txt"
-        inst.write_text("6 2\n1 2 5\n3 4 6\n")
-        assert run("solve", "matching", "--in", str(inst),
-                   "--method", "heuristic", "--seed", "4") == 0
-
     def test_rainbow_solve(self, tmp_path, capsys):
         inst = tmp_path / "g.txt"
         inst.write_text("4 1\n1 2 5\n2 3 6\n3 4 7\n1 4 8\n")
@@ -128,6 +126,14 @@ class TestSolveCommand:
         inst = tmp_path / "g.txt"
         inst.write_text("4 1\n1 2 5\n2 3 5\n3 4 5\n1 4 5\n")
         assert run("solve", "rainbow", "--in", str(inst)) == 1
+
+    def test_rainbow_budget_spent_is_undecided(self, tmp_path, capsys):
+        inst = tmp_path / "g.txt"
+        inst.write_text("4 1\n1 2 5\n2 3 6\n3 4 7\n1 4 8\n")
+        assert run("solve", "rainbow", "--in", str(inst), "--budget", "1") == 1
+        out = capsys.readouterr().out
+        assert "undecided" in out
+        assert "no rainbow Hamilton cycle found" not in out
 
 
 class TestPipelineCommand:
@@ -210,3 +216,16 @@ class TestUsage:
         bad = tmp_path / "g.txt"
         bad.write_text("4 1\n1 2 wat\n")
         assert run("solve", "rainbow", "--in", str(bad)) == 2
+
+    def test_readme_command_lines_parse(self):
+        # every example in README's "Command line" block must still parse
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+        block = block.split("```", 1)[0].replace("\\\n", " ")
+        lines = [ln for ln in block.splitlines()
+                 if ln.strip().startswith("looselab ")]
+        assert len(lines) >= 10
+        parser = build_parser()
+        for line in lines:
+            args = parser.parse_args(shlex.split(line)[1:])
+            assert callable(args.func), line

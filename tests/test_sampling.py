@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from looselab import (
     CopySet,
     TripleSystem,
-    complete_triple_system,
     sample_copyset_partition,
     sample_coupled,
     sample_gamma,
@@ -24,6 +23,8 @@ from looselab.sampling import (
     unrank_pairs,
     unrank_triples,
 )
+
+from oracles import complete_triple_system
 
 
 def reconstruct(p1: float, power: int) -> float:

@@ -3,22 +3,20 @@ from itertools import combinations
 import pytest
 
 from looselab import (
+    BudgetExhausted,
     ColoredEdge,
     ColoredMultigraph,
     SizeCapExceeded,
     TripleSystem,
-    complete_triple_system,
     exact_matching,
     exact_rainbow_hamilton,
-    heuristic_matching,
-    heuristic_rainbow_hamilton,
-    sample_union_matchings,
     verify_matching,
     verify_rainbow_hamilton,
 )
 from looselab.sampling import rng_from_seed
 
-from oracles import perfect_matching_exists_naive, rainbow_hamilton_exists_naive
+from oracles import (complete_triple_system, perfect_matching_exists_naive,
+                     rainbow_hamilton_exists_naive)
 
 XS4 = (1, 2, 3, 4)
 SLOTS2 = ("a", "b")
@@ -96,41 +94,6 @@ class TestExactMatching:
         assert exact_matching(ts) == exact_matching(ts)
 
 
-class TestHeuristicMatching:
-    def test_empty_system_absent(self):
-        assert heuristic_matching(system_m2([]), rng=rng_from_seed(0)) is None
-
-    def test_complete_system_first_pass(self):
-        ts = complete_triple_system(range(1, 9), ("a", "b", "c", "d"))
-        stats = {}
-        pm = heuristic_matching(ts, rng=rng_from_seed(1), stats=stats)
-        assert pm is not None
-        assert verify_matching(ts, pm)
-        assert stats["steps"] == 0  # greedy alone completes
-
-    def test_calibration_against_exact(self):
-        # solvable instances at m <= 4 should be found almost always
-        rng = rng_from_seed(4)
-        instances = []
-        while len(instances) < 15:
-            m = 2 + len(instances) % 3
-            ts = random_system(rng, range(1, 2 * m + 1),
-                               tuple(range(100, 100 + m)), 0.35)
-            if exact_matching(ts) is not None:
-                instances.append(ts)
-        for ts in instances:
-            hits = sum(
-                heuristic_matching(ts, rng=rng_from_seed(seed)) is not None
-                for seed in range(100))
-            assert hits >= 95, f"only {hits}/100 on {ts}"
-
-    def test_deterministic_given_seed_and_budget(self):
-        ts = complete_triple_system(range(1, 9), ("a", "b", "c", "d"))
-        a = heuristic_matching(ts, budget=500, rng=rng_from_seed(9))
-        b = heuristic_matching(ts, budget=500, rng=rng_from_seed(9))
-        assert a == b
-
-
 def rainbow_square_with_clutter():
     edges = [ColoredEdge(1, 2, 5), ColoredEdge(2, 3, 6), ColoredEdge(3, 4, 7),
              ColoredEdge(1, 4, 8)]
@@ -175,51 +138,27 @@ class TestExactRainbow:
             assert (exact_rainbow_hamilton(g) is not None) == \
                 rainbow_hamilton_exists_naive(g), g.edges
 
-    def test_cap(self):
-        g = ColoredMultigraph(24, (), [])
-        with pytest.raises(SizeCapExceeded):
-            exact_rainbow_hamilton(g)
+    def test_no_size_cap(self):
+        # 24 vertices are searched, not refused: a rainbow 24-cycle is
+        # found, and an edgeless graph is proven to have none
+        nv = 24
+        edges = [ColoredEdge(i, i % nv + 1, nv + i) for i in range(1, nv + 1)]
+        g = ColoredMultigraph(nv, tuple(range(nv + 1, 2 * nv + 1)), edges)
+        cert = exact_rainbow_hamilton(g)
+        assert cert is not None
+        assert verify_rainbow_hamilton(g, cert)
+        assert exact_rainbow_hamilton(ColoredMultigraph(nv, (), [])) is None
+
+    def test_budget_exhausted_is_not_absence(self):
+        g = rainbow_square_with_clutter()
+        stats = {}
+        assert exact_rainbow_hamilton(g, stats=stats) is not None
+        assert stats["nodes"] > 1
+        with pytest.raises(BudgetExhausted):
+            exact_rainbow_hamilton(g, budget=1)
+        # a budget of exactly the nodes needed still decides
+        assert exact_rainbow_hamilton(g, budget=stats["nodes"]) is not None
 
     def test_seed_free_deterministic(self):
         g = rainbow_square_with_clutter()
         assert exact_rainbow_hamilton(g) == exact_rainbow_hamilton(g)
-
-
-class TestHeuristicRainbow:
-    def test_isolated_vertex_absent(self):
-        g = ColoredMultigraph(4, (5, 6, 7, 8),
-                              [ColoredEdge(1, 2, 5), ColoredEdge(2, 3, 6),
-                               ColoredEdge(1, 3, 7)])
-        assert heuristic_rainbow_hamilton(g, rng=rng_from_seed(0)) is None
-
-    def test_pure_cycle_found(self):
-        nv = 10
-        edges = [ColoredEdge(i, i % nv + 1, nv + i) for i in range(1, nv + 1)]
-        g = ColoredMultigraph(nv, tuple(range(nv + 1, 2 * nv + 1)), edges)
-        cert = heuristic_rainbow_hamilton(g, rng=rng_from_seed(1))
-        assert cert is not None
-        assert verify_rainbow_hamilton(g, cert)
-
-    def test_calibration_against_exact(self):
-        # equitably colored unions of matchings at 10 vertices; keep the
-        # exact-solvable ones and expect the walk to find nearly all
-        rng = rng_from_seed(6)
-        instances = []
-        while len(instances) < 10:
-            g = sample_union_matchings(10, 3, rng, colored=True)
-            if exact_rainbow_hamilton(g) is not None:
-                instances.append(g)
-        for g in instances:
-            hits = 0
-            for seed in range(100):
-                cert = heuristic_rainbow_hamilton(g, rng=rng_from_seed(seed))
-                if cert is not None:
-                    assert verify_rainbow_hamilton(g, cert)
-                    hits += 1
-            assert hits >= 90, f"only {hits}/100"
-
-    def test_deterministic_given_seed_and_budget(self):
-        g = rainbow_square_with_clutter()
-        a = heuristic_rainbow_hamilton(g, budget=300, rng=rng_from_seed(3))
-        b = heuristic_rainbow_hamilton(g, budget=300, rng=rng_from_seed(3))
-        assert a == b
