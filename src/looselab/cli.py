@@ -13,10 +13,9 @@ import sys
 
 from . import __version__
 from .colored import read_colored, read_rainbow_claim, verify_rainbow_hamilton, \
-    write_colored
-from .hypergraph import BudgetExhausted, FormatError, SizeCapExceeded, \
-    read_hypergraph, read_loose_cycle_claim, verify_loose_hamilton, \
-    write_hypergraph
+    write_colored, write_rainbow_cert
+from .hypergraph import BudgetExhausted, FormatError, read_hypergraph, \
+    read_loose_cycle_claim, verify_loose_hamilton, write_hypergraph
 from .lab import SweepSpec, contiguity_probe, isolated_experiment, \
     probability_from_c, run_sweep
 from .pipeline import run_pipeline
@@ -76,8 +75,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_solve_matching(args) -> int:
     ts = triple_system_from_hypergraph(read_hypergraph(args.input))
-    _banner("solve matching", input=args.input, cap=args.cap)
-    pm = exact_matching(ts, cap=args.cap)
+    _banner("solve matching", input=args.input)
+    pm = exact_matching(ts)
     if pm is None:
         print("no perfect matching found")
         return 1
@@ -97,8 +96,7 @@ def _cmd_solve_rainbow(args) -> int:
     if cert is None:
         print("no rainbow Hamilton cycle found")
         return 1
-    print(" ".join(str(v) for v in cert.order))
-    print(" ".join(str(c) for c in cert.colors))
+    write_rainbow_cert(cert, sys.stdout)
     return 0
 
 
@@ -230,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     svsub = pv.add_subparsers(dest="problem", required=True)
     sm = svsub.add_parser("matching")
     sm.add_argument("--in", dest="input", required=True)
-    sm.add_argument("--cap", type=int, default=64)
     sm.set_defaults(func=_cmd_solve_matching)
     sr = svsub.add_parser("rainbow")
     sr.add_argument("--in", dest="input", required=True)
@@ -305,9 +302,6 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except SizeCapExceeded as exc:
-        print(f"refused: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

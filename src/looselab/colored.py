@@ -14,7 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .hypergraph import FormatError, LooseCycle, Verdict, _open_maybe
+from .hypergraph import FormatError, LooseCycle, Verdict, _opened, \
+    _read_int_lines, _write_int_lines
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ class RainbowCycleCert:
     """Claimed rainbow Hamilton cycle: vertex order plus per-step colors.
 
     colors[i] is the color of the edge (order[i], order[i+1]), indices
-    cyclic, so colors[-1] belongs to the closing edge back to order[0].
+    cyclic, so colors[-1] belongs to the last edge, back to order[0].
     """
 
     order: tuple[int, ...]
@@ -211,23 +212,15 @@ def lift_to_loose(cert: CertLike) -> LooseCycle:
 
 
 def write_colored(g: ColoredMultigraph, r: int, f) -> None:
-    fh, closing = _open_maybe(f, "w")
-    try:
+    with _opened(f, "w") as fh:
         fh.write(f"{g.num_vertices} {r}\n")
         for e in g.edges:
             fh.write(f"{e.u} {e.v} {e.color}\n")
-    finally:
-        if closing:
-            fh.close()
 
 
 def read_colored(f) -> tuple[ColoredMultigraph, int]:
-    fh, closing = _open_maybe(f, "r")
-    try:
+    with _opened(f, "r") as fh:
         lines = fh.read().splitlines()
-    finally:
-        if closing:
-            fh.close()
     rows = [(i + 1, ln.split()) for i, ln in enumerate(lines) if ln.strip()]
     if not rows:
         raise FormatError("empty file, expected '2m r' header")
@@ -266,28 +259,9 @@ def read_colored(f) -> tuple[ColoredMultigraph, int]:
 
 
 def write_rainbow_cert(cert: RainbowCycleCert, f) -> None:
-    fh, closing = _open_maybe(f, "w")
-    try:
-        fh.write(" ".join(str(v) for v in cert.order) + "\n")
-        fh.write(" ".join(str(c) for c in cert.colors) + "\n")
-    finally:
-        if closing:
-            fh.close()
+    _write_int_lines(cert.order, cert.colors, f)
 
 
 def read_rainbow_claim(f) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Read a claimed (order, colors) pair without validating it."""
-    fh, closing = _open_maybe(f, "r")
-    try:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    finally:
-        if closing:
-            fh.close()
-    if len(lines) != 2:
-        raise FormatError(f"expected 2 lines (order, colors), found {len(lines)}")
-    try:
-        order = tuple(int(x) for x in lines[0].split())
-        colors = tuple(int(x) for x in lines[1].split())
-    except ValueError:
-        raise FormatError("certificate lines must contain integers") from None
-    return order, colors
+    return _read_int_lines(f, "order, colors", "certificate")

@@ -9,6 +9,7 @@ vertices y_1..y_(n/2) together cover every vertex exactly once.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -337,21 +338,22 @@ def complete_hypergraph(n: int) -> Hypergraph3:
 # ---------------------------------------------------------------------------
 
 
-def _open_maybe(f, mode: str):
+@contextmanager
+def _opened(f, mode: str):
+    """Yield ``f`` unchanged, left open, when it is a stream; otherwise open
+    the path ``f`` as UTF-8 text and close it on exit."""
     if hasattr(f, "read") or hasattr(f, "write"):
-        return f, False
-    return open(f, mode, encoding="utf-8"), True
+        yield f
+    else:
+        with open(f, mode, encoding="utf-8") as fh:
+            yield fh
 
 
 def write_hypergraph(h: Hypergraph3, f) -> None:
-    fh, closing = _open_maybe(f, "w")
-    try:
+    with _opened(f, "w") as fh:
         fh.write(f"{h.n} {len(h.edge_list)}\n")
         for a, b, c in h.edge_list:
             fh.write(f"{a} {b} {c}\n")
-    finally:
-        if closing:
-            fh.close()
 
 
 def read_hypergraph(f) -> Hypergraph3:
@@ -360,12 +362,8 @@ def read_hypergraph(f) -> Hypergraph3:
     Out-of-range vertices, unsorted or repeated triples, field-count and
     edge-count mismatches all raise FormatError with the offending line.
     """
-    fh, closing = _open_maybe(f, "r")
-    try:
+    with _opened(f, "r") as fh:
         lines = fh.read().splitlines()
-    finally:
-        if closing:
-            fh.close()
     rows = [(i + 1, ln.split()) for i, ln in enumerate(lines) if ln.strip()]
     if not rows:
         raise FormatError("empty file, expected 'n m' header")
@@ -400,30 +398,37 @@ def read_hypergraph(f) -> Hypergraph3:
     return Hypergraph3(n, edges)
 
 
-def write_loose_cycle(cycle: LooseCycle, f) -> None:
-    fh, closing = _open_maybe(f, "w")
+# ---------------------------------------------------------------------------
+# certificate format: two lines of whitespace-separated integers
+# ---------------------------------------------------------------------------
+
+
+def _write_int_lines(first: Sequence[int], second: Sequence[int], f) -> None:
+    with _opened(f, "w") as fh:
+        for row in (first, second):
+            fh.write(" ".join(str(v) for v in row) + "\n")
+
+
+def _read_int_lines(f, names: str, kind: str
+                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # ``names`` labels the two lines and ``kind`` the certificate in the
+    # FormatError messages, e.g. "links, middles" and "cycle".
+    with _opened(f, "r") as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    if len(lines) != 2:
+        raise FormatError(f"expected 2 lines ({names}), found {len(lines)}")
     try:
-        fh.write(" ".join(str(v) for v in cycle.links) + "\n")
-        fh.write(" ".join(str(v) for v in cycle.middles) + "\n")
-    finally:
-        if closing:
-            fh.close()
+        first, second = (tuple(int(x) for x in ln.split()) for ln in lines)
+    except ValueError:
+        raise FormatError(f"{kind} lines must contain integers") from None
+    return first, second
+
+
+def write_loose_cycle(cycle: LooseCycle, f) -> None:
+    _write_int_lines(cycle.links, cycle.middles, f)
 
 
 def read_loose_cycle_claim(f) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Read a claimed (links, middles) pair; structure is NOT validated here,
     so bogus claims reach the verifier and come back as false verdicts."""
-    fh, closing = _open_maybe(f, "r")
-    try:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    finally:
-        if closing:
-            fh.close()
-    if len(lines) != 2:
-        raise FormatError(f"expected 2 lines (links, middles), found {len(lines)}")
-    try:
-        links = tuple(int(x) for x in lines[0].split())
-        middles = tuple(int(x) for x in lines[1].split())
-    except ValueError:
-        raise FormatError("cycle lines must contain integers") from None
-    return links, middles
+    return _read_int_lines(f, "links, middles", "cycle")

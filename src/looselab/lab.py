@@ -18,7 +18,8 @@ import tempfile
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, fields
 from statistics import NormalDist
 from typing import Optional, Sequence
 
@@ -31,7 +32,6 @@ DEFAULT_N_VALUES = (8, 12, 16)
 DEFAULT_C_VALUES = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 DEFAULT_TRIALS = 200
 DEFAULT_SEED = 20260809
-CSV_HEADER = "n,c,p,trials,successes,freq,ci_low,ci_high,method,seed"
 
 
 def probability_from_c(n: int, c: float) -> float:
@@ -120,18 +120,18 @@ class SweepCell:
     seed: int
     mean_runtime: float  # seconds per trial; excluded from CSV/JSON
 
-    def csv_row(self) -> str:
-        return (f"{self.n},{self.c!r},{self.p!r},{self.trials},"
-                f"{self.successes},{self.freq!r},{self.ci_low!r},"
-                f"{self.ci_high!r},{self.method},{self.seed}")
-
     def record(self) -> dict:
-        return {
-            "n": self.n, "c": self.c, "p": self.p, "trials": self.trials,
-            "successes": self.successes, "freq": self.freq,
-            "ci_low": self.ci_low, "ci_high": self.ci_high,
-            "method": self.method, "seed": self.seed,
-        }
+        rec = asdict(self)
+        del rec["mean_runtime"]
+        return rec
+
+    def csv_row(self) -> str:
+        # str(float) is repr(float), so the floats round-trip exactly
+        return ",".join(str(v) for v in self.record().values())
+
+
+CSV_HEADER = ",".join(f.name for f in fields(SweepCell)
+                      if f.name != "mean_runtime")
 
 
 @dataclass(frozen=True)
@@ -198,21 +198,17 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     grid = [(ci, n, c, probability_from_c(n, c))
             for ci, (n, c) in enumerate(
                 (n, c) for n in spec.n_values for c in spec.c_values)]
+    # each cell's trials split into ``stride`` interleaved ranges, none
+    # empty: one task per cell at 1 worker
+    stride = min(workers, spec.trials)
+    tasks = [(spec, ci, n, p, range(w, spec.trials, stride))
+             for ci, n, _c, p in grid for w in range(stride)]
     per_cell: dict[int, list[tuple[int, bool, float]]] = {ci: [] for ci, *_ in grid}
-    if workers == 1:
-        for ci, n, c, p in grid:
-            _, rows = _sweep_chunk((spec, ci, n, p, range(spec.trials)))
-            per_cell[ci] = rows
-    else:
-        tasks = []
-        for ci, n, c, p in grid:
-            for w in range(workers):
-                idx = range(w, spec.trials, workers)
-                if idx:
-                    tasks.append((spec, ci, n, p, idx))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for ci, rows in pool.map(_sweep_chunk, tasks):
-                per_cell[ci].extend(rows)
+    with ExitStack() as stack:
+        run = map if workers == 1 else stack.enter_context(
+            ProcessPoolExecutor(max_workers=workers)).map
+        for ci, rows in run(_sweep_chunk, tasks):
+            per_cell[ci].extend(rows)
     cells = []
     for ci, n, c, p in grid:
         rows = sorted(per_cell[ci])
@@ -243,12 +239,7 @@ class IsolatedCell:
     prob_at_least_one: float
 
     def record(self) -> dict:
-        return {
-            "n": self.n, "c": self.c, "p": self.p, "trials": self.trials,
-            "mean_isolated": self.mean_isolated, "expected": self.expected,
-            "z_score": self.z_score,
-            "prob_at_least_one": self.prob_at_least_one,
-        }
+        return asdict(self)
 
 
 def isolated_experiment(n: int, c_values: Sequence[float], trials: int,
@@ -302,18 +293,6 @@ class ModelStats:
     triangle_std: float
     hamilton_freq: Optional[float]
 
-    def record(self) -> dict:
-        return {
-            "model": self.model, "trials": self.trials, "degree": self.degree,
-            "all_regular": self.all_regular,
-            "parallel_mean": self.parallel_mean,
-            "parallel_std": self.parallel_std,
-            "parallel_dist": [list(t) for t in self.parallel_dist],
-            "triangle_mean": self.triangle_mean,
-            "triangle_std": self.triangle_std,
-            "hamilton_freq": self.hamilton_freq,
-        }
-
 
 @dataclass(frozen=True)
 class ContiguityReport:
@@ -327,8 +306,7 @@ class ContiguityReport:
     pairing: ModelStats
 
     def to_dict(self) -> dict:
-        return {"m2": self.m2, "r": self.r, "trials": self.trials,
-                "union": self.union.record(), "pairing": self.pairing.record()}
+        return asdict(self)
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

@@ -233,9 +233,9 @@ def run_pipeline(n: int, p: float, r: int = 4, seed: int = 0, *,
                  keep_instance: bool = False) -> PipelineReport:
     """One seeded reduction run; identical arguments give identical reports.
 
-    The matching engine's size cap still refuses oversized systems with
-    SizeCapExceeded; the rainbow stage never raises, and reports a search
-    that spent its node budget as ``rainbow_undecided``.
+    Neither engine refuses a system by size; the rainbow stage never
+    raises, and reports a search that spent its node budget as
+    ``rainbow_undecided``.
     """
     gen = rng_from_seed(seed)
     return _run_pipeline_stream(n, p, r, gen, seed=seed,

@@ -221,8 +221,9 @@ class CopySet:
         if len(set(flat)) != len(flat):
             raise ValueError("copy elements must be distinct")
         per_color: dict[int, int] = {}
+        base_set = set(base)
         for y, i in flat:
-            if y not in set(base):
+            if y not in base_set:
                 raise ValueError(f"element color {y} outside the base colors")
             if not 1 <= i <= r:
                 raise ValueError(f"copy index {i} outside 1..{r}")

@@ -4,9 +4,9 @@ Hamilton cycles of colored multigraphs.
 One complete, seed-free search per problem.  Each returns a witness that
 passes its verifier, or ``None`` only when it has proven that no witness
 exists; the test suite checks both against unpruned enumeration oracles
-at small sizes.  The matching engine refuses oversized inputs up front
-with ``SizeCapExceeded``; the rainbow engine instead spends at most a
-node budget and raises ``BudgetExhausted`` when the search is undecided.
+at small sizes.  Neither has a size cap: the matching engine runs to a
+decision on any input, and the rainbow engine spends at most a node
+budget and raises ``BudgetExhausted`` when the search is undecided.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .colored import ColoredMultigraph, RainbowCycleCert
-from .hypergraph import BudgetExhausted, SizeCapExceeded, Verdict
+from .hypergraph import BudgetExhausted, Verdict
 from .sampling import Slot, TripleSystem
 
 MatchTriple = tuple[tuple[int, int], Slot]
@@ -71,20 +71,17 @@ def _sorted_rows(ts: TripleSystem) -> list[MatchTriple]:
 # ---------------------------------------------------------------------------
 
 
-def exact_matching(ts: TripleSystem, *, cap: int = 64, row_cap: int = 200_000,
+def exact_matching(ts: TripleSystem, *,
                    stats: Optional[dict] = None) -> Optional[PerfectMatching]:
     """Complete perfect-matching search, framed as exact cover.
 
     Rows are present triples; columns are the 2m X-vertices and the m
     slots; the most constrained column is branched first, ties broken by
-    lowest column index.  Returns a verified matching iff one exists.
+    lowest column index.  Returns a verified matching iff one exists, for
+    any m: there is no size cap and no node budget.  ``stats["nodes"]``
+    accumulates the search nodes expanded.
     """
     m = ts.m
-    if m > cap:
-        raise SizeCapExceeded(f"m={m} exceeds the exact-matching cap {cap}")
-    if len(ts.present) > row_cap:
-        raise SizeCapExceeded(
-            f"{len(ts.present)} triples exceed the row cap {row_cap}")
     if m == 0:
         return PerfectMatching(())
     rows = _sorted_rows(ts)
@@ -170,7 +167,7 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *,
     ``budget`` search nodes.
 
     Backtracks over (next vertex, edge color) extensions from vertex 1,
-    with the closing direction canonicalized (second vertex below the
+    with the cycle's direction canonicalized (second vertex below the
     last).  Prunes on used colors, on unvisited vertices left with fewer
     than two usable distinct colors (or, above 2 vertices, fewer than two
     usable neighbors), and on usable-edge connectivity of the region still

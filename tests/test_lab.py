@@ -146,6 +146,23 @@ class TestRunSweep:
             assert run_sweep(spec, workers=workers).to_csv_text() == \
                 base.to_csv_text()
 
+    @pytest.mark.parametrize("trials,workers", [(1, 2), (5, 3)])
+    def test_edge_worker_counts_match_one_worker(self, trials, workers):
+        # fewer trials than workers, and strides of unequal length
+        spec = SweepSpec(n_values=(8, 12), c_values=(2.0, 6.0), trials=trials,
+                         seed=11)
+        base = run_sweep(spec, workers=1)
+        res = run_sweep(spec, workers=workers)
+        assert res.to_csv_text() == base.to_csv_text()
+        assert res.to_json_text() == base.to_json_text()
+
+    def test_pipeline_matching_has_no_size_cap(self):
+        # m = 260/4 = 65 triple-system slots: decided, not refused mid-sweep
+        spec = SweepSpec(n_values=(8, 260), c_values=(16.0,), trials=2,
+                         seed=12, method="pipeline")
+        res = run_sweep(spec)
+        assert [(c.n, c.trials) for c in res.cells] == [(8, 2), (260, 2)]
+
     def test_pipeline_method_runs(self):
         spec = SweepSpec(n_values=(8,), c_values=(1e9,), trials=5, seed=2,
                          method="pipeline")
@@ -158,7 +175,8 @@ class TestRunSweep:
         res = run_sweep(spec)
         text = res.to_csv_text()
         lines = text.strip().split("\n")
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == CSV_HEADER == \
+            "n,c,p,trials,successes,freq,ci_low,ci_high,method,seed"
         assert len(lines) == 1 + 2
         first = lines[1].split(",")
         assert first[0] == "8" and first[9] == "3"

@@ -6,7 +6,6 @@ from looselab import (
     BudgetExhausted,
     ColoredEdge,
     ColoredMultigraph,
-    SizeCapExceeded,
     TripleSystem,
     exact_matching,
     exact_rainbow_hamilton,
@@ -82,12 +81,23 @@ class TestExactMatching:
             if exact_matching(ts) is not None:
                 assert exact_matching(bigger) is not None
 
-    def test_cap(self):
-        xs = tuple(range(1, 2 * 70 + 1))
-        slots = tuple(range(1000, 1070))
-        ts = TripleSystem(xs, slots, frozenset())
-        with pytest.raises(SizeCapExceeded):
-            exact_matching(ts)
+    def test_no_size_cap(self):
+        # m=70 is searched, not refused: a planted perfect matching among
+        # random decoys is found, and an edgeless system has none
+        m = 70
+        xs = tuple(range(1, 2 * m + 1))
+        slots = tuple(range(1000, 1000 + m))
+        planted = {((2 * k + 1, 2 * k + 2), slots[k]) for k in range(m)}
+        rng = rng_from_seed(4)
+        decoys = set()
+        for _ in range(3 * m):
+            x1, x2 = sorted(rng.choice(xs, size=2, replace=False).tolist())
+            decoys.add(((x1, x2), slots[int(rng.integers(m))]))
+        ts = TripleSystem(xs, slots, frozenset(planted | decoys))
+        pm = exact_matching(ts)
+        assert pm is not None
+        assert verify_matching(ts, pm)
+        assert exact_matching(TripleSystem(xs, slots, frozenset())) is None
 
     def test_seed_free_deterministic(self):
         ts = complete_triple_system(range(1, 9), ("a", "b", "c", "d"))
