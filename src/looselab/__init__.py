@@ -12,7 +12,7 @@ from .colored import (ColoredEdge, ColoredMultigraph, RainbowCycleCert,
                       read_colored, read_rainbow_claim, verify_rainbow_hamilton,
                       write_colored, write_rainbow_cert)
 from .hypergraph import (BudgetExhausted, FormatError, Hypergraph3, LooseCycle,
-                         SizeCapExceeded, Triple, Verdict, complete_hypergraph,
+                         SizeCapExceeded, Triple, Verdict,
                          enumerate_loose_hamilton, exact_loose_hamilton,
                          expected_isolated, isolated_vertices, read_hypergraph,
                          read_loose_cycle_claim, triple, verify_loose_hamilton,
@@ -37,7 +37,7 @@ __all__ = [
     "IsolatedCell", "LooseCycle", "PerfectMatching", "PipelineReport",
     "RainbowCycleCert", "SizeCapExceeded", "SplitParams", "SweepCell",
     "SweepResult", "SweepSpec", "Triple", "TripleSystem", "Verdict",
-    "build_gstar", "complete_hypergraph", "contiguity_probe", "derived_rng",
+    "build_gstar", "contiguity_probe", "derived_rng",
     "enumerate_loose_hamilton", "exact_loose_hamilton", "exact_matching",
     "exact_rainbow_hamilton", "expected_isolated", "is_equitable",
     "isolated_experiment", "isolated_vertices", "lift_to_loose",

@@ -14,8 +14,9 @@ import sys
 from . import __version__
 from .colored import read_colored, read_rainbow_claim, verify_rainbow_hamilton, \
     write_colored, write_rainbow_cert
-from .hypergraph import BudgetExhausted, FormatError, read_hypergraph, \
-    read_loose_cycle_claim, verify_loose_hamilton, write_hypergraph
+from .hypergraph import LOOSE_CAP, BudgetExhausted, FormatError, \
+    read_hypergraph, read_loose_cycle_claim, verify_loose_hamilton, \
+    write_hypergraph
 from .lab import SweepSpec, contiguity_probe, isolated_experiment, \
     probability_from_c, run_sweep
 from .pipeline import run_pipeline
@@ -100,26 +101,22 @@ def _cmd_solve_rainbow(args) -> int:
     return 0
 
 
-def _cmd_verify_loose(args) -> int:
-    h = read_hypergraph(args.instance)
-    claim = read_loose_cycle_claim(args.cert)
-    _banner("verify loose", instance=args.instance, cert=args.cert)
-    verdict = verify_loose_hamilton(h, claim)
-    if verdict:
-        print("valid loose Hamilton cycle")
-        return 0
-    where = f" at index {verdict.index}" if verdict.index is not None else ""
-    print(f"invalid: {verdict.reason}{where}")
-    return 1
+# kind -> (instance reader, claim reader, verifier)
+_VERIFIERS = {
+    "loose": (read_hypergraph, read_loose_cycle_claim, verify_loose_hamilton),
+    "rainbow": (lambda f: read_colored(f)[0], read_rainbow_claim,
+                verify_rainbow_hamilton),
+}
 
 
-def _cmd_verify_rainbow(args) -> int:
-    g, _r = read_colored(args.instance)
-    claim = read_rainbow_claim(args.cert)
-    _banner("verify rainbow", instance=args.instance, cert=args.cert)
-    verdict = verify_rainbow_hamilton(g, claim)
+def _cmd_verify(args) -> int:
+    read_instance, read_claim, verify = _VERIFIERS[args.kind]
+    instance = read_instance(args.instance)
+    claim = read_claim(args.cert)
+    _banner(f"verify {args.kind}", instance=args.instance, cert=args.cert)
+    verdict = verify(instance, claim)
     if verdict:
-        print("valid rainbow Hamilton cycle")
+        print(f"valid {args.kind} Hamilton cycle")
         return 0
     where = f" at index {verdict.index}" if verdict.index is not None else ""
     print(f"invalid: {verdict.reason}{where}")
@@ -149,7 +146,7 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(
         n_values=tuple(args.n), c_values=tuple(args.c), r=args.r,
         trials=args.trials, method=args.method, seed=args.seed,
-        confidence=args.confidence, loose_cap=args.cap)
+        loose_cap=args.cap)
     _banner("sweep", n=args.n, c=args.c, trials=args.trials,
             method=args.method, seed=args.seed, workers=args.workers)
     result = run_sweep(spec, workers=args.workers)
@@ -166,6 +163,14 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _emit(text: str, out) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
 def _cmd_probe_isolated(args) -> int:
     _banner("probe isolated", n=args.n, c=args.c, trials=args.trials,
             seed=args.seed)
@@ -174,12 +179,7 @@ def _cmd_probe_isolated(args) -> int:
         rows.extend(cell.record()
                     for cell in isolated_experiment(n, args.c, args.trials,
                                                     args.seed))
-    text = json.dumps(rows, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(json.dumps(rows, indent=2), args.out)
     return 0
 
 
@@ -187,12 +187,7 @@ def _cmd_probe_contiguity(args) -> int:
     _banner("probe contiguity", m2=args.m2, r=args.r, trials=args.trials,
             seed=args.seed)
     report = contiguity_probe(args.m2, args.r, args.trials, args.seed)
-    text = report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(report.to_json(), args.out)
     return 0
 
 
@@ -237,12 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("verify", help="check a claimed certificate")
     vfsub = pf.add_subparsers(dest="kind", required=True)
-    for name, func in (("loose", _cmd_verify_loose),
-                       ("rainbow", _cmd_verify_rainbow)):
+    for name in _VERIFIERS:
         vp = vfsub.add_parser(name)
         vp.add_argument("--instance", required=True)
         vp.add_argument("--cert", required=True)
-        vp.set_defaults(func=func)
+        vp.set_defaults(func=_cmd_verify)
 
     pp = sub.add_parser("pipeline", help="run the full reduction once")
     pp.add_argument("--n", type=int, required=True)
@@ -261,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--trials", type=int, default=SweepSpec().trials)
     pw.add_argument("--method", choices=("exact", "pipeline"), default="exact")
     pw.add_argument("--seed", type=int, default=SweepSpec().seed)
-    pw.add_argument("--confidence", type=float, default=0.95)
-    pw.add_argument("--cap", type=int, default=16)
+    pw.add_argument("--cap", type=int, default=LOOSE_CAP)
     pw.add_argument("--workers", type=int, default=1)
     pw.add_argument("--format", choices=("csv", "json", "both"), default="both")
     pw.add_argument("--out", help="output path prefix (.csv/.json appended)")

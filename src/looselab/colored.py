@@ -54,7 +54,7 @@ class ColoredMultigraph:
     """
 
     __slots__ = ("num_vertices", "colors", "edges", "color_usage", "degrees",
-                 "_pair_colors")
+                 "_adjacency")
 
     def __init__(self, num_vertices: int, colors: Iterable[int],
                  edges: Iterable[ColoredEdge]):
@@ -87,21 +87,29 @@ class ColoredMultigraph:
         self.color_usage = {c: usage.get(c, 0) for c in universe} if universe \
             else dict(usage)
         self.degrees = {v: degrees.get(v, 0) for v in range(1, num_vertices + 1)}
-        self._pair_colors = None
+        self._adjacency = None
 
-    def pair_colors(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """(u, v) -> sorted distinct colors available on that endpoint pair."""
-        if self._pair_colors is None:
-            acc: dict[tuple[int, int], set[int]] = {}
+    @property
+    def adjacency(self) -> dict[int, dict[int, tuple[int, ...]]]:
+        """v -> {w: sorted distinct colors of the edges vw}, built on first use.
+
+        Vertices and each vertex's neighbours come in ascending order;
+        loops are left out, since no cycle through two or more vertices
+        can use one.
+        """
+        if self._adjacency is None:
+            by_pair: dict[tuple[int, int], set[int]] = {}
             for e in self.edges:
-                acc.setdefault(e.pair, set()).add(e.color)
-            self._pair_colors = {k: tuple(sorted(v)) for k, v in acc.items()}
-        return self._pair_colors
-
-    def has_edge(self, u: int, v: int, color: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return color in self.pair_colors().get((u, v), ())
+                if e.u != e.v:
+                    by_pair.setdefault(e.pair, set()).add(e.color)
+            adj: dict[int, dict[int, tuple[int, ...]]] = {
+                v: {} for v in range(1, self.num_vertices + 1)}
+            # in sorted pair order each vertex meets its smaller
+            # neighbours (as the pair's second element) before its larger
+            for (u, v), cs in sorted(by_pair.items()):
+                adj[u][v] = adj[v][u] = tuple(sorted(cs))
+            self._adjacency = adj
+        return self._adjacency
 
     def __repr__(self) -> str:
         kind = f"{len(self.colors)} colors" if self.colors else "uncolored"
@@ -169,6 +177,8 @@ def verify_rainbow_hamilton(g: ColoredMultigraph, cert: CertLike) -> Verdict:
     """
     order, colors = _cert_parts(cert)
     nv = g.num_vertices
+    if nv < 2:
+        return Verdict(False, "cycle needs at least 2 vertices")
     if len(order) != nv:
         return Verdict(False, f"expected {nv} vertices in order, got {len(order)}")
     if len(colors) != nv:
@@ -178,9 +188,9 @@ def verify_rainbow_hamilton(g: ColoredMultigraph, cert: CertLike) -> Verdict:
     for i, c in enumerate(colors):
         if c in colors[:i]:
             return Verdict(False, "repeated color", index=i + 1)
+    adj = g.adjacency
     for i in range(nv):
-        u, v = order[i], order[(i + 1) % nv]
-        if not g.has_edge(u, v, colors[i]):
+        if colors[i] not in adj[order[i]].get(order[(i + 1) % nv], ()):
             return Verdict(False, "missing edge", index=i + 1)
     return Verdict(True)
 

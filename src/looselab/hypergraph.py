@@ -28,6 +28,9 @@ class BudgetExhausted(RuntimeError):
 
 Triple = tuple[int, int, int]
 
+# Largest n exact_loose_hamilton searches unless given another cap.
+LOOSE_CAP = 16
+
 
 def triple(a: int, b: int, c: int) -> Triple:
     """Sorted triple of three distinct vertex ids."""
@@ -46,7 +49,7 @@ class Hypergraph3:
     bugs surface instead of disappearing.
     """
 
-    __slots__ = ("n", "edge_list", "edges", "_incidence")
+    __slots__ = ("n", "edge_list", "edges")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         n = int(n)
@@ -61,7 +64,6 @@ class Hypergraph3:
         self.n = n
         self.edge_list: tuple[Triple, ...] = tuple(canon)
         self.edges: frozenset[Triple] = frozenset(canon)
-        self._incidence = None
 
     @classmethod
     def _from_sorted(cls, n: int, edge_list: Sequence[Triple]) -> "Hypergraph3":
@@ -71,20 +73,7 @@ class Hypergraph3:
         self.n = n
         self.edge_list = tuple(edge_list)
         self.edges = frozenset(self.edge_list)
-        self._incidence = None
         return self
-
-    @property
-    def incidence(self) -> dict[int, tuple[int, ...]]:
-        """vertex -> ids of incident edges (ids index ``edge_list``)."""
-        if self._incidence is None:
-            inc: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
-            for i, (a, b, c) in enumerate(self.edge_list):
-                inc[a].append(i)
-                inc[b].append(i)
-                inc[c].append(i)
-            self._incidence = {v: tuple(ids) for v, ids in inc.items()}
-        return self._incidence
 
     def __contains__(self, e) -> bool:
         return tuple(e) in self.edges
@@ -305,12 +294,13 @@ def _loose_cycle_search(h: Hypergraph3, first_only: bool) -> list[LooseCycle]:
     return results
 
 
-def exact_loose_hamilton(h: Hypergraph3, *, cap: int = 16) -> Optional[LooseCycle]:
+def exact_loose_hamilton(h: Hypergraph3, *,
+                         cap: int = LOOSE_CAP) -> Optional[LooseCycle]:
     """Complete search for a loose Hamilton cycle; None iff none exists.
 
     Branches on the next link and middle simultaneously, anchored at the
-    smallest link vertex.  Intended for n up to ``cap`` (default 16);
-    larger inputs raise SizeCapExceeded.
+    smallest link vertex.  Intended for n up to ``cap`` (default
+    ``LOOSE_CAP``); larger inputs raise SizeCapExceeded.
     """
     _check_searchable(h, cap)
     found = _loose_cycle_search(h, first_only=True)
@@ -324,13 +314,6 @@ def enumerate_loose_hamilton(h: Hypergraph3, *, cap: int = 12) -> list[LooseCycl
     for cyc in _loose_cycle_search(h, first_only=False):
         distinct.setdefault(cyc.edge_set(), cyc)
     return sorted(distinct.values(), key=lambda c: (c.links, c.middles))
-
-
-def complete_hypergraph(n: int) -> Hypergraph3:
-    """K_n^(3): every triple present."""
-    from itertools import combinations
-
-    return Hypergraph3._from_sorted(n, list(combinations(range(1, n + 1), 3)))
 
 
 # ---------------------------------------------------------------------------

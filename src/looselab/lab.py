@@ -23,7 +23,8 @@ from dataclasses import asdict, dataclass, fields
 from statistics import NormalDist
 from typing import Optional, Sequence
 
-from .hypergraph import exact_loose_hamilton, expected_isolated, isolated_vertices
+from .hypergraph import LOOSE_CAP, exact_loose_hamilton, expected_isolated, \
+    isolated_vertices
 from .pipeline import _run_pipeline_stream
 from .sampling import derived_rng, sample_h3, sample_pairing_regular, \
     sample_union_matchings
@@ -32,6 +33,9 @@ DEFAULT_N_VALUES = (8, 12, 16)
 DEFAULT_C_VALUES = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 DEFAULT_TRIALS = 200
 DEFAULT_SEED = 20260809
+
+# contiguity_probe decides Hamiltonicity only for m2 up to this
+HAMILTON_LIMIT = 12
 
 
 def probability_from_c(n: int, c: float) -> float:
@@ -66,9 +70,10 @@ class SweepSpec:
     """Grid description for a threshold sweep.
 
     method 'exact' decides each trial with the complete cycle search
-    (requires every n within ``loose_cap``); 'pipeline' runs the full
-    reduction, and a trial counts as a success only when it returns a
-    verified loose cycle (an undecided rainbow search is a failure).
+    (requires every n within ``loose_cap``, ``LOOSE_CAP`` by default);
+    'pipeline' runs the full reduction, and a trial counts as a success
+    only when it returns a verified loose cycle (an undecided rainbow
+    search is a failure).  Each cell reports a 95% Wilson interval.
     """
 
     n_values: tuple[int, ...] = DEFAULT_N_VALUES
@@ -77,8 +82,7 @@ class SweepSpec:
     trials: int = DEFAULT_TRIALS
     method: str = "exact"
     seed: int = DEFAULT_SEED
-    confidence: float = 0.95
-    loose_cap: int = 16
+    loose_cap: int = LOOSE_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "n_values",
@@ -97,8 +101,6 @@ class SweepSpec:
             raise ValueError("r must be >= 1")
         if self.method not in ("exact", "pipeline"):
             raise ValueError("method must be 'exact' or 'pipeline'")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence must lie strictly between 0 and 1")
         if self.method == "exact" and max(self.n_values) > self.loose_cap:
             raise ValueError(
                 f"exact method needs every n within the cap {self.loose_cap}")
@@ -213,7 +215,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     for ci, n, c, p in grid:
         rows = sorted(per_cell[ci])
         successes = sum(1 for _, ok, _ in rows if ok)
-        lo, hi = wilson_interval(successes, spec.trials, spec.confidence)
+        lo, hi = wilson_interval(successes, spec.trials)
         cells.append(SweepCell(
             n=n, c=c, p=p, trials=spec.trials, successes=successes,
             freq=successes / spec.trials, ci_low=lo, ci_high=hi,
@@ -250,6 +252,8 @@ def isolated_experiment(n: int, c_values: Sequence[float], trials: int,
     the empirical standard error; a zero-variance sample scores 0 when the
     gap is zero and +/-inf otherwise.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     cells = []
     for ci, c in enumerate(float(c) for c in c_values):
         p = probability_from_c(n, c)
@@ -358,12 +362,11 @@ def _hamilton_cycle_exists(adj: dict[int, set[int]], nv: int) -> bool:
 
 
 def _model_stats(name: str, sampler, m2: int, degree: int, trials: int,
-                 seed: int, model_index: int,
-                 hamilton_limit: int) -> ModelStats:
+                 seed: int, model_index: int) -> ModelStats:
     parallel = []
     triangles = []
     ham_hits = 0
-    ham_counted = m2 <= hamilton_limit
+    ham_counted = m2 <= HAMILTON_LIMIT
     all_regular = True
     for t in range(trials):
         gen = derived_rng(seed, model_index, t)
@@ -390,19 +393,21 @@ def _model_stats(name: str, sampler, m2: int, degree: int, trials: int,
         hamilton_freq=ham_hits / trials if ham_counted else None)
 
 
-def contiguity_probe(m2: int, r: int, trials: int, seed: int, *,
-                     hamilton_limit: int = 12) -> ContiguityReport:
+def contiguity_probe(m2: int, r: int, trials: int,
+                     seed: int) -> ContiguityReport:
     """Sample both 2r-regular models and emit side-by-side distribution
     summaries (parallel-edge excess, skeleton triangles, and Hamiltonicity
-    frequency when m2 is small enough to decide it)."""
+    frequency when m2 is at most ``HAMILTON_LIMIT``, else None)."""
     if m2 < 2 or m2 % 2:
         raise ValueError(f"m2 must be even and >= 2, got {m2}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     degree = 2 * r
     union = _model_stats(
         "union_matchings", lambda gen: sample_union_matchings(m2, r, gen),
-        m2, degree, trials, seed, 0, hamilton_limit)
+        m2, degree, trials, seed, 0)
     pairing = _model_stats(
         "pairing_model", lambda gen: sample_pairing_regular(m2, degree, gen),
-        m2, degree, trials, seed, 1, hamilton_limit)
+        m2, degree, trials, seed, 1)
     return ContiguityReport(m2=m2, r=r, trials=trials,
                             union=union, pairing=pairing)

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 from .colored import (ColoredEdge, ColoredMultigraph, RainbowCycleCert,
                       lift_to_loose)
-from .hypergraph import BudgetExhausted, Hypergraph3, LooseCycle, \
+from .hypergraph import LOOSE_CAP, BudgetExhausted, Hypergraph3, LooseCycle, \
     exact_loose_hamilton, verify_loose_hamilton
 from .sampling import CopySet, TripleSystem, derived_rng, rng_from_seed, \
     sample_coupled
@@ -129,35 +129,16 @@ class PipelineReport:
     gstar: Optional[ColoredMultigraph] = None
 
     def to_dict(self) -> dict:
-        def matching_payload(pm: PerfectMatching):
-            return [[[x1, x2], list(slot)] for (x1, x2), slot in pm.triples]
-
-        return {
-            "n": self.n,
-            "p": self.p,
-            "r": self.r,
-            "seed": self.seed,
-            "coupling_ok": self.coupling_ok,
-            "matchings_found": self.matchings_found,
-            "gstar_built": self.gstar_built,
-            "rainbow_found": self.rainbow_found,
-            "rainbow_undecided": self.rainbow_undecided,
-            "lift_verified": self.lift_verified,
-            "success": self.success,
-            "failed_stage": self.failed_stage,
-            "matchings": [matching_payload(pm) for pm in self.matchings]
-            if self.matchings is not None else None,
-            "rainbow_cert": {
-                "order": list(self.rainbow_cert.order),
-                "colors": list(self.rainbow_cert.colors),
-            } if self.rainbow_cert is not None else None,
-            "loose_cycle": {
-                "links": list(self.loose_cycle.links),
-                "middles": list(self.loose_cycle.middles),
-            } if self.loose_cycle is not None else None,
-            "stage_seconds": dict(self.stage_seconds),
-            "stage_steps": dict(self.stage_steps),
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)
+             if f.name not in ("hypergraph", "copyset", "gstar")}
+        if self.matchings is not None:
+            d["matchings"] = [list(pm.triples) for pm in self.matchings]
+        for key in ("rainbow_cert", "loose_cycle"):
+            if d[key] is not None:
+                d[key] = asdict(d[key])
+        d["stage_seconds"] = dict(self.stage_seconds)
+        d["stage_steps"] = dict(self.stage_steps)
+        return d
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -282,16 +263,17 @@ class ComparisonTable:
         }
 
 
-def pipeline_vs_oracle(n: int, p: float, r: int, trials: int, seed: int, *,
-                       loose_cap: int = 16) -> ComparisonTable:
-    """Run pipeline and exact oracle on the same sampled instances."""
-    if n > loose_cap:
-        raise ValueError(f"n={n} exceeds the exact oracle cap {loose_cap}")
+def pipeline_vs_oracle(n: int, p: float, r: int, trials: int,
+                       seed: int) -> ComparisonTable:
+    """Run pipeline and exact oracle on the same sampled instances; n must
+    be within the oracle's ``LOOSE_CAP``."""
+    if n > LOOSE_CAP:
+        raise ValueError(f"n={n} exceeds the exact oracle cap {LOOSE_CAP}")
     rows = []
     for t in range(trials):
         gen = derived_rng(seed, t)
         rep = _run_pipeline_stream(n, p, r, gen, keep_instance=True)
-        oracle = exact_loose_hamilton(rep.hypergraph, cap=loose_cap) is not None
+        oracle = exact_loose_hamilton(rep.hypergraph) is not None
         if rep.success and not oracle:
             raise RuntimeError(
                 f"unsound pipeline success on trial {t}: oracle found no cycle")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from .hypergraph import Hypergraph3
 Slot = Hashable
 
 DEFAULT_R = 4
+
+# pairings sample_pairing_regular draws before giving up on a loopless one
+PAIRING_ATTEMPTS = 100_000
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -145,23 +148,12 @@ def unrank_triples(n: int, ranks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         _TRIPLE_CUM[n] = tab
     ai = np.searchsorted(tab, ranks, side="right")
     base = np.where(ai > 0, tab[np.maximum(ai - 1, 0)], 0)
-    a = (ai + 1).astype(np.int64)
-    rem = ranks - base
-    k = n - a  # remaining universe size for the (b, c) pair
-
-    def count_upto(t):
-        # pairs whose smaller element is among the first t of k candidates
-        return t * k - (t * (t + 1)) // 2
-
-    tk = 2 * k - 1
-    disc = tk.astype(np.float64) ** 2 - 8.0 * (rem.astype(np.float64) + 1.0)
-    t = np.ceil((tk - np.sqrt(np.maximum(disc, 0.0))) / 2.0).astype(np.int64)
-    t = np.maximum(t, 1)
-    t = np.where(count_upto(t) < rem + 1, t + 1, t)
-    t = np.where((t > 1) & (count_upto(t - 1) >= rem + 1), t - 1, t)
-    b = a + t
-    c = b + 1 + (rem - count_upto(t - 1))
-    return a, b, c
+    # (b, c) is a pair of the last k elements of 1..n-1, shifted up by
+    # one; those pairs are the last C(k, 2) in lexicographic order
+    k = n - 1 - ai
+    b, c = unrank_pairs(n - 1, math.comb(n - 1, 2) - k * (k - 1) // 2
+                        + (ranks - base))
+    return (ai + 1).astype(np.int64), b + 1, c + 1
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +227,18 @@ class CopySet:
     def r(self) -> int:
         return len(self.blocks) // 2
 
-    @property
-    def elements(self) -> tuple[tuple[int, int], ...]:
-        return tuple(el for blk in self.blocks for el in blk)
 
-
-def sample_copyset_partition(m: int, r: int, rng=None,
-                             base_colors: Optional[Iterable[int]] = None) -> CopySet:
+def sample_copyset_partition(m: int, r: int, rng=None) -> CopySet:
     """Uniformly random partition of the 2rm copy elements into 2r blocks
-    of size m (a uniform shuffle sliced into consecutive blocks)."""
+    of size m (a uniform shuffle sliced into consecutive blocks).
+
+    The base colors are 2m+1..4m: the color vertices of the coupled
+    sampler at n = 4m, and the colors of a derived graph on 2m vertices.
+    """
     if m < 1 or r < 1:
         raise ValueError("need m >= 1 and r >= 1")
     gen = as_generator(rng)
-    base = tuple(base_colors) if base_colors is not None \
-        else tuple(range(2 * m + 1, 4 * m + 1))
+    base = tuple(range(2 * m + 1, 4 * m + 1))
     elems = [(y, i) for y in base for i in range(1, r + 1)]
     order = gen.permutation(len(elems)).tolist()
     shuffled = [elems[k] for k in order]
@@ -347,9 +337,8 @@ def sample_coupled(n: int, p: float, r: int = DEFAULT_R, rng=None
     m = n // 4
     two_m = 2 * m
     xs = tuple(range(1, two_m + 1))
-    xbar = tuple(range(two_m + 1, n + 1))
 
-    copyset = sample_copyset_partition(m, r, gen, base_colors=xbar)
+    copyset = sample_copyset_partition(m, r, gen)
     systems = tuple(sample_gamma(xs, blk, params.p1, gen) for blk in copyset.blocks)
 
     edges: set[tuple[int, int, int]] = set()
@@ -398,8 +387,7 @@ def sample_union_matchings(m2: int, r: int, rng=None, *,
     m = m2 // 2
     copyset = None
     if colored:
-        copyset = sample_copyset_partition(
-            m, r, gen, base_colors=range(m2 + 1, 2 * m2 + 1))
+        copyset = sample_copyset_partition(m, r, gen)
     edges: list[ColoredEdge] = []
     for j in range(2 * r):
         perm = (gen.permutation(m2) + 1).tolist()
@@ -417,8 +405,7 @@ def sample_union_matchings(m2: int, r: int, rng=None, *,
     return ColoredMultigraph(m2, colors, edges)
 
 
-def sample_pairing_regular(m2: int, d: int, rng=None, *,
-                           max_attempts: int = 100_000) -> ColoredMultigraph:
+def sample_pairing_regular(m2: int, d: int, rng=None) -> ColoredMultigraph:
     """Configuration-model d-regular multigraph on 1..m2, uncolored.
 
     Half-edges are paired by a uniform shuffle; any pairing containing a
@@ -429,7 +416,7 @@ def sample_pairing_regular(m2: int, d: int, rng=None, *,
         raise ValueError(f"infeasible degree sequence: m2={m2}, d={d}")
     gen = as_generator(rng)
     stubs = np.repeat(np.arange(1, m2 + 1, dtype=np.int64), d)
-    for _ in range(max_attempts):
+    for _ in range(PAIRING_ATTEMPTS):
         pairing = gen.permutation(stubs)
         a = pairing[0::2]
         b = pairing[1::2]
@@ -438,7 +425,7 @@ def sample_pairing_regular(m2: int, d: int, rng=None, *,
         us = np.minimum(a, b).tolist()
         vs = np.maximum(a, b).tolist()
         return ColoredMultigraph(m2, (), [ColoredEdge(u, v, 0) for u, v in zip(us, vs)])
-    raise RuntimeError(f"no loopless pairing found in {max_attempts} attempts")
+    raise RuntimeError(f"no loopless pairing found in {PAIRING_ATTEMPTS} attempts")
 
 
 # ---------------------------------------------------------------------------

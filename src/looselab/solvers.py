@@ -145,17 +145,6 @@ def exact_matching(ts: TripleSystem, *,
 # ---------------------------------------------------------------------------
 
 
-def _rainbow_adjacency(g: ColoredMultigraph) -> dict[int, dict[int, tuple[int, ...]]]:
-    adj: dict[int, dict[int, set[int]]] = {v: {} for v in range(1, g.num_vertices + 1)}
-    for e in g.edges:
-        if e.u == e.v:
-            continue  # loops cannot appear on a Hamilton cycle
-        adj[e.u].setdefault(e.v, set()).add(e.color)
-        adj[e.v].setdefault(e.u, set()).add(e.color)
-    return {v: {w: tuple(sorted(cs)) for w, cs in sorted(nb.items())}
-            for v, nb in adj.items()}
-
-
 def exact_rainbow_hamilton(g: ColoredMultigraph, *,
                            budget: int = DEFAULT_RAINBOW_BUDGET,
                            stats: Optional[dict] = None
@@ -176,7 +165,7 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *,
     nv = g.num_vertices
     if nv < 2:
         return None
-    adj = _rainbow_adjacency(g)
+    adj = g.adjacency
     if any(not adj[v] for v in adj):
         return None
     if len({e.color for e in g.edges if e.u != e.v}) < nv:

@@ -71,10 +71,12 @@ def rainbow_hamilton_exists_naive(g) -> bool:
     nv = g.num_vertices
     if nv < 2:
         return False
-    pc = g.pair_colors()
+    pc = {}
+    for e in g.edges:
+        pc.setdefault((e.u, e.v), set()).add(e.color)
 
     def colors_on(u, v):
-        return pc.get((min(u, v), max(u, v)), ())
+        return sorted(pc.get((min(u, v), max(u, v)), ()))
 
     for rest in permutations(range(2, nv + 1)):
         order = (1,) + rest
@@ -100,6 +102,11 @@ def random_hypergraph_instance(rng, n: int, max_edges: int) -> Hypergraph3:
     k = int(rng.integers(0, max_edges + 1))
     idx = rng.choice(len(pool), size=k, replace=False)
     return Hypergraph3(n, [pool[i] for i in sorted(idx.tolist())])
+
+
+def complete_hypergraph(n: int) -> Hypergraph3:
+    """K_n^(3): every triple present."""
+    return Hypergraph3(n, combinations(range(1, n + 1), 3))
 
 
 def complete_triple_system(xs, slots) -> TripleSystem:

@@ -2,6 +2,8 @@ import json
 import shlex
 from pathlib import Path
 
+import pytest
+
 from looselab.cli import build_parser, main
 from looselab.lab import CSV_HEADER
 
@@ -206,6 +208,13 @@ class TestProbeCommand:
                    "--trials", "50", "--seed", "1", "--out", str(out)) == 0
         payload = json.loads(out.read_text())
         assert payload["union"]["all_regular"] is True
+
+    @pytest.mark.parametrize("experiment", ["isolated", "contiguity"])
+    def test_trials_below_one_exits_two(self, experiment, capsys):
+        assert run("probe", experiment, "--trials", "0") == 2
+        err = capsys.readouterr().err
+        assert "error: trials must be >= 1" in err
+        assert "Traceback" not in err
 
 
 class TestUsage:

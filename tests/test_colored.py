@@ -9,6 +9,7 @@ from looselab import (
     LooseCycle,
     RainbowCycleCert,
     cert_internally_valid,
+    exact_rainbow_hamilton,
     is_equitable,
     lift_to_loose,
     read_colored,
@@ -54,7 +55,18 @@ class TestColoredMultigraph:
         g = ColoredMultigraph(2, (3, 4),
                               [ColoredEdge(1, 2, 3), ColoredEdge(1, 2, 4)])
         assert len(g.edges) == 2
-        assert g.pair_colors()[(1, 2)] == (3, 4)
+        assert g.adjacency[1][2] == g.adjacency[2][1] == (3, 4)
+
+    def test_adjacency_ascending_without_loops(self):
+        g = ColoredMultigraph(
+            4, (5, 6, 7),
+            [ColoredEdge(3, 4, 7), ColoredEdge(2, 2, 5), ColoredEdge(1, 3, 6),
+             ColoredEdge(2, 3, 5), ColoredEdge(1, 3, 5), ColoredEdge(1, 3, 6)])
+        adj = g.adjacency
+        assert list(adj) == [1, 2, 3, 4]
+        assert list(adj[3].items()) == [(1, (5, 6)), (2, (5,)), (4, (7,))]
+        assert adj[2] == {3: (5,)}
+        assert adj[1] == {3: (5, 6)} and adj[4] == {3: (7,)}
 
     def test_loop_allowed_in_type(self):
         g = ColoredMultigraph(2, (), [ColoredEdge(1, 1)])
@@ -114,6 +126,13 @@ class TestVerifyRainbow:
 
     def test_not_a_permutation(self):
         assert not verify_rainbow_hamilton(square(), ((1, 2, 3, 3), (5, 6, 7, 8)))
+
+    def test_one_vertex_loop_rejected(self):
+        g = ColoredMultigraph(1, (5,), [ColoredEdge(1, 1, 5)])
+        v = verify_rainbow_hamilton(g, ((1,), (5,)))
+        assert not v
+        assert v.reason == "cycle needs at least 2 vertices"
+        assert exact_rainbow_hamilton(g) is None
 
 
 class TestLift:

@@ -215,6 +215,11 @@ class TestIsolatedExperiment:
         (cell,) = isolated_experiment(16, (0.5,), trials=10_000, seed=6)
         assert abs(cell.z_score) <= 3.0
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_rejects_trials_below_one(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            isolated_experiment(8, (1.0,), trials=trials, seed=7)
+
     def test_record_fields(self):
         (cell,) = isolated_experiment(8, (1.0,), trials=50, seed=7)
         assert set(cell.record()) == {
@@ -253,6 +258,11 @@ class TestContiguityProbe:
         assert payload["union"]["parallel_dist"]
         assert payload["pairing"]["triangle_mean"] >= 0.0
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_rejects_trials_below_one(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            contiguity_probe(8, 4, trials=trials, seed=10)
+
     def test_hamilton_skipped_above_limit(self):
-        report = contiguity_probe(16, 1, trials=5, seed=10, hamilton_limit=12)
+        report = contiguity_probe(16, 1, trials=5, seed=10)
         assert report.union.hamilton_freq is None

@@ -76,11 +76,32 @@ class TestSplitProbability:
 
 
 class TestUnranking:
-    @pytest.mark.parametrize("n", [5, 9, 16, 33])
+    @pytest.mark.parametrize("n", [3, 4, 5, 9, 16, 33])
     def test_triples_match_lex_order(self, n):
         a, b, c = unrank_triples(n, np.arange(math.comb(n, 3)))
         assert list(zip(a.tolist(), b.tolist(), c.tolist())) == \
             list(combinations(range(1, n + 1), 3))
+
+    def test_triples_closed_form_at_large_n(self):
+        n = 3000
+        total = math.comb(n, 3)
+        ranks = np.concatenate([
+            np.arange(5000), np.arange(total - 5000, total),
+            rng_from_seed(17).integers(0, total, size=100_000)])
+        a, b, c = unrank_triples(n, ranks)
+        assert ((1 <= a) & (a < b) & (b < c) & (c <= n)).all()
+
+        def comb2(k):
+            return k * (k - 1) // 2
+
+        def comb3(k):
+            return k * (k - 1) * (k - 2) // 6
+
+        # rank of (a, b, c): triples led by a smaller first element, then
+        # pairs led by a smaller second element, then c's offset
+        back = (total - comb3(n - a + 1) + comb2(n - a) - comb2(n - b + 1)
+                + (c - b - 1))
+        assert (back == ranks).all()
 
     @pytest.mark.parametrize("m", [2, 5, 12, 40])
     def test_pairs_match_lex_order(self, m):
@@ -121,7 +142,7 @@ class TestCopySet:
         assert cs.m == 3 and cs.r == 4
         assert len(cs.blocks) == 8
         assert all(len(b) == 3 for b in cs.blocks)
-        per_color = Counter(y for y, _ in cs.elements)
+        per_color = Counter(y for blk in cs.blocks for y, _ in blk)
         assert all(per_color[y] == 4 for y in cs.base_colors)
 
     def test_default_base_colors(self):
