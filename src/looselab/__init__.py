@@ -8,8 +8,8 @@ Carlo harness for threshold sweeps.
 """
 
 from .colored import (ColoredEdge, ColoredMultigraph, RainbowCycleCert,
-                      cert_internally_valid, is_equitable, lift_to_loose,
-                      read_colored, read_rainbow_claim, verify_rainbow_hamilton,
+                      is_equitable, lift_to_loose, read_colored,
+                      read_rainbow_claim, verify_rainbow_hamilton,
                       write_colored, write_rainbow_cert)
 from .hypergraph import (BudgetExhausted, FormatError, Hypergraph3, LooseCycle,
                          SizeCapExceeded, Triple, Verdict,
@@ -26,17 +26,16 @@ from .sampling import (CopySet, SplitParams, TripleSystem, derived_rng,
                        rng_from_seed, sample_copyset_partition, sample_coupled,
                        sample_gamma, sample_h3, sample_pairing_regular,
                        sample_union_matchings, split_probability)
-from .solvers import (PerfectMatching, exact_matching, exact_rainbow_hamilton,
-                      verify_matching)
+from .solvers import exact_matching, exact_rainbow_hamilton, verify_matching
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExhausted", "ColoredEdge", "ColoredMultigraph", "ComparisonTable",
     "ContiguityReport", "CopySet", "FormatError", "Hypergraph3",
-    "IsolatedCell", "LooseCycle", "PerfectMatching", "PipelineReport",
-    "RainbowCycleCert", "SizeCapExceeded", "SplitParams", "SweepCell",
-    "SweepResult", "SweepSpec", "Triple", "TripleSystem", "Verdict",
+    "IsolatedCell", "LooseCycle", "PipelineReport", "RainbowCycleCert",
+    "SizeCapExceeded", "SplitParams", "SweepCell", "SweepResult",
+    "SweepSpec", "Triple", "TripleSystem", "Verdict",
     "build_gstar", "contiguity_probe", "derived_rng",
     "enumerate_loose_hamilton", "exact_loose_hamilton", "exact_matching",
     "exact_rainbow_hamilton", "expected_isolated", "is_equitable",

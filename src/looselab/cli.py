@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack, contextmanager
 
 from . import __version__
 from .colored import read_colored, read_rainbow_claim, verify_rainbow_hamilton, \
@@ -17,8 +18,8 @@ from .colored import read_colored, read_rainbow_claim, verify_rainbow_hamilton, 
 from .hypergraph import LOOSE_CAP, BudgetExhausted, FormatError, \
     read_hypergraph, read_loose_cycle_claim, verify_loose_hamilton, \
     write_hypergraph
-from .lab import SweepSpec, contiguity_probe, isolated_experiment, \
-    probability_from_c, run_sweep
+from .lab import SweepSpec, atomic_output, contiguity_probe, \
+    isolated_experiment, probability_from_c, run_sweep
 from .pipeline import run_pipeline
 from .sampling import hypergraph_from_triple_system, rng_from_seed, sample_gamma, \
     sample_h3, sample_pairing_regular, sample_union_matchings, \
@@ -81,7 +82,7 @@ def _cmd_solve_matching(args) -> int:
     if pm is None:
         print("no perfect matching found")
         return 1
-    for (x1, x2), slot in pm.triples:
+    for (x1, x2), slot in pm:
         print(f"{x1} {x2} {slot}")
     return 0
 
@@ -142,6 +143,16 @@ def _cmd_pipeline(args) -> int:
     return 0 if rep.success else 1
 
 
+@contextmanager
+def _output(out):
+    """Stdout, or the file ``out`` reserved on entry by ``atomic_output``."""
+    if out:
+        with atomic_output(out) as fh:
+            yield fh
+    else:
+        yield sys.stdout
+
+
 def _cmd_sweep(args) -> int:
     spec = SweepSpec(
         n_values=tuple(args.n), c_values=tuple(args.c), r=args.r,
@@ -149,45 +160,38 @@ def _cmd_sweep(args) -> int:
         loose_cap=args.cap)
     _banner("sweep", n=args.n, c=args.c, trials=args.trials,
             method=args.method, seed=args.seed, workers=args.workers)
-    result = run_sweep(spec, workers=args.workers)
-    wrote = False
-    if args.out:
-        if args.format in ("csv", "both"):
-            result.write_csv(args.out + ".csv")
-            wrote = True
-        if args.format in ("json", "both"):
-            result.write_json(args.out + ".json")
-            wrote = True
-    if not wrote:
-        sys.stdout.write(result.to_csv_text())
+    formats = ("csv", "json") if args.format == "both" else (args.format,)
+    with ExitStack() as stack:
+        # every output file is reserved before the first trial runs
+        sinks = [(fmt, stack.enter_context(
+                     atomic_output(f"{args.out}.{fmt}"))) for fmt in formats] \
+            if args.out else [("csv", sys.stdout)]
+        result = run_sweep(spec, workers=args.workers)
+        for fmt, fh in sinks:
+            fh.write(result.to_csv_text() if fmt == "csv"
+                     else result.to_json_text())
     return 0
-
-
-def _emit(text: str, out) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
 
 
 def _cmd_probe_isolated(args) -> int:
     _banner("probe isolated", n=args.n, c=args.c, trials=args.trials,
             seed=args.seed)
-    rows = []
-    for n in args.n:
-        rows.extend(cell.record()
-                    for cell in isolated_experiment(n, args.c, args.trials,
-                                                    args.seed))
-    _emit(json.dumps(rows, indent=2), args.out)
+    with _output(args.out) as fh:
+        rows = []
+        for n in args.n:
+            rows.extend(cell.record()
+                        for cell in isolated_experiment(n, args.c, args.trials,
+                                                        args.seed))
+        fh.write(json.dumps(rows, indent=2) + "\n")
     return 0
 
 
 def _cmd_probe_contiguity(args) -> int:
     _banner("probe contiguity", m2=args.m2, r=args.r, trials=args.trials,
             seed=args.seed)
-    report = contiguity_probe(args.m2, args.r, args.trials, args.seed)
-    _emit(report.to_json(), args.out)
+    with _output(args.out) as fh:
+        report = contiguity_probe(args.m2, args.r, args.trials, args.seed)
+        fh.write(report.to_json() + "\n")
     return 0
 
 

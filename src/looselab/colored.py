@@ -152,22 +152,6 @@ def _cert_parts(cert: CertLike) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(int(v) for v in raw_order), tuple(int(c) for c in raw_colors)
 
 
-def cert_internally_valid(cert: CertLike) -> Verdict:
-    """Structural checks that need no host graph."""
-    order, colors = _cert_parts(cert)
-    if len(order) < 2:
-        return Verdict(False, "cycle needs at least 2 vertices")
-    if len(colors) != len(order):
-        return Verdict(False, f"expected {len(order)} colors, got {len(colors)}")
-    if len(set(order)) != len(order):
-        return Verdict(False, "repeated vertex in cycle order")
-    if len(set(colors)) != len(colors):
-        for i, c in enumerate(colors):
-            if c in colors[:i]:
-                return Verdict(False, "repeated color", index=i + 1)
-    return Verdict(True)
-
-
 def verify_rainbow_hamilton(g: ColoredMultigraph, cert: CertLike) -> Verdict:
     """Check a rainbow Hamilton cycle claim against ``g``.
 
@@ -200,12 +184,10 @@ def lift_to_loose(cert: CertLike) -> LooseCycle:
 
     Cycle vertices become links and step colors become middles, so the
     window {order[i], colors[i], order[i+1]} is exactly the hypergraph
-    edge behind each derived-graph step.  Internally invalid certificates
-    (and color sets that cannot complete a vertex partition) are rejected.
+    edge behind each derived-graph step.  ``LooseCycle`` is the one check:
+    a certificate whose order and colors do not partition 1..2s as links
+    and middles raises ``ValueError``.
     """
-    verdict = cert_internally_valid(cert)
-    if not verdict:
-        raise ValueError(f"invalid certificate: {verdict.reason}")
     order, colors = _cert_parts(cert)
     try:
         return LooseCycle(order, colors)

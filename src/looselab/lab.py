@@ -18,7 +18,7 @@ import tempfile
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import asdict, dataclass, fields
 from statistics import NormalDist
 from typing import Optional, Sequence
@@ -147,20 +147,21 @@ class SweepResult:
     def to_json_text(self) -> str:
         return json.dumps([c.record() for c in self.cells], indent=2) + "\n"
 
-    def write_csv(self, path) -> None:
-        _atomic_write(path, self.to_csv_text())
 
-    def write_json(self, path) -> None:
-        _atomic_write(path, self.to_json_text())
+@contextmanager
+def atomic_output(path):
+    """Yield a text stream that replaces ``path`` when the block ends.
 
-
-def _atomic_write(path, text: str) -> None:
+    The temporary file is created beside ``path`` on entry, so a
+    destination that cannot be written fails before the block does any
+    work; a block that raises leaves ``path`` untouched and no temporary
+    file behind.
+    """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -316,31 +317,18 @@ class ContiguityReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _skeleton(g) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in range(1, g.num_vertices + 1)}
-    for e in g.edges:
-        if e.u != e.v:
-            adj[e.u].add(e.v)
-            adj[e.v].add(e.u)
-    return adj
-
-
-def _triangle_count(adj: dict[int, set[int]]) -> int:
+def _triangle_count(adj: dict[int, dict[int, tuple[int, ...]]]) -> int:
     count = 0
-    verts = sorted(adj)
-    for i, u in enumerate(verts):
-        for v in sorted(adj[u]):
-            if v <= u:
-                continue
-            count += sum(1 for w in adj[u] & adj[v] if w > v)
+    for u, nbrs in adj.items():
+        for v in nbrs:
+            if v > u:
+                count += sum(1 for w in nbrs.keys() & adj[v].keys() if w > v)
     return count
 
 
-def _hamilton_cycle_exists(adj: dict[int, set[int]], nv: int) -> bool:
-    if nv == 1:
-        return False
-    if nv == 2:
-        return 2 in adj[1]  # multigraph callers must check multiplicity
+def _hamilton_cycle_exists(adj: dict[int, dict[int, tuple[int, ...]]]) -> bool:
+    # callers settle two vertices by edge multiplicity, so nv >= 4 here
+    nv = len(adj)
     start = 1
     path = [start]
     seen = {start}
@@ -348,7 +336,7 @@ def _hamilton_cycle_exists(adj: dict[int, set[int]], nv: int) -> bool:
     def dfs(u: int) -> bool:
         if len(path) == nv:
             return start in adj[u]
-        for w in sorted(adj[u]):
+        for w in adj[u]:  # ascending
             if w not in seen:
                 seen.add(w)
                 path.append(w)
@@ -375,13 +363,12 @@ def _model_stats(name: str, sampler, m2: int, degree: int, trials: int,
             all_regular = False
         pairs = Counter(e.pair for e in g.edges)
         parallel.append(len(g.edges) - len(pairs))
-        adj = _skeleton(g)
-        triangles.append(_triangle_count(adj))
+        triangles.append(_triangle_count(g.adjacency))
         if ham_counted:
             if m2 == 2:
                 ham = pairs.get((1, 2), 0) >= 2
             else:
-                ham = _hamilton_cycle_exists(adj, m2)
+                ham = _hamilton_cycle_exists(g.adjacency)
             ham_hits += 1 if ham else 0
     return ModelStats(
         model=name, trials=trials, degree=degree, all_regular=all_regular,

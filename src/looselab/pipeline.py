@@ -3,10 +3,12 @@ derived graph -> rainbow Hamilton cycle -> loose Hamilton cycle.
 
 Each matched triple ((x, x'), (y, i)) becomes a derived-graph edge (x, x')
 of color y, so the union of the 2r matchings is 2r-regular and equitable
-with parameter r by construction.  A rainbow Hamilton cycle of that graph
-lifts to a loose Hamilton cycle whose windows all project into the coupled
-hypergraph; the pipeline re-verifies the lifted cycle against the sampled
-instance rather than trusting the construction.
+with parameter r by construction.  ``build_gstar`` checks each matching
+against its system with ``verify_matching`` before using it.  A rainbow
+Hamilton cycle of that graph lifts to a loose Hamilton cycle whose windows
+all project into the coupled hypergraph; the pipeline re-verifies the
+lifted cycle against the sampled instance rather than trusting the
+construction.
 
 Both searches are the complete engines of ``solvers``.  A run aborts at
 its first failed stage; retries belong to the sweep harness, not to a
@@ -28,13 +30,14 @@ from .hypergraph import LOOSE_CAP, BudgetExhausted, Hypergraph3, LooseCycle, \
     exact_loose_hamilton, verify_loose_hamilton
 from .sampling import CopySet, TripleSystem, derived_rng, rng_from_seed, \
     sample_coupled
-from .solvers import PerfectMatching, exact_matching, exact_rainbow_hamilton
+from .solvers import MatchTriple, exact_matching, exact_rainbow_hamilton, \
+    verify_matching
 
 STAGES = ("sample", "matching", "gstar", "rainbow", "lift")
 
 
-def _symmetric_exact_matching(ts: TripleSystem, gen,
-                              stats: Optional[dict]) -> Optional[PerfectMatching]:
+def _symmetric_exact_matching(ts: TripleSystem, gen, stats: Optional[dict]
+                              ) -> Optional[tuple[MatchTriple, ...]]:
     # The deterministic engine would hand every saturated system the same
     # witness, collapsing the derived graph to parallel bundles.  Solving
     # a uniformly relabeled copy and mapping the witness back keeps the
@@ -54,46 +57,31 @@ def _symmetric_exact_matching(ts: TripleSystem, gen,
         return None
     inv_x = {v: k for k, v in xmap.items()}
     inv_s = {v: k for k, v in smap.items()}
-    return PerfectMatching(tuple(sorted(
-        (tuple(sorted((inv_x[x1], inv_x[x2]))), inv_s[s])
-        for (x1, x2), s in pm.triples)))
+    return tuple(sorted((tuple(sorted((inv_x[x1], inv_x[x2]))), inv_s[s])
+                        for (x1, x2), s in pm))
 
 
-def build_gstar(matchings: Sequence[PerfectMatching],
-                copyset: CopySet) -> ColoredMultigraph:
+def build_gstar(matchings: Sequence[Sequence[MatchTriple]],
+                systems: Sequence[TripleSystem]) -> ColoredMultigraph:
     """Union of the 2r edge-colored matchings induced on the link vertices.
 
-    Matching j must consume exactly the slots of block j; the result has
-    2rm edges, is 2r-regular, and uses every base color exactly r times.
+    Matching j must pass ``verify_matching`` against system j, so it uses
+    only present triples and consumes exactly system j's slots (copy-set
+    block j); each triple ((x, x'), (y, i)) becomes the edge (x, x') of
+    color y.  The result has 2rm edges, is 2r-regular, and uses every
+    base color exactly r times.
     """
-    blocks = copyset.blocks
-    if len(matchings) != len(blocks):
+    if len(matchings) != len(systems):
         raise ValueError(
-            f"expected {len(blocks)} matchings, got {len(matchings)}")
-    m = copyset.m
-    two_m = 2 * m
-    xset = set(range(1, two_m + 1))
+            f"expected {len(systems)} matchings, got {len(matchings)}")
     edges: list[ColoredEdge] = []
-    for j, (pm, block) in enumerate(zip(matchings, blocks)):
-        triples = pm.triples if isinstance(pm, PerfectMatching) else tuple(pm)
-        if len(triples) != m:
-            raise ValueError(
-                f"matching {j + 1} has {len(triples)} triples, expected {m}")
-        seen_x: set[int] = set()
-        seen_slots = set()
-        for (x1, x2), slot in triples:
-            if x1 not in xset or x2 not in xset:
-                raise ValueError(
-                    f"matching {j + 1} pair ({x1}, {x2}) outside 1..{two_m}")
-            seen_x.update((x1, x2))
-            seen_slots.add(slot)
-            edges.append(ColoredEdge(x1, x2, slot[0]))
-        if seen_x != xset:
-            raise ValueError(f"matching {j + 1} does not partition the X side")
-        if seen_slots != set(block):
-            raise ValueError(
-                f"matching {j + 1} does not consume exactly block {j + 1}")
-    return ColoredMultigraph(two_m, copyset.base_colors, edges)
+    for j, (pm, ts) in enumerate(zip(matchings, systems)):
+        verdict = verify_matching(ts, pm)
+        if not verdict:
+            raise ValueError(f"matching {j + 1}: {verdict.reason}")
+        edges.extend(ColoredEdge(x1, x2, y) for (x1, x2), (y, _copy) in pm)
+    colors = {y for ts in systems for y, _copy in ts.slots}
+    return ColoredMultigraph(len(systems[0].xs), colors, edges)
 
 
 @dataclass
@@ -118,7 +106,7 @@ class PipelineReport:
     lift_verified: bool = False
     success: bool = False
     failed_stage: Optional[str] = None
-    matchings: Optional[tuple[PerfectMatching, ...]] = None
+    matchings: Optional[tuple[tuple[MatchTriple, ...], ...]] = None
     rainbow_cert: Optional[RainbowCycleCert] = None
     loose_cycle: Optional[LooseCycle] = None
     stage_seconds: dict = field(default_factory=dict)
@@ -131,8 +119,6 @@ class PipelineReport:
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)
              if f.name not in ("hypergraph", "copyset", "gstar")}
-        if self.matchings is not None:
-            d["matchings"] = [list(pm.triples) for pm in self.matchings]
         for key in ("rainbow_cert", "loose_cycle"):
             if d[key] is not None:
                 d[key] = asdict(d[key])
@@ -158,7 +144,7 @@ def _run_pipeline_stream(n: int, p: float, r: int, gen, *,
         rep.copyset = copyset
 
     t0 = time.perf_counter()
-    matchings: list[PerfectMatching] = []
+    matchings: list[tuple[MatchTriple, ...]] = []
     match_steps = 0
     for ts in systems:
         stats: dict = {}
@@ -176,7 +162,7 @@ def _run_pipeline_stream(n: int, p: float, r: int, gen, *,
     rep.matchings = tuple(matchings)
 
     t0 = time.perf_counter()
-    gstar = build_gstar(matchings, copyset)
+    gstar = build_gstar(matchings, systems)
     rep.stage_seconds["gstar"] = time.perf_counter() - t0
     rep.gstar_built = True
     if keep_instance:

@@ -1,17 +1,18 @@
 """Combinatorial engines: perfect matchings of triple systems and rainbow
 Hamilton cycles of colored multigraphs.
 
-One complete, seed-free search per problem.  Each returns a witness that
-passes its verifier, or ``None`` only when it has proven that no witness
-exists; the test suite checks both against unpruned enumeration oracles
-at small sizes.  Neither has a size cap: the matching engine runs to a
-decision on any input, and the rainbow engine spends at most a node
-budget and raises ``BudgetExhausted`` when the search is undecided.
+A matching is a tuple of ``((x, x'), slot)`` triples sorted by pair, and
+``verify_matching`` is its one validity check.  One complete, seed-free
+search per problem.  Each returns a witness that passes its verifier, or
+``None`` only when it has proven that no witness exists; the test suite
+checks both against unpruned enumeration oracles at small sizes.
+Neither has a size cap: the matching engine runs to a decision on any
+input, and the rainbow engine spends at most a node budget and raises
+``BudgetExhausted`` when the search is undecided.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .colored import ColoredMultigraph, RainbowCycleCert
@@ -25,25 +26,10 @@ MatchTriple = tuple[tuple[int, int], Slot]
 DEFAULT_RAINBOW_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class PerfectMatching:
-    """m triples ((x, x'), slot) whose pairs partition X and slots cover Y."""
-
-    triples: tuple[MatchTriple, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "triples",
-            tuple(((int(x1), int(x2)), slot) for (x1, x2), slot in self.triples),
-        )
-
-
 def verify_matching(ts: TripleSystem, matching) -> Verdict:
     """Check that a claimed matching covers X and the slots using only
     present triples."""
-    triples = matching.triples if isinstance(matching, PerfectMatching) \
-        else tuple(matching)
+    triples = tuple(matching)
     if len(triples) != ts.m:
         return Verdict(False, f"expected {ts.m} triples, got {len(triples)}")
     used_x: list[int] = []
@@ -56,7 +42,8 @@ def verify_matching(ts: TripleSystem, matching) -> Verdict:
         used_slots.append(slot)
     if sorted(used_x) != list(ts.xs):
         return Verdict(False, "pairs do not partition X")
-    if sorted(used_slots, key=repr) != sorted(ts.slots, key=repr):
+    # m slots used and m distinct slots: equal sets mean each used once
+    if set(used_slots) != set(ts.slots):
         return Verdict(False, "slots are not each used exactly once")
     return Verdict(True)
 
@@ -71,19 +58,19 @@ def _sorted_rows(ts: TripleSystem) -> list[MatchTriple]:
 # ---------------------------------------------------------------------------
 
 
-def exact_matching(ts: TripleSystem, *,
-                   stats: Optional[dict] = None) -> Optional[PerfectMatching]:
+def exact_matching(ts: TripleSystem, *, stats: Optional[dict] = None
+                   ) -> Optional[tuple[MatchTriple, ...]]:
     """Complete perfect-matching search, framed as exact cover.
 
     Rows are present triples; columns are the 2m X-vertices and the m
     slots; the most constrained column is branched first, ties broken by
-    lowest column index.  Returns a verified matching iff one exists, for
-    any m: there is no size cap and no node budget.  ``stats["nodes"]``
-    accumulates the search nodes expanded.
+    lowest column index.  Returns a matching, its triples sorted by pair,
+    iff one exists, for any m: there is no size cap and no node budget.
+    ``stats["nodes"]`` accumulates the search nodes expanded.
     """
     m = ts.m
     if m == 0:
-        return PerfectMatching(())
+        return ()
     rows = _sorted_rows(ts)
     if not rows:
         return None
@@ -135,8 +122,7 @@ def exact_matching(ts: TripleSystem, *,
         return False
 
     if solve():
-        return PerfectMatching(tuple(sorted((rows[rid] for rid in chosen),
-                                            key=lambda t: t[0])))
+        return tuple(sorted((rows[rid] for rid in chosen), key=lambda t: t[0]))
     return None
 
 
@@ -153,7 +139,7 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *,
 
     Returns a cert, or ``None`` when no rainbow Hamilton cycle exists;
     raises ``BudgetExhausted`` when deciding would take more than
-    ``budget`` search nodes.
+    ``budget`` search nodes, and ``ValueError`` when ``budget`` is below 1.
 
     Backtracks over (next vertex, edge color) extensions from vertex 1,
     with the cycle's direction canonicalized (second vertex below the
@@ -162,6 +148,8 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *,
     usable neighbors), and on usable-edge connectivity of the region still
     to be traversed.
     """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     nv = g.num_vertices
     if nv < 2:
         return None

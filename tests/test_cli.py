@@ -137,6 +137,14 @@ class TestSolveCommand:
         assert "undecided" in out
         assert "no rainbow Hamilton cycle found" not in out
 
+    def test_rainbow_budget_below_one_exits_two(self, tmp_path, capsys):
+        inst = tmp_path / "g.txt"
+        inst.write_text("4 1\n1 2 5\n2 3 6\n3 4 7\n1 4 8\n")
+        assert run("solve", "rainbow", "--in", str(inst), "--budget", "0") == 2
+        captured = capsys.readouterr()
+        assert "error: budget must be >= 1" in captured.err
+        assert "undecided" not in captured.out
+
 
 class TestPipelineCommand:
     def test_success_exit_zero(self, capsys):
@@ -215,6 +223,40 @@ class TestProbeCommand:
         err = capsys.readouterr().err
         assert "error: trials must be >= 1" in err
         assert "Traceback" not in err
+
+
+# (argv, the looselab.cli name of the experiment it runs)
+UNWRITABLE_OUT_RUNS = [
+    (["sweep", "--n", "8", "--c", "2", "--trials", "5"], "run_sweep"),
+    (["probe", "isolated", "--n", "8", "--trials", "5"], "isolated_experiment"),
+    (["probe", "contiguity", "--m2", "4", "--trials", "5"], "contiguity_probe"),
+]
+
+
+@pytest.mark.parametrize("argv,experiment", UNWRITABLE_OUT_RUNS,
+                         ids=["sweep", "isolated", "contiguity"])
+def test_unwritable_out_refused_before_any_trial(argv, experiment, tmp_path,
+                                                 monkeypatch, capsys):
+    called = []
+
+    def never(*args, **kwargs):
+        called.append(args)
+        raise AssertionError(f"{experiment} ran")
+
+    monkeypatch.setattr(f"looselab.cli.{experiment}", never)
+    assert run(*argv, "--out", str(tmp_path / "missing" / "x")) == 2
+    assert not called
+    assert "No such file or directory" in capsys.readouterr().err
+
+
+def test_probe_out_matches_stdout(tmp_path, capsys):
+    argv = ["probe", "contiguity", "--m2", "4", "--r", "1", "--trials", "20"]
+    assert run(*argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "cont.json"
+    assert run(*argv, "--out", str(out)) == 0
+    assert out.read_text() == printed
+    assert [p.name for p in tmp_path.iterdir()] == ["cont.json"]
 
 
 class TestUsage:

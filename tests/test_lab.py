@@ -14,7 +14,7 @@ from looselab import (
     run_sweep,
     wilson_interval,
 )
-from looselab.lab import CSV_HEADER
+from looselab.lab import CSV_HEADER, atomic_output
 from looselab.sampling import rng_from_seed
 
 
@@ -180,12 +180,7 @@ class TestRunSweep:
         assert len(lines) == 1 + 2
         first = lines[1].split(",")
         assert first[0] == "8" and first[9] == "3"
-        path = tmp_path / "out.csv"
-        res.write_csv(path)
-        assert path.read_text() == text
-        jpath = tmp_path / "out.json"
-        res.write_json(jpath)
-        rows = json.loads(jpath.read_text())
+        rows = json.loads(res.to_json_text())
         assert len(rows) == 2
         assert set(rows[0]) == {"n", "c", "p", "trials", "successes", "freq",
                                 "ci_low", "ci_high", "method", "seed"}
@@ -196,6 +191,24 @@ class TestRunSweep:
         res = run_sweep(spec)
         assert [(c.n, c.c) for c in res.cells] == \
             [(8, 2.0), (8, 4.0), (12, 2.0), (12, 4.0)]
+
+
+class TestAtomicOutput:
+    def test_replaces_path_when_the_block_ends(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with atomic_output(path) as fh:
+            fh.write("new\n")
+            assert path.read_text() == "old\n"
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_raising_block_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with atomic_output(tmp_path / "out.csv") as fh:
+                fh.write("partial")
+                raise RuntimeError("trial failed")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestIsolatedExperiment:

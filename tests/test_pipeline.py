@@ -4,8 +4,7 @@ from collections import Counter
 import pytest
 
 from looselab import (
-    CopySet,
-    PerfectMatching,
+    TripleSystem,
     build_gstar,
     exact_loose_hamilton,
     is_equitable,
@@ -20,14 +19,19 @@ from looselab.sampling import rng_from_seed
 from looselab.solvers import exact_matching
 
 
+def smallest_systems():
+    # r=1, m=1: copy-set blocks ((3, 1),) and ((4, 1),), each system full
+    return [TripleSystem((1, 2), (slot,), frozenset({((1, 2), slot)}))
+            for slot in ((3, 1), (4, 1))]
+
+
 class TestBuildGstar:
     def test_two_parallel_edges_smallest_case(self):
         # r=1, m=1: two matchings over X={1,2} give two parallel edges
         # with the two distinct colors
-        cs = CopySet(1, (3, 4), ((((3, 1)),), (((4, 1)),)))
-        m1 = PerfectMatching((((1, 2), (3, 1)),))
-        m2 = PerfectMatching((((1, 2), (4, 1)),))
-        g = build_gstar([m1, m2], cs)
+        m1 = (((1, 2), (3, 1)),)
+        m2 = (((1, 2), (4, 1)),)
+        g = build_gstar([m1, m2], smallest_systems())
         assert len(g.edges) == 2
         assert {e.pair for e in g.edges} == {(1, 2)}
         assert {e.color for e in g.edges} == {3, 4}
@@ -38,7 +42,7 @@ class TestBuildGstar:
         for _ in range(25):
             h, cs, systems = sample_coupled(16, 1.0, 4, gen)
             matchings = [exact_matching(ts) for ts in systems]
-            g = build_gstar(matchings, cs)
+            g = build_gstar(matchings, systems)
             assert len(g.edges) == 2 * 4 * 4
             assert all(d == 8 for d in g.degrees.values())
             assert is_equitable(g, 4)
@@ -47,21 +51,28 @@ class TestBuildGstar:
         gen = rng_from_seed(1)
         h, cs, systems = sample_coupled(8, 1.0, 4, gen)
         matchings = [exact_matching(ts) for ts in systems]
-        g = build_gstar(matchings, cs)
+        g = build_gstar(matchings, systems)
         want = Counter()
         for pm in matchings:
-            for (x1, x2), (y, _i) in pm.triples:
+            for (x1, x2), (y, _i) in pm:
                 want[(x1, x2, y)] += 1
         got = Counter((e.u, e.v, e.color) for e in g.edges)
         assert got == want
 
     def test_rejects_inconsistent_inputs(self):
-        cs = CopySet(1, (3, 4), ((((3, 1)),), (((4, 1)),)))
-        wrong_slot = PerfectMatching((((1, 2), (4, 1)),))
-        with pytest.raises(ValueError, match="block"):
-            build_gstar([wrong_slot, wrong_slot], cs)
+        systems = smallest_systems()
+        wrong_slot = (((1, 2), (4, 1)),)
+        with pytest.raises(ValueError, match="matching 1: triple not present"):
+            build_gstar([wrong_slot, wrong_slot], systems)
         with pytest.raises(ValueError, match="expected 2 matchings"):
-            build_gstar([wrong_slot], cs)
+            build_gstar([wrong_slot], systems)
+
+    def test_rejects_matching_missing_from_its_system(self):
+        # partitions X and uses block 1's slot, but system 1 lacks the triple
+        systems = smallest_systems()
+        systems[0] = TripleSystem((1, 2), ((3, 1),), frozenset())
+        with pytest.raises(ValueError, match="matching 1: triple not present"):
+            build_gstar([(((1, 2), (3, 1)),), (((1, 2), (4, 1)),)], systems)
 
 
 class TestRunPipeline:
@@ -120,6 +131,17 @@ class TestRunPipeline:
         assert payload["rainbow_undecided"] is False
         assert payload["loose_cycle"]["links"]
         assert payload["seed"] == 1
+
+    def test_matching_absent_from_its_system_rejected(self, monkeypatch):
+        # each matching partitions X and uses its block's slots, but at
+        # p = 0 no system contains any of its triples
+        def outside(ts, *, stats=None):
+            pairs = [(1, 2)] + [(x, x + 1) for x in ts.xs[2::2]]
+            return tuple(zip(pairs, ts.slots))
+
+        monkeypatch.setattr(pipeline, "exact_matching", outside)
+        with pytest.raises(ValueError, match="matching 1: triple not present"):
+            run_pipeline(8, 0.0, 4, seed=1)
 
     def test_success_carries_witnesses(self):
         rep = run_pipeline(16, 1.0, 4, seed=2)

@@ -40,7 +40,7 @@ class TestExactMatching:
         ts = system_m2([((1, 2), "a"), ((3, 4), "b")])
         pm = exact_matching(ts)
         assert pm is not None
-        assert set(pm.triples) == {((1, 2), "a"), ((3, 4), "b")}
+        assert set(pm) == {((1, 2), "a"), ((3, 4), "b")}
 
     def test_uncoverable_vertex(self):
         ts = system_m2([((1, 2), "a"), ((1, 3), "b")])
@@ -168,6 +168,14 @@ class TestExactRainbow:
             exact_rainbow_hamilton(g, budget=1)
         # a budget of exactly the nodes needed still decides
         assert exact_rainbow_hamilton(g, budget=stats["nodes"]) is not None
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            exact_rainbow_hamilton(rainbow_square_with_clutter(), budget=budget)
+        # refused before any other check, even on a graph decided at once
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            exact_rainbow_hamilton(ColoredMultigraph(1, (), []), budget=budget)
 
     def test_seed_free_deterministic(self):
         g = rainbow_square_with_clutter()
