@@ -13,16 +13,15 @@ from .colored import (ColoredEdge, ColoredMultigraph, RainbowCycleCert,
                       write_colored, write_rainbow_cert)
 from .hypergraph import (BudgetExhausted, FormatError, Hypergraph3, LooseCycle,
                          SizeCapExceeded, Triple, Verdict,
-                         enumerate_loose_hamilton, exact_loose_hamilton,
-                         expected_isolated, isolated_vertices, read_hypergraph,
+                         exact_loose_hamilton, expected_isolated,
+                         isolated_vertices, read_hypergraph,
                          read_loose_cycle_claim, triple, verify_loose_hamilton,
                          write_hypergraph, write_loose_cycle)
 from .lab import (ContiguityReport, IsolatedCell, SweepCell, SweepResult,
                   SweepSpec, contiguity_probe, isolated_experiment,
                   probability_from_c, run_sweep, wilson_interval)
-from .pipeline import (ComparisonTable, PipelineReport, build_gstar,
-                       pipeline_vs_oracle, run_pipeline)
-from .sampling import (CopySet, SplitParams, TripleSystem, derived_rng,
+from .pipeline import PipelineReport, build_gstar, run_pipeline
+from .sampling import (SplitParams, TripleSystem, derived_rng,
                        rng_from_seed, sample_copyset_partition, sample_coupled,
                        sample_gamma, sample_h3, sample_pairing_regular,
                        sample_union_matchings, split_probability)
@@ -31,16 +30,14 @@ from .solvers import exact_matching, exact_rainbow_hamilton, verify_matching
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExhausted", "ColoredEdge", "ColoredMultigraph", "ComparisonTable",
-    "ContiguityReport", "CopySet", "FormatError", "Hypergraph3",
-    "IsolatedCell", "LooseCycle", "PipelineReport", "RainbowCycleCert",
-    "SizeCapExceeded", "SplitParams", "SweepCell", "SweepResult",
-    "SweepSpec", "Triple", "TripleSystem", "Verdict",
-    "build_gstar", "contiguity_probe", "derived_rng",
-    "enumerate_loose_hamilton", "exact_loose_hamilton", "exact_matching",
-    "exact_rainbow_hamilton", "expected_isolated", "is_equitable",
-    "isolated_experiment", "isolated_vertices", "lift_to_loose",
-    "pipeline_vs_oracle", "probability_from_c", "read_colored",
+    "BudgetExhausted", "ColoredEdge", "ColoredMultigraph", "ContiguityReport",
+    "FormatError", "Hypergraph3", "IsolatedCell", "LooseCycle",
+    "PipelineReport", "RainbowCycleCert", "SizeCapExceeded", "SplitParams",
+    "SweepCell", "SweepResult", "SweepSpec", "Triple", "TripleSystem",
+    "Verdict", "build_gstar", "contiguity_probe", "derived_rng",
+    "exact_loose_hamilton", "exact_matching", "exact_rainbow_hamilton",
+    "expected_isolated", "is_equitable", "isolated_experiment",
+    "isolated_vertices", "lift_to_loose", "probability_from_c", "read_colored",
     "read_hypergraph", "rng_from_seed", "run_pipeline", "run_sweep",
     "sample_copyset_partition", "sample_coupled", "sample_gamma", "sample_h3",
     "sample_pairing_regular", "sample_union_matchings", "split_probability",

@@ -149,9 +149,6 @@ class LooseCycle:
             for i in range(s)
         )
 
-    def edge_set(self) -> frozenset[Triple]:
-        return frozenset(self.windows())
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -235,12 +232,20 @@ def _check_searchable(h: Hypergraph3, cap: int) -> None:
         raise SizeCapExceeded(f"n={h.n} exceeds the exact-search cap {cap}")
 
 
-def _loose_cycle_search(h: Hypergraph3, first_only: bool) -> list[LooseCycle]:
+def exact_loose_hamilton(h: Hypergraph3, *,
+                         cap: int = LOOSE_CAP) -> Optional[LooseCycle]:
+    """Complete search for a loose Hamilton cycle; None iff none exists.
+
+    Branches on the next link and middle simultaneously, anchored at the
+    smallest link vertex, and returns the first cycle the search reaches.
+    Intended for n up to ``cap`` (default ``LOOSE_CAP``); larger inputs
+    raise SizeCapExceeded.
+    """
+    _check_searchable(h, cap)
     n = h.n
     s = n // 2
-    results: list[LooseCycle] = []
     if len(h.edge_list) < s or isolated_vertices(h):
-        return results
+        return None
 
     cand: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, n + 1)}
     for a, b, c in h.edge_list:
@@ -257,15 +262,15 @@ def _loose_cycle_search(h: Hypergraph3, first_only: bool) -> list[LooseCycle]:
     full = (1 << n) - 1
     edges = h.edges
 
-    def dfs(u: int, used: int, links: list[int], mids: list[int], v0: int) -> bool:
+    def dfs(u: int, used: int, links: list[int], mids: list[int],
+            v0: int) -> Optional[LooseCycle]:
         if len(links) == s:
             rest = full & ~used
             y = rest.bit_length()  # the single remaining vertex
             a, b, c = sorted((u, y, v0))
             if (a, b, c) in edges:
-                results.append(LooseCycle(tuple(links), tuple(mids) + (y,)))
-                return first_only
-            return False
+                return LooseCycle(tuple(links), tuple(mids) + (y,))
+            return None
         for y, w in cand[u]:
             if w <= v0:
                 continue
@@ -274,12 +279,12 @@ def _loose_cycle_search(h: Hypergraph3, first_only: bool) -> list[LooseCycle]:
                 continue
             links.append(w)
             mids.append(y)
-            stop = dfs(w, used | byw, links, mids, v0)
+            found = dfs(w, used | byw, links, mids, v0)
             links.pop()
             mids.pop()
-            if stop:
-                return True
-        return False
+            if found is not None:
+                return found
+        return None
 
     # v0 is the smallest link; every vertex below it is forced to be a
     # middle, which needs an edge with both flanks >= v0.
@@ -289,31 +294,10 @@ def _loose_cycle_search(h: Hypergraph3, first_only: bool) -> list[LooseCycle]:
             lowmid = min(lowmid, midcap[v0 - 1])
         if lowmid < v0:
             break
-        if dfs(v0, bit[v0], [v0], [], v0):
-            break
-    return results
-
-
-def exact_loose_hamilton(h: Hypergraph3, *,
-                         cap: int = LOOSE_CAP) -> Optional[LooseCycle]:
-    """Complete search for a loose Hamilton cycle; None iff none exists.
-
-    Branches on the next link and middle simultaneously, anchored at the
-    smallest link vertex.  Intended for n up to ``cap`` (default
-    ``LOOSE_CAP``); larger inputs raise SizeCapExceeded.
-    """
-    _check_searchable(h, cap)
-    found = _loose_cycle_search(h, first_only=True)
-    return found[0] if found else None
-
-
-def enumerate_loose_hamilton(h: Hypergraph3, *, cap: int = 12) -> list[LooseCycle]:
-    """All loose Hamilton cycles of ``h``, one per distinct edge set."""
-    _check_searchable(h, cap)
-    distinct: dict[frozenset[Triple], LooseCycle] = {}
-    for cyc in _loose_cycle_search(h, first_only=False):
-        distinct.setdefault(cyc.edge_set(), cyc)
-    return sorted(distinct.values(), key=lambda c: (c.links, c.middles))
+        found = dfs(v0, bit[v0], [v0], [], v0)
+        if found is not None:
+            return found
+    return None
 
 
 # ---------------------------------------------------------------------------

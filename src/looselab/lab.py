@@ -155,11 +155,15 @@ def atomic_output(path):
     The temporary file is created beside ``path`` on entry, so a
     destination that cannot be written fails before the block does any
     work; a block that raises leaves ``path`` untouched and no temporary
-    file behind.
+    file behind.  The file gets the mode ``open`` would give it, 0o666
+    less the umask, not the 0o600 of ``mkstemp``.
     """
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)

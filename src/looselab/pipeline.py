@@ -26,10 +26,9 @@ from typing import Optional, Sequence
 
 from .colored import (ColoredEdge, ColoredMultigraph, RainbowCycleCert,
                       lift_to_loose)
-from .hypergraph import LOOSE_CAP, BudgetExhausted, Hypergraph3, LooseCycle, \
-    exact_loose_hamilton, verify_loose_hamilton
-from .sampling import CopySet, TripleSystem, derived_rng, rng_from_seed, \
-    sample_coupled
+from .hypergraph import BudgetExhausted, Hypergraph3, LooseCycle, \
+    verify_loose_hamilton
+from .sampling import TripleSystem, rng_from_seed, sample_coupled
 from .solvers import MatchTriple, exact_matching, exact_rainbow_hamilton, \
     verify_matching
 
@@ -113,12 +112,11 @@ class PipelineReport:
     stage_steps: dict = field(default_factory=dict)
     # retained only with keep_instance=True; never serialized
     hypergraph: Optional[Hypergraph3] = None
-    copyset: Optional[CopySet] = None
     gstar: Optional[ColoredMultigraph] = None
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)
-             if f.name not in ("hypergraph", "copyset", "gstar")}
+             if f.name not in ("hypergraph", "gstar")}
         for key in ("rainbow_cert", "loose_cycle"):
             if d[key] is not None:
                 d[key] = asdict(d[key])
@@ -136,12 +134,11 @@ def _run_pipeline_stream(n: int, p: float, r: int, gen, *,
     rep = PipelineReport(n=n, p=float(p), r=r, seed=seed)
 
     t0 = time.perf_counter()
-    h, copyset, systems = sample_coupled(n, p, r, gen)
+    h, systems = sample_coupled(n, p, r, gen)
     rep.stage_seconds["sample"] = time.perf_counter() - t0
     rep.coupling_ok = True
     if keep_instance:
         rep.hypergraph = h
-        rep.copyset = copyset
 
     t0 = time.perf_counter()
     matchings: list[tuple[MatchTriple, ...]] = []
@@ -207,61 +204,3 @@ def run_pipeline(n: int, p: float, r: int = 4, seed: int = 0, *,
     gen = rng_from_seed(seed)
     return _run_pipeline_stream(n, p, r, gen, seed=seed,
                                 keep_instance=keep_instance)
-
-
-@dataclass(frozen=True)
-class ComparisonTable:
-    """Per-trial pipeline verdict vs exact-oracle verdict.
-
-    The pipeline is sound but not complete, so oracle-yes/pipeline-no
-    counts its one-sided loss; a pipeline-yes/oracle-no row would be a
-    soundness bug and aborts the comparison.
-    """
-
-    n: int
-    p: float
-    r: int
-    trials: int
-    rows: tuple[tuple[int, bool, bool], ...]  # (trial, pipeline, oracle)
-
-    @property
-    def pipeline_yes(self) -> int:
-        return sum(1 for _, s, _ in self.rows if s)
-
-    @property
-    def oracle_yes(self) -> int:
-        return sum(1 for _, _, o in self.rows if o)
-
-    @property
-    def loss_count(self) -> int:
-        return sum(1 for _, s, o in self.rows if o and not s)
-
-    @property
-    def loss_rate(self) -> float:
-        return self.loss_count / self.oracle_yes if self.oracle_yes else 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "p": self.p, "r": self.r, "trials": self.trials,
-            "pipeline_yes": self.pipeline_yes, "oracle_yes": self.oracle_yes,
-            "loss_count": self.loss_count, "loss_rate": self.loss_rate,
-            "rows": [list(row) for row in self.rows],
-        }
-
-
-def pipeline_vs_oracle(n: int, p: float, r: int, trials: int,
-                       seed: int) -> ComparisonTable:
-    """Run pipeline and exact oracle on the same sampled instances; n must
-    be within the oracle's ``LOOSE_CAP``."""
-    if n > LOOSE_CAP:
-        raise ValueError(f"n={n} exceeds the exact oracle cap {LOOSE_CAP}")
-    rows = []
-    for t in range(trials):
-        gen = derived_rng(seed, t)
-        rep = _run_pipeline_stream(n, p, r, gen, keep_instance=True)
-        oracle = exact_loose_hamilton(rep.hypergraph) is not None
-        if rep.success and not oracle:
-            raise RuntimeError(
-                f"unsound pipeline success on trial {t}: oracle found no cycle")
-        rows.append((t, rep.success, oracle))
-    return ComparisonTable(n, float(p), r, trials, tuple(rows))

@@ -181,69 +181,26 @@ def sample_h3(n: int, p: float, rng=None) -> Hypergraph3:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CopySet:
-    """r copies of each of 2m base colors, partitioned into 2r blocks of m.
-
-    Elements are (base_color, copy_index) pairs; ``blocks[j]`` is the slot
-    set handed to the j-th triple system.
-    """
-
-    m: int
-    base_colors: tuple[int, ...]
-    blocks: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __post_init__(self):
-        m = int(self.m)
-        base = tuple(int(c) for c in self.base_colors)
-        blocks = tuple(tuple((int(y), int(i)) for y, i in blk) for blk in self.blocks)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "base_colors", base)
-        object.__setattr__(self, "blocks", blocks)
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        if len(base) != 2 * m or len(set(base)) != 2 * m:
-            raise ValueError(f"need 2m = {2 * m} distinct base colors")
-        if len(blocks) < 2 or len(blocks) % 2:
-            raise ValueError("need an even number (2r) of blocks")
-        r = len(blocks) // 2
-        flat = [el for blk in blocks for el in blk]
-        if any(len(blk) != m for blk in blocks):
-            raise ValueError(f"every block must have exactly m = {m} elements")
-        if len(set(flat)) != len(flat):
-            raise ValueError("copy elements must be distinct")
-        per_color: dict[int, int] = {}
-        base_set = set(base)
-        for y, i in flat:
-            if y not in base_set:
-                raise ValueError(f"element color {y} outside the base colors")
-            if not 1 <= i <= r:
-                raise ValueError(f"copy index {i} outside 1..{r}")
-            per_color[y] = per_color.get(y, 0) + 1
-        if any(per_color.get(y, 0) != r for y in base):
-            raise ValueError(f"each base color must appear exactly r = {r} times")
-
-    @property
-    def r(self) -> int:
-        return len(self.blocks) // 2
+Block = tuple[tuple[int, int], ...]
 
 
-def sample_copyset_partition(m: int, r: int, rng=None) -> CopySet:
+def sample_copyset_partition(m: int, r: int, rng=None) -> tuple[Block, ...]:
     """Uniformly random partition of the 2rm copy elements into 2r blocks
     of size m (a uniform shuffle sliced into consecutive blocks).
 
-    The base colors are 2m+1..4m: the color vertices of the coupled
-    sampler at n = 4m, and the colors of a derived graph on 2m vertices.
+    The copy elements are the pairs (y, i) with base color y in 2m+1..4m
+    and copy index i in 1..r: y runs over the color vertices of the
+    coupled sampler at n = 4m, and over the colors of a derived graph on
+    2m vertices.  Block j is the slot set of the j-th triple system.
     """
     if m < 1 or r < 1:
         raise ValueError("need m >= 1 and r >= 1")
     gen = as_generator(rng)
-    base = tuple(range(2 * m + 1, 4 * m + 1))
-    elems = [(y, i) for y in base for i in range(1, r + 1)]
+    elems = [(y, i) for y in range(2 * m + 1, 4 * m + 1)
+             for i in range(1, r + 1)]
     order = gen.permutation(len(elems)).tolist()
     shuffled = [elems[k] for k in order]
-    blocks = tuple(tuple(shuffled[j * m:(j + 1) * m]) for j in range(2 * r))
-    return CopySet(m, base, blocks)
+    return tuple(tuple(shuffled[j * m:(j + 1) * m]) for j in range(2 * r))
 
 
 @dataclass(frozen=True)
@@ -313,7 +270,7 @@ def sample_gamma(xs: Sequence[int], slots: Sequence[Slot], p1: float,
 
 
 def sample_coupled(n: int, p: float, r: int = DEFAULT_R, rng=None
-                   ) -> tuple[Hypergraph3, CopySet, tuple[TripleSystem, ...]]:
+                   ) -> tuple[Hypergraph3, tuple[TripleSystem, ...]]:
     """Sample 2r independent triple systems at p1 together with a hypergraph
     distributed exactly as the binomial model at p, coupled so that every
     present copy-triple projects into the hypergraph.
@@ -321,7 +278,8 @@ def sample_coupled(n: int, p: float, r: int = DEFAULT_R, rng=None
     Construction, for n = 4m, X = 1..2m, colors 2m+1..4m:
 
     * partition the copy set into blocks Y_1..Y_2r and draw each system
-      over (X, Y_j) at p1, where p = 1-(1-p1)^(2r);
+      over (X, Y_j) at p1, where p = 1-(1-p1)^(2r); system j's ``slots``
+      is block Y_j, so the systems' slots together are the copy set;
     * a base triple {x, y, x'} with x, x' in X and y a color is placed in
       the hypergraph iff one of its r copy-triples is present in some
       system OR an independent top-up coin at q = 1-(1-p1)^r succeeds,
@@ -338,8 +296,8 @@ def sample_coupled(n: int, p: float, r: int = DEFAULT_R, rng=None
     two_m = 2 * m
     xs = tuple(range(1, two_m + 1))
 
-    copyset = sample_copyset_partition(m, r, gen)
-    systems = tuple(sample_gamma(xs, blk, params.p1, gen) for blk in copyset.blocks)
+    systems = tuple(sample_gamma(xs, blk, params.p1, gen)
+                    for blk in sample_copyset_partition(m, r, gen))
 
     edges: set[tuple[int, int, int]] = set()
     for ts in systems:
@@ -362,7 +320,7 @@ def sample_coupled(n: int, p: float, r: int = DEFAULT_R, rng=None
             edges.add((a, b, c))
 
     h = Hypergraph3._from_sorted(n, sorted(edges))
-    return h, copyset, systems
+    return h, systems
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +343,14 @@ def sample_union_matchings(m2: int, r: int, rng=None, *,
         raise ValueError(f"r must be >= 1, got {r}")
     gen = as_generator(rng)
     m = m2 // 2
-    copyset = None
     if colored:
-        copyset = sample_copyset_partition(m, r, gen)
+        blocks = sample_copyset_partition(m, r, gen)
     edges: list[ColoredEdge] = []
     for j in range(2 * r):
         perm = (gen.permutation(m2) + 1).tolist()
         layer = [(perm[2 * i], perm[2 * i + 1]) for i in range(m)]
         if colored:
-            block = copyset.blocks[j]
+            block = blocks[j]
             order = gen.permutation(m).tolist()
             edges.extend(
                 ColoredEdge(u, v, block[k][0])
@@ -401,7 +358,7 @@ def sample_union_matchings(m2: int, r: int, rng=None, *,
             )
         else:
             edges.extend(ColoredEdge(u, v, 0) for u, v in layer)
-    colors = copyset.base_colors if colored else ()
+    colors = range(m2 + 1, 2 * m2 + 1) if colored else ()
     return ColoredMultigraph(m2, colors, edges)
 
 

@@ -24,23 +24,6 @@ def loose_hamilton_exists_naive(h: Hypergraph3) -> bool:
     return False
 
 
-def loose_hamilton_edge_sets_naive(h: Hypergraph3) -> set[frozenset]:
-    """All loose Hamilton cycles as edge sets, by full permutation scan."""
-    n = h.n
-    s = n // 2
-    found = set()
-    for perm in permutations(range(1, n + 1)):
-        links = perm[0::2]
-        mids = perm[1::2]
-        windows = [
-            tuple(sorted((links[i], mids[i], links[(i + 1) % s])))
-            for i in range(s)
-        ]
-        if all(w in h.edges for w in windows):
-            found.add(frozenset(windows))
-    return found
-
-
 def _pair_partitions(items):
     items = list(items)
     if not items:

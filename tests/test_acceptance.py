@@ -107,7 +107,7 @@ def test_criterion_3_coupling_exactness():
     copy_b = ((3, 4), (10, 1))
     hits_coupled = hits_other = hits_a = hits_b = hits_joint = 0
     for _ in range(trials):
-        h, _cs, systems = sample_coupled(n, p, r, gen)
+        h, systems = sample_coupled(n, p, r, gen)
         hits_coupled += coupled_triple in h.edges
         hits_other += other_triple in h.edges
         a = any(copy_a in ts.present for ts in systems)

@@ -8,7 +8,6 @@ from looselab import (
     Hypergraph3,
     LooseCycle,
     SizeCapExceeded,
-    enumerate_loose_hamilton,
     exact_loose_hamilton,
     expected_isolated,
     isolated_vertices,
@@ -90,7 +89,8 @@ class TestLooseCycle:
 
     def test_windows_rotation_invariant(self):
         c = LooseCycle((2, 4, 6), (1, 3, 5))
-        assert c.edge_set() == LooseCycle((4, 6, 2), (3, 5, 1)).edge_set()
+        rotated = LooseCycle((4, 6, 2), (3, 5, 1))
+        assert set(c.windows()) == set(rotated.windows())
 
 
 class TestVerify:
@@ -153,13 +153,6 @@ class TestExactSearch:
             exact_loose_hamilton(Hypergraph3(20), cap=16)
         with pytest.raises(ValueError):
             exact_loose_hamilton(Hypergraph3(7))
-
-    def test_complete_counts(self):
-        # distinct cycles as edge sets, cross-checked against the naive
-        # permutation scan (n <= 6) and the closed-form count
-        assert len(enumerate_loose_hamilton(complete_hypergraph(4))) == 6
-        assert len(enumerate_loose_hamilton(complete_hypergraph(6))) == 120
-        assert len(enumerate_loose_hamilton(complete_hypergraph(8))) == 5040
 
     def test_returned_cycles_always_verify(self):
         rng = rng_from_seed(23)

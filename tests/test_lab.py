@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,6 +211,18 @@ class TestAtomicOutput:
                 fh.write("partial")
                 raise RuntimeError("trial failed")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        path = tmp_path / "out.csv"
+        old = os.umask(umask)
+        try:
+            with atomic_output(path) as fh:
+                fh.write("x\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 class TestIsolatedExperiment:

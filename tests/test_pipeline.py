@@ -8,7 +8,6 @@ from looselab import (
     build_gstar,
     exact_loose_hamilton,
     is_equitable,
-    pipeline_vs_oracle,
     run_pipeline,
     sample_coupled,
     verify_loose_hamilton,
@@ -40,7 +39,7 @@ class TestBuildGstar:
     def test_pipeline_inputs_regular_and_equitable(self):
         gen = rng_from_seed(0)
         for _ in range(25):
-            h, cs, systems = sample_coupled(16, 1.0, 4, gen)
+            h, systems = sample_coupled(16, 1.0, 4, gen)
             matchings = [exact_matching(ts) for ts in systems]
             g = build_gstar(matchings, systems)
             assert len(g.edges) == 2 * 4 * 4
@@ -49,7 +48,7 @@ class TestBuildGstar:
 
     def test_edge_multiset_is_projection_of_triples(self):
         gen = rng_from_seed(1)
-        h, cs, systems = sample_coupled(8, 1.0, 4, gen)
+        h, systems = sample_coupled(8, 1.0, 4, gen)
         matchings = [exact_matching(ts) for ts in systems]
         g = build_gstar(matchings, systems)
         want = Counter()
@@ -95,14 +94,20 @@ class TestRunPipeline:
             run_pipeline(10, 0.5, 4, seed=0)
 
     def test_soundness_and_oracle_confirmation(self):
-        # every reported success verifies and is confirmed by the oracle
-        successes = 0
-        for seed in range(200):
-            rep = run_pipeline(8, 0.9, 4, seed=seed, keep_instance=True)
-            if rep.success:
-                successes += 1
-                assert verify_loose_hamilton(rep.hypergraph, rep.loose_cycle)
-                assert exact_loose_hamilton(rep.hypergraph) is not None
+        # every reported success verifies and is confirmed by the oracle;
+        # at n=8 only p=1 gets past matching, so n=16 carries p < 1
+        successes = {}
+        for n, p in ((8, 1.0), (16, 0.9)):
+            successes[n] = 0
+            for seed in range(100):
+                rep = run_pipeline(n, p, 4, seed=seed, keep_instance=True)
+                if rep.success:
+                    successes[n] += 1
+                    assert verify_loose_hamilton(rep.hypergraph,
+                                                 rep.loose_cycle)
+                    assert exact_loose_hamilton(rep.hypergraph) is not None
+        assert successes[8] == 100
+        assert successes[16] >= 1
 
     def test_deterministic_report(self):
         a = run_pipeline(16, 0.9, 4, seed=11).to_dict()
@@ -149,30 +154,3 @@ class TestRunPipeline:
         assert rep.rainbow_cert is not None
         assert rep.matchings is not None and len(rep.matchings) == 8
 
-
-class TestPipelineVsOracle:
-    def test_p_one_both_always_yes(self):
-        table = pipeline_vs_oracle(8, 1.0, 4, trials=20, seed=3)
-        assert table.pipeline_yes == 20
-        assert table.oracle_yes == 20
-        assert table.loss_count == 0
-
-    def test_no_unsound_successes_across_grid(self):
-        # raises internally on any pipeline-yes/oracle-no row; the loss
-        # rates themselves are measured, not asserted
-        for p in (0.3, 0.6, 0.9):
-            table = pipeline_vs_oracle(8, p, 4, trials=200, seed=4)
-            assert all(not (s and not o) for _, s, o in table.rows)
-            assert table.loss_count == sum(
-                1 for _, s, o in table.rows if o and not s)
-            assert 0.0 <= table.loss_rate <= 1.0
-
-    def test_loss_table_serializes(self):
-        table = pipeline_vs_oracle(8, 0.6, 4, trials=50, seed=5)
-        d = table.to_dict()
-        assert d["trials"] == 50
-        assert len(d["rows"]) == 50
-
-    def test_rejects_oversized_n(self):
-        with pytest.raises(ValueError):
-            pipeline_vs_oracle(20, 0.5, 4, trials=5, seed=0)

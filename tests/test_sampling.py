@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from looselab import (
-    CopySet,
     TripleSystem,
     sample_copyset_partition,
     sample_coupled,
@@ -138,29 +137,22 @@ class TestSampleH3:
 
 class TestCopySet:
     def test_block_sizes_and_multiplicity(self):
-        cs = sample_copyset_partition(3, 4, rng_from_seed(5))
-        assert cs.m == 3 and cs.r == 4
-        assert len(cs.blocks) == 8
-        assert all(len(b) == 3 for b in cs.blocks)
-        per_color = Counter(y for blk in cs.blocks for y, _ in blk)
-        assert all(per_color[y] == 4 for y in cs.base_colors)
+        blocks = sample_copyset_partition(3, 4, rng_from_seed(5))
+        assert len(blocks) == 8
+        assert all(len(b) == 3 for b in blocks)
+        assert sorted(el for blk in blocks for el in blk) == \
+            [(y, i) for y in range(7, 13) for i in range(1, 5)]
 
     def test_default_base_colors(self):
-        cs = sample_copyset_partition(2, 1, rng_from_seed(5))
-        assert cs.base_colors == (5, 6, 7, 8)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CopySet(1, (3, 4), (((3, 1),), ((3, 1),)))  # duplicate element
-        with pytest.raises(ValueError):
-            CopySet(1, (3, 4), (((3, 1),),))  # odd block count
+        blocks = sample_copyset_partition(2, 1, rng_from_seed(5))
+        assert {y for blk in blocks for y, _ in blk} == {5, 6, 7, 8}
 
     def test_smallest_case_uniform(self):
         # m=1, r=1: two elements into two singleton blocks
         trials = 10_000
         gen = rng_from_seed(77)
         first = sum(
-            sample_copyset_partition(1, 1, gen).blocks[0][0][0] == 3
+            sample_copyset_partition(1, 1, gen)[0][0][0] == 3
             for _ in range(trials))
         sigma = math.sqrt(0.25 / trials)
         assert abs(first / trials - 0.5) <= 3 * sigma
@@ -196,20 +188,23 @@ class TestSampleCoupled:
                 sample_coupled(n, 0.5, 2, rng_from_seed(0))
 
     def test_p_zero_all_empty(self):
-        h, cs, systems = sample_coupled(8, 0.0, 2, rng_from_seed(0))
+        h, systems = sample_coupled(8, 0.0, 2, rng_from_seed(0))
         assert h.edge_list == ()
         assert all(ts.present == frozenset() for ts in systems)
 
     def test_shapes(self):
-        h, cs, systems = sample_coupled(16, 0.3, 4, rng_from_seed(1))
-        assert cs.m == 4 and cs.base_colors == tuple(range(9, 17))
+        h, systems = sample_coupled(16, 0.3, 4, rng_from_seed(1))
         assert len(systems) == 8
         assert all(ts.xs == tuple(range(1, 9)) for ts in systems)
+        # the 2r slot blocks partition the copy set {(y, i)}
+        assert all(ts.m == 4 for ts in systems)
+        assert sorted(el for ts in systems for el in ts.slots) == \
+            [(y, i) for y in range(9, 17) for i in range(1, 5)]
 
     def test_projection_containment(self):
         gen = rng_from_seed(2)
         for _ in range(50):
-            h, cs, systems = sample_coupled(16, 0.4, 4, gen)
+            h, systems = sample_coupled(16, 0.4, 4, gen)
             for ts in systems:
                 for (x1, x2), (y, _i) in ts.present:
                     assert (x1, x2, y) in h.edges
@@ -219,7 +214,7 @@ class TestSampleCoupled:
         gen = rng_from_seed(3)
         coupled_hits = other_hits = 0
         for _ in range(trials):
-            h, _cs, _systems = sample_coupled(n, p, r, gen)
+            h, _systems = sample_coupled(n, p, r, gen)
             coupled_hits += (1, 2, 9) in h.edges
             other_hits += (2, 3, 4) in h.edges
         sigma = math.sqrt(p * (1 - p) / trials)
@@ -230,8 +225,8 @@ class TestSampleCoupled:
         a = sample_coupled(16, 0.3, 4, rng_from_seed(10))
         b = sample_coupled(16, 0.3, 4, rng_from_seed(10))
         assert a[0] == b[0]
-        assert a[1] == b[1]
-        assert all(x.present == y.present for x, y in zip(a[2], b[2]))
+        assert all(x.slots == y.slots and x.present == y.present
+                   for x, y in zip(a[1], b[1]))
 
 
 class TestUnionMatchings:
