@@ -58,9 +58,7 @@ def _cmd_sample(args) -> int:
         write_hypergraph(h, args.out if args.out else sys.stdout)
     elif args.model == "gamma":
         _banner("sample", model="gamma", m=args.m, p1=args.p1, seed=args.seed)
-        two_m = 2 * args.m
-        ts = sample_gamma(range(1, two_m + 1),
-                          range(two_m + 1, 3 * args.m + 1), args.p1, gen)
+        ts = sample_gamma(range(2 * args.m + 1, 3 * args.m + 1), args.p1, gen)
         write_hypergraph(hypergraph_from_triple_system(ts),
                          args.out if args.out else sys.stdout)
     elif args.model == "union":

@@ -10,11 +10,13 @@ all project into the coupled hypergraph; the pipeline re-verifies the
 lifted cycle against the sampled instance rather than trusting the
 construction.
 
-Both searches are the complete engines of ``solvers``.  A run aborts at
-its first failed stage; retries belong to the sweep harness, not to a
-single trial.  A rainbow search that spends its node budget undecided
-fails the rainbow stage with ``rainbow_undecided`` set, so it is never
-read as a proven absence.
+Both searches are the complete engines of ``solvers``.  The matching
+engine is handed the trial's generator, so each system is searched under
+a uniformly random numbering of its columns and the selected matchings
+stay symmetric across systems.  A run aborts at its first failed stage;
+retries belong to the sweep harness, not to a single trial.  A rainbow
+search that spends its node budget undecided fails the rainbow stage with
+``rainbow_undecided`` set, so it is never read as a proven absence.
 """
 
 from __future__ import annotations
@@ -33,31 +35,6 @@ from .solvers import MatchTriple, exact_matching, exact_rainbow_hamilton, \
     verify_matching
 
 STAGES = ("sample", "matching", "gstar", "rainbow", "lift")
-
-
-def _symmetric_exact_matching(ts: TripleSystem, gen, stats: Optional[dict]
-                              ) -> Optional[tuple[MatchTriple, ...]]:
-    # The deterministic engine would hand every saturated system the same
-    # witness, collapsing the derived graph to parallel bundles.  Solving
-    # a uniformly relabeled copy and mapping the witness back keeps the
-    # engine seed-free while making the selected matching equivariant, so
-    # across random systems the matchings stay symmetric, as the
-    # reduction requires.
-    xs, slots = ts.xs, ts.slots
-    xperm = gen.permutation(len(xs)).tolist()
-    sperm = gen.permutation(len(slots)).tolist()
-    xmap = {xs[i]: xs[xperm[i]] for i in range(len(xs))}
-    smap = {slots[i]: slots[sperm[i]] for i in range(len(slots))}
-    relabeled = TripleSystem(xs, slots, frozenset(
-        (tuple(sorted((xmap[x1], xmap[x2]))), smap[s])
-        for (x1, x2), s in ts.present))
-    pm = exact_matching(relabeled, stats=stats)
-    if pm is None:
-        return None
-    inv_x = {v: k for k, v in xmap.items()}
-    inv_s = {v: k for k, v in smap.items()}
-    return tuple(sorted((tuple(sorted((inv_x[x1], inv_x[x2]))), inv_s[s])
-                        for (x1, x2), s in pm))
 
 
 def build_gstar(matchings: Sequence[Sequence[MatchTriple]],
@@ -80,7 +57,7 @@ def build_gstar(matchings: Sequence[Sequence[MatchTriple]],
             raise ValueError(f"matching {j + 1}: {verdict.reason}")
         edges.extend(ColoredEdge(x1, x2, y) for (x1, x2), (y, _copy) in pm)
     colors = {y for ts in systems for y, _copy in ts.slots}
-    return ColoredMultigraph(len(systems[0].xs), colors, edges)
+    return ColoredMultigraph(2 * systems[0].m, colors, edges)
 
 
 @dataclass
@@ -145,7 +122,7 @@ def _run_pipeline_stream(n: int, p: float, r: int, gen, *,
     match_steps = 0
     for ts in systems:
         stats: dict = {}
-        pm = _symmetric_exact_matching(ts, gen, stats)
+        pm = exact_matching(ts, gen=gen, stats=stats)
         match_steps += stats.get("nodes", 0)
         if pm is None:
             break

@@ -205,33 +205,27 @@ def sample_copyset_partition(m: int, r: int, rng=None) -> tuple[Block, ...]:
 
 @dataclass(frozen=True)
 class TripleSystem:
-    """Random triple system over pairs-of-X times slots.
+    """Random triple system over pairs of X = 1..2m times m >= 1 slots.
 
-    ``present`` holds the included triples ((x, x'), slot) with x < x'.
-    |X| = 2|slots| so a perfect matching (m disjoint triples covering both
-    sides) can exist.
+    ``present`` holds the included triples ((x, x'), slot), 1 <= x < x' <= 2m;
+    a perfect matching is m of them, disjoint, covering X and the slots.
     """
 
-    xs: tuple[int, ...]
     slots: tuple[Slot, ...]
     present: frozenset
 
     def __post_init__(self):
-        xs = tuple(sorted(int(x) for x in self.xs))
         slots = tuple(self.slots)
-        object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "present", frozenset(self.present))
-        if len(set(xs)) != len(xs):
-            raise ValueError("X vertices must be distinct")
+        if not slots:
+            raise ValueError("need at least one slot")
         if len(set(slots)) != len(slots):
             raise ValueError("slots must be distinct")
-        if len(xs) != 2 * len(slots):
-            raise ValueError(f"need |X| = 2|slots|, got {len(xs)} and {len(slots)}")
-        xset, sset = set(xs), set(slots)
+        xset, sset = set(range(1, 2 * len(slots) + 1)), set(slots)
         for (x1, x2), slot in self.present:
             if not (x1 in xset and x2 in xset and x1 < x2):
-                raise ValueError(f"pair ({x1}, {x2}) is not an ordered pair of X")
+                raise ValueError(f"pair ({x1}, {x2}) is not ordered in 1..{len(xset)}")
             if slot not in sset:
                 raise ValueError(f"slot {slot!r} outside the slot set")
 
@@ -240,28 +234,21 @@ class TripleSystem:
         return len(self.slots)
 
 
-def sample_gamma(xs: Sequence[int], slots: Sequence[Slot], p1: float,
-                 rng=None) -> TripleSystem:
-    """Triple system with each of C(2m,2)*m triples kept with probability p1."""
-    xs = tuple(sorted(int(x) for x in xs))
+def sample_gamma(slots: Sequence[Slot], p1: float, rng=None) -> TripleSystem:
+    """Triple system over X = 1..2m and the m ``slots``, with each of the
+    C(2m,2)*m triples kept with probability p1."""
     slots = tuple(slots)
-    if len(xs) != 2 * len(slots):
-        raise ValueError(f"need |X| = 2|slots|, got {len(xs)} and {len(slots)}")
+    if not slots:
+        raise ValueError("need at least one slot")
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"p1 must lie in [0, 1], got {p1}")
     gen = as_generator(rng)
-    m2, ns = len(xs), len(slots)
-    pos = _included_positions(gen, math.comb(m2, 2) * ns, p1)
-    if len(pos) == 0:
-        return TripleSystem(xs, slots, frozenset())
-    pair_rank = pos // ns
-    slot_idx = (pos % ns).tolist()
-    u, v = unrank_pairs(m2, pair_rank)
-    present = frozenset(
-        ((xs[uu - 1], xs[vv - 1]), slots[ss])
-        for uu, vv, ss in zip(u.tolist(), v.tolist(), slot_idx)
-    )
-    return TripleSystem(xs, slots, present)
+    ns = len(slots)
+    pos = _included_positions(gen, math.comb(2 * ns, 2) * ns, p1)
+    u, v = unrank_pairs(2 * ns, pos // ns)
+    return TripleSystem(slots, frozenset(
+        ((uu, vv), slots[ss])
+        for uu, vv, ss in zip(u.tolist(), v.tolist(), (pos % ns).tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +281,8 @@ def sample_coupled(n: int, p: float, r: int = DEFAULT_R, rng=None
     params = split_probability(p, r)
     m = n // 4
     two_m = 2 * m
-    xs = tuple(range(1, two_m + 1))
 
-    systems = tuple(sample_gamma(xs, blk, params.p1, gen)
+    systems = tuple(sample_gamma(blk, params.p1, gen)
                     for blk in sample_copyset_partition(m, r, gen))
 
     edges: set[tuple[int, int, int]] = set()
@@ -405,16 +391,12 @@ def triple_system_from_hypergraph(h: Hypergraph3) -> TripleSystem:
         if not b <= two_m < c:
             raise ValueError(f"edge {(a, b, c)} is not (pair, slot)-shaped")
         present.add(((a, b), c))
-    return TripleSystem(tuple(range(1, two_m + 1)),
-                        tuple(range(two_m + 1, h.n + 1)),
-                        frozenset(present))
+    return TripleSystem(tuple(range(two_m + 1, h.n + 1)), frozenset(present))
 
 
 def hypergraph_from_triple_system(ts: TripleSystem) -> Hypergraph3:
     m = ts.m
-    two_m = 2 * m
-    if ts.xs != tuple(range(1, two_m + 1)) or \
-            ts.slots != tuple(range(two_m + 1, 3 * m + 1)):
-        raise ValueError("system must use X = 1..2m and integer slots 2m+1..3m")
+    if ts.slots != tuple(range(2 * m + 1, 3 * m + 1)):
+        raise ValueError("system must use integer slots 2m+1..3m")
     edges = sorted((x1, x2, slot) for (x1, x2), slot in ts.present)
     return Hypergraph3._from_sorted(3 * m, edges)

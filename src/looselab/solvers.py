@@ -2,10 +2,11 @@
 Hamilton cycles of colored multigraphs.
 
 A matching is a tuple of ``((x, x'), slot)`` triples sorted by pair, and
-``verify_matching`` is its one validity check.  One complete, seed-free
-search per problem.  Each returns a witness that passes its verifier, or
-``None`` only when it has proven that no witness exists; the test suite
-checks both against unpruned enumeration oracles at small sizes.
+``verify_matching`` is its one validity check.  One complete search per
+problem, seed-free unless handed a generator for the column relabelling.
+Each returns a witness that passes its verifier, or ``None`` only when it
+has proven that no witness exists; the test suite checks both against
+unpruned enumeration oracles at small sizes.
 Neither has a size cap: the matching engine runs to a decision on any
 input, and the rainbow engine spends at most a node budget and raises
 ``BudgetExhausted`` when the search is undecided.
@@ -40,7 +41,7 @@ def verify_matching(ts: TripleSystem, matching) -> Verdict:
         (x1, x2), slot = t
         used_x += [x1, x2]
         used_slots.append(slot)
-    if sorted(used_x) != list(ts.xs):
+    if sorted(used_x) != list(range(1, 2 * ts.m + 1)):
         return Verdict(False, "pairs do not partition X")
     # m slots used and m distinct slots: equal sets mean each used once
     if set(used_slots) != set(ts.slots):
@@ -48,38 +49,43 @@ def verify_matching(ts: TripleSystem, matching) -> Verdict:
     return Verdict(True)
 
 
-def _sorted_rows(ts: TripleSystem) -> list[MatchTriple]:
-    rank = {s: i for i, s in enumerate(ts.slots)}
-    return sorted(ts.present, key=lambda t: (t[0], rank[t[1]]))
-
-
 # ---------------------------------------------------------------------------
 # exact matching: exact cover over columns = X vertices + slots
 # ---------------------------------------------------------------------------
 
 
-def exact_matching(ts: TripleSystem, *, stats: Optional[dict] = None
+def exact_matching(ts: TripleSystem, *, gen=None, stats: Optional[dict] = None
                    ) -> Optional[tuple[MatchTriple, ...]]:
     """Complete perfect-matching search, framed as exact cover.
 
     Rows are present triples; columns are the 2m X-vertices and the m
-    slots; the most constrained column is branched first, ties broken by
-    lowest column index.  Returns a matching, its triples sorted by pair,
-    iff one exists, for any m: there is no size cap and no node budget.
-    ``stats["nodes"]`` accumulates the search nodes expanded.
+    slots.  The most constrained column is branched first, ties broken by
+    lowest column, and its rows are tried in (lower X column, higher X
+    column, slot column) order.  Returns a matching, its triples sorted by
+    pair, iff one exists, for any m: there is no size cap and no node
+    budget.  ``stats["nodes"]`` accumulates the search nodes expanded.
+
+    Without ``gen``, X-vertex x is column x - 1 and slot j column 2m + j.
+    A fixed numbering would hand every saturated system the same witness
+    and collapse the derived graph to parallel bundles.  So, given a
+    generator, ``gen.permutation(2m)`` then ``gen.permutation(m)`` number
+    them, drawn before any return: the search of a uniformly relabelled
+    copy, whose witness is equivariant and keeps the matchings symmetric.
     """
-    m = ts.m
-    if m == 0:
-        return ()
-    rows = _sorted_rows(ts)
-    if not rows:
+    m, two_m = ts.m, 2 * ts.m
+    xperm = range(two_m) if gen is None else gen.permutation(two_m).tolist()
+    sperm = range(m) if gen is None else gen.permutation(m).tolist()
+    xcol = [None, *xperm]  # X starts at 1
+    scol = {s: two_m + c for s, c in zip(ts.slots, sperm)}
+    triple_at = {}
+    for t in ts.present:
+        (x1, x2), slot = t
+        a, b = xcol[x1], xcol[x2]
+        triple_at[min(a, b), max(a, b), scol[slot]] = t
+    if not triple_at:
         return None
-    xcol = {x: i for i, x in enumerate(ts.xs)}
-    scol = {s: len(ts.xs) + i for i, s in enumerate(ts.slots)}
-    row_cols = [
-        (xcol[x1], xcol[x2], scol[slot]) for (x1, x2), slot in rows
-    ]
-    cols: dict[int, set[int]] = {c: set() for c in range(len(ts.xs) + m)}
+    row_cols = sorted(triple_at)
+    cols: dict[int, set[int]] = {c: set() for c in range(two_m + m)}
     for rid, rc in enumerate(row_cols):
         for c in rc:
             cols[c].add(rid)
@@ -122,7 +128,8 @@ def exact_matching(ts: TripleSystem, *, stats: Optional[dict] = None
         return False
 
     if solve():
-        return tuple(sorted((rows[rid] for rid in chosen), key=lambda t: t[0]))
+        return tuple(sorted((triple_at[row_cols[rid]] for rid in chosen),
+                            key=lambda t: t[0]))
     return None
 
 

@@ -1,12 +1,15 @@
 """Independent brute-force oracles for the exact engines.
 
 Everything here is deliberately naive: plain permutation scans with no
-pruning and no shared code with the engines under test.
+pruning and no shared code with the engines under test.  The one
+exception is ``relabelled_matching``, which pins how the matching engine
+reads a generator by rebuilding the relabelled system that engine's
+column numbering stands in for.
 """
 
 from itertools import combinations, permutations, product
 
-from looselab import Hypergraph3, TripleSystem
+from looselab import Hypergraph3, TripleSystem, exact_matching
 
 
 def loose_hamilton_exists_naive(h: Hypergraph3) -> bool:
@@ -39,7 +42,7 @@ def _pair_partitions(items):
 def perfect_matching_exists_naive(ts: TripleSystem) -> bool:
     """Try every pair partition of X against every slot permutation."""
     m = ts.m
-    for pairing in _pair_partitions(ts.xs):
+    for pairing in _pair_partitions(range(1, 2 * m + 1)):
         for slot_order in permutations(ts.slots):
             if all(
                 ((min(a, b), max(a, b)), slot_order[i]) in ts.present
@@ -47,6 +50,30 @@ def perfect_matching_exists_naive(ts: TripleSystem) -> bool:
             ):
                 return True
     return False
+
+
+def relabelled_matching(ts: TripleSystem, gen):
+    """Draw a uniform relabelling of X and of the slots, search the
+    relabelled copy with the seed-free engine, and map its witness back.
+
+    ``exact_matching(ts, gen=gen)`` must return the same matching and
+    leave ``gen`` in the same state.
+    """
+    m = ts.m
+    xperm = gen.permutation(2 * m).tolist()
+    sperm = gen.permutation(m).tolist()
+    xmap = {x: xperm[x - 1] + 1 for x in range(1, 2 * m + 1)}
+    smap = {ts.slots[i]: ts.slots[sperm[i]] for i in range(m)}
+    relabelled = TripleSystem(ts.slots, frozenset(
+        (tuple(sorted((xmap[x1], xmap[x2]))), smap[s])
+        for (x1, x2), s in ts.present))
+    pm = exact_matching(relabelled)
+    if pm is None:
+        return None
+    inv_x = {v: k for k, v in xmap.items()}
+    inv_s = {v: k for k, v in smap.items()}
+    return tuple(sorted((tuple(sorted((inv_x[x1], inv_x[x2]))), inv_s[s])
+                        for (x1, x2), s in pm))
 
 
 def rainbow_hamilton_exists_naive(g) -> bool:
@@ -92,8 +119,9 @@ def complete_hypergraph(n: int) -> Hypergraph3:
     return Hypergraph3(n, combinations(range(1, n + 1), 3))
 
 
-def complete_triple_system(xs, slots) -> TripleSystem:
-    """Every (pair, slot) triple present."""
-    xs = tuple(sorted(xs))
-    return TripleSystem(xs, tuple(slots), frozenset(
-        (pair, s) for pair in combinations(xs, 2) for s in slots))
+def complete_triple_system(slots) -> TripleSystem:
+    """Every (pair, slot) triple over X = 1..2m present."""
+    slots = tuple(slots)
+    return TripleSystem(slots, frozenset(
+        (pair, s) for pair in combinations(range(1, 2 * len(slots) + 1), 2)
+        for s in slots))

@@ -103,6 +103,14 @@ class TestSampleCommand:
                    "--seed", "1", "--out", str(out)) == 0
         assert run("solve", "matching", "--in", str(out)) == 0
 
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_gamma_without_slots_exits_two(self, m, tmp_path, capsys):
+        out = tmp_path / "ts.txt"
+        assert run("sample", "--model", "gamma", "--m", m,
+                   "--out", str(out)) == 2
+        assert "error: need at least one slot" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolveCommand:
     def test_matching_not_found_exits_one(self, tmp_path):

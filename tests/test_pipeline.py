@@ -20,7 +20,7 @@ from looselab.solvers import exact_matching
 
 def smallest_systems():
     # r=1, m=1: copy-set blocks ((3, 1),) and ((4, 1),), each system full
-    return [TripleSystem((1, 2), (slot,), frozenset({((1, 2), slot)}))
+    return [TripleSystem((slot,), frozenset({((1, 2), slot)}))
             for slot in ((3, 1), (4, 1))]
 
 
@@ -69,7 +69,7 @@ class TestBuildGstar:
     def test_rejects_matching_missing_from_its_system(self):
         # partitions X and uses block 1's slot, but system 1 lacks the triple
         systems = smallest_systems()
-        systems[0] = TripleSystem((1, 2), ((3, 1),), frozenset())
+        systems[0] = TripleSystem(((3, 1),), frozenset())
         with pytest.raises(ValueError, match="matching 1: triple not present"):
             build_gstar([(((1, 2), (3, 1)),), (((1, 2), (4, 1)),)], systems)
 
@@ -140,8 +140,8 @@ class TestRunPipeline:
     def test_matching_absent_from_its_system_rejected(self, monkeypatch):
         # each matching partitions X and uses its block's slots, but at
         # p = 0 no system contains any of its triples
-        def outside(ts, *, stats=None):
-            pairs = [(1, 2)] + [(x, x + 1) for x in ts.xs[2::2]]
+        def outside(ts, *, gen=None, stats=None):
+            pairs = [(1, 2)] + [(x, x + 1) for x in range(3, 2 * ts.m, 2)]
             return tuple(zip(pairs, ts.slots))
 
         monkeypatch.setattr(pipeline, "exact_matching", outside)

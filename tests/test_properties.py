@@ -201,8 +201,7 @@ class TestVerifiersRejectSingleEdits:
         m = len(slots)
         triples = [(tuple(sorted(perm[2 * k:2 * k + 2])), slots[k])
                    for k in range(m)]
-        xs = tuple(range(1, 2 * m + 1))
-        assert verify_matching(TripleSystem(xs, slots, frozenset(triples)),
+        assert verify_matching(TripleSystem(slots, frozenset(triples)),
                                triples)
         present = set(triples)
         i, j = spots(data, m, "positions")
@@ -223,5 +222,5 @@ class TestVerifiersRejectSingleEdits:
             present.discard(triples[i])
         if edit.startswith("repeat"):
             present.add(triples[i])  # only the repeat is wrong
-        ts = TripleSystem(xs, slots, frozenset(present))
+        ts = TripleSystem(slots, frozenset(present))
         assert not verify_matching(ts, triples)

@@ -12,10 +12,11 @@ from looselab import (
     verify_matching,
     verify_rainbow_hamilton,
 )
-from looselab.sampling import rng_from_seed
+from looselab.lab import probability_from_c
+from looselab.sampling import rng_from_seed, sample_coupled
 
 from oracles import (complete_triple_system, perfect_matching_exists_naive,
-                     rainbow_hamilton_exists_naive)
+                     rainbow_hamilton_exists_naive, relabelled_matching)
 
 XS4 = (1, 2, 3, 4)
 SLOTS2 = ("a", "b")
@@ -24,14 +25,14 @@ ALL_TRIPLES_M2 = [((x1, x2), s)
 
 
 def system_m2(present):
-    return TripleSystem(XS4, SLOTS2, frozenset(present))
+    return TripleSystem(SLOTS2, frozenset(present))
 
 
 def random_system(rng, xs, slots, density):
     pool = [((x1, x2), s)
             for x1, x2 in combinations(xs, 2) for s in slots]
     mask = rng.random(len(pool)) < density
-    return TripleSystem(tuple(xs), tuple(slots),
+    return TripleSystem(tuple(slots),
                         frozenset(t for t, keep in zip(pool, mask) if keep))
 
 
@@ -77,7 +78,7 @@ class TestExactMatching:
                     for s in ("a", "b", "c")]
             extra = {pool[i] for i in
                      rng.choice(len(pool), size=6, replace=False).tolist()}
-            bigger = TripleSystem(ts.xs, ts.slots, ts.present | extra)
+            bigger = TripleSystem(ts.slots, ts.present | extra)
             if exact_matching(ts) is not None:
                 assert exact_matching(bigger) is not None
 
@@ -93,15 +94,31 @@ class TestExactMatching:
         for _ in range(3 * m):
             x1, x2 = sorted(rng.choice(xs, size=2, replace=False).tolist())
             decoys.add(((x1, x2), slots[int(rng.integers(m))]))
-        ts = TripleSystem(xs, slots, frozenset(planted | decoys))
+        ts = TripleSystem(slots, frozenset(planted | decoys))
         pm = exact_matching(ts)
         assert pm is not None
         assert verify_matching(ts, pm)
-        assert exact_matching(TripleSystem(xs, slots, frozenset())) is None
+        assert exact_matching(TripleSystem(slots, frozenset())) is None
 
     def test_seed_free_deterministic(self):
-        ts = complete_triple_system(range(1, 9), ("a", "b", "c", "d"))
+        ts = complete_triple_system(("a", "b", "c", "d"))
         assert exact_matching(ts) == exact_matching(ts)
+
+    def test_generator_numbering_is_the_relabelled_search(self):
+        # the generator's two permutations number the columns exactly as a
+        # relabelled copy of the system would: same matching, same draws
+        systems = [TripleSystem(("a", "b", "c"), frozenset())]
+        for n, p in ((28, 0.9), (40, probability_from_c(40, 64))):
+            for seed in range(60):
+                systems += sample_coupled(n, p, 4, rng_from_seed(seed))[1]
+        found = 0
+        for k, ts in enumerate(systems):
+            g1, g2 = rng_from_seed(k), rng_from_seed(k)
+            pm = exact_matching(ts, gen=g1)
+            assert pm == relabelled_matching(ts, g2), f"system {k}"
+            assert g1.bit_generator.state == g2.bit_generator.state
+            found += pm is not None
+        assert 0 < found < len(systems)
 
 
 def rainbow_square_with_clutter():
