@@ -130,10 +130,8 @@ def _cmd_pipeline(args) -> int:
         print(rep.to_json())
     else:
         d = rep.to_dict()
-        for key in ("n", "p", "r", "seed", "coupling_ok",
-                    "matchings_found", "gstar_built", "rainbow_found",
-                    "rainbow_undecided", "lift_verified", "success",
-                    "failed_stage"):
+        for key in ("n", "p", "r", "seed", "matchings_found",
+                    "rainbow_undecided", "success", "failed_stage"):
             print(f"{key}: {d[key]}")
         if rep.loose_cycle is not None:
             print(f"links: {' '.join(str(v) for v in rep.loose_cycle.links)}")

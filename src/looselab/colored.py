@@ -64,9 +64,7 @@ class ColoredMultigraph:
         universe = tuple(sorted({int(c) for c in colors}))
         if 0 in universe:
             raise ValueError("color 0 is reserved for uncolored edges")
-        edge_tuple = tuple(
-            e if isinstance(e, ColoredEdge) else ColoredEdge(*e) for e in edges
-        )
+        edge_tuple = tuple(edges)
         uni = set(universe)
         usage: Counter = Counter()
         degrees: Counter = Counter()

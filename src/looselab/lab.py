@@ -10,6 +10,7 @@ any worker count, and cells are embarrassingly parallel.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -39,6 +40,8 @@ HAMILTON_LIMIT = 12
 
 
 def probability_from_c(n: int, c: float) -> float:
+    if not c >= 0:
+        raise ValueError(f"c must be >= 0, got {c}")
     return min(1.0, c * math.log(n) / (n * n))
 
 
@@ -93,7 +96,7 @@ class SweepSpec:
             raise ValueError("n and c grids must be non-empty")
         if any(n < 4 or n % 4 for n in self.n_values):
             raise ValueError("every n must be divisible by 4 (and >= 4)")
-        if any(c <= 0 for c in self.c_values):
+        if any(not c > 0 for c in self.c_values):
             raise ValueError("every c must be positive")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -138,7 +141,6 @@ CSV_HEADER = ",".join(f.name for f in fields(SweepCell)
 
 @dataclass(frozen=True)
 class SweepResult:
-    spec: SweepSpec
     cells: tuple[SweepCell, ...]
 
     def to_csv_text(self) -> str:
@@ -152,13 +154,15 @@ class SweepResult:
 def atomic_output(path):
     """Yield a text stream that replaces ``path`` when the block ends.
 
-    The temporary file is created beside ``path`` on entry, so a
-    destination that cannot be written fails before the block does any
-    work; a block that raises leaves ``path`` untouched and no temporary
-    file behind.  The file gets the mode ``open`` would give it, 0o666
+    On entry a directory at ``path`` is refused and the temporary file is
+    created beside ``path``, so a destination that cannot be written
+    fails before the block does any work; a block that raises leaves
+    ``path`` untouched and no temporary file behind.  The file gets the mode ``open`` would give it, 0o666
     less the umask, not the 0o600 of ``mkstemp``.
     """
     path = os.fspath(path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         umask = os.umask(0)
@@ -226,7 +230,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             freq=successes / spec.trials, ci_low=lo, ci_high=hi,
             method=spec.method, seed=spec.seed,
             mean_runtime=sum(s for *_, s in rows) / spec.trials))
-    return SweepResult(spec, tuple(cells))
+    return SweepResult(tuple(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +263,10 @@ def isolated_experiment(n: int, c_values: Sequence[float], trials: int,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # every c is checked before the first trial
+    grid = [(c, probability_from_c(n, c)) for c in map(float, c_values)]
     cells = []
-    for ci, c in enumerate(float(c) for c in c_values):
-        p = probability_from_c(n, c)
+    for ci, (c, p) in enumerate(grid):
         counts = []
         for t in range(trials):
             gen = derived_rng(seed, ci, t)
@@ -317,8 +322,8 @@ class ContiguityReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _triangle_count(adj: dict[int, dict[int, tuple[int, ...]]]) -> int:

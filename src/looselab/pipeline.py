@@ -74,12 +74,8 @@ class PipelineReport:
     p: float
     r: int
     seed: Optional[int]
-    coupling_ok: bool = False
     matchings_found: int = 0
-    gstar_built: bool = False
-    rainbow_found: bool = False
     rainbow_undecided: bool = False
-    lift_verified: bool = False
     success: bool = False
     failed_stage: Optional[str] = None
     matchings: Optional[tuple[tuple[MatchTriple, ...], ...]] = None
@@ -101,8 +97,8 @@ class PipelineReport:
         d["stage_steps"] = dict(self.stage_steps)
         return d
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _run_pipeline_stream(n: int, p: float, r: int, gen, *,
@@ -113,7 +109,6 @@ def _run_pipeline_stream(n: int, p: float, r: int, gen, *,
     t0 = time.perf_counter()
     h, systems = sample_coupled(n, p, r, gen)
     rep.stage_seconds["sample"] = time.perf_counter() - t0
-    rep.coupling_ok = True
     if keep_instance:
         rep.hypergraph = h
 
@@ -138,7 +133,6 @@ def _run_pipeline_stream(n: int, p: float, r: int, gen, *,
     t0 = time.perf_counter()
     gstar = build_gstar(matchings, systems)
     rep.stage_seconds["gstar"] = time.perf_counter() - t0
-    rep.gstar_built = True
     if keep_instance:
         rep.gstar = gstar
 
@@ -154,14 +148,12 @@ def _run_pipeline_stream(n: int, p: float, r: int, gen, *,
     if cert is None:
         rep.failed_stage = "rainbow"
         return rep
-    rep.rainbow_found = True
     rep.rainbow_cert = cert
 
     t0 = time.perf_counter()
     cycle = lift_to_loose(cert)
     verdict = verify_loose_hamilton(h, cycle)
     rep.stage_seconds["lift"] = time.perf_counter() - t0
-    rep.lift_verified = bool(verdict)
     if verdict:
         rep.success = True
         rep.loose_cycle = cycle

@@ -23,8 +23,6 @@ from .hypergraph import Hypergraph3
 
 Slot = Hashable
 
-DEFAULT_R = 4
-
 # pairings sample_pairing_regular draws before giving up on a loopless one
 PAIRING_ATTEMPTS = 100_000
 
@@ -38,15 +36,6 @@ def derived_rng(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=tuple(path))
     )
-
-
-def as_generator(rng) -> np.random.Generator:
-    """Accept a Generator, an integer seed, or None (fresh entropy)."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if rng is None:
-        return np.random.default_rng()
-    return rng_from_seed(rng)
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +150,14 @@ def unrank_triples(n: int, ranks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def sample_h3(n: int, p: float, rng=None) -> Hypergraph3:
+def sample_h3(n: int, p: float, gen: np.random.Generator) -> Hypergraph3:
     """Random 3-uniform hypergraph: each of C(n,3) triples kept with
     probability p, independently."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    gen = as_generator(rng)
     pos = _included_positions(gen, math.comb(n, 3), p)
-    if len(pos) == 0:
-        return Hypergraph3._from_sorted(n, ())
     a, b, c = unrank_triples(n, pos)
     return Hypergraph3._from_sorted(n, list(zip(a.tolist(), b.tolist(), c.tolist())))
 
@@ -184,7 +170,8 @@ def sample_h3(n: int, p: float, rng=None) -> Hypergraph3:
 Block = tuple[tuple[int, int], ...]
 
 
-def sample_copyset_partition(m: int, r: int, rng=None) -> tuple[Block, ...]:
+def sample_copyset_partition(m: int, r: int, gen: np.random.Generator
+                             ) -> tuple[Block, ...]:
     """Uniformly random partition of the 2rm copy elements into 2r blocks
     of size m (a uniform shuffle sliced into consecutive blocks).
 
@@ -195,7 +182,6 @@ def sample_copyset_partition(m: int, r: int, rng=None) -> tuple[Block, ...]:
     """
     if m < 1 or r < 1:
         raise ValueError("need m >= 1 and r >= 1")
-    gen = as_generator(rng)
     elems = [(y, i) for y in range(2 * m + 1, 4 * m + 1)
              for i in range(1, r + 1)]
     order = gen.permutation(len(elems)).tolist()
@@ -234,7 +220,8 @@ class TripleSystem:
         return len(self.slots)
 
 
-def sample_gamma(slots: Sequence[Slot], p1: float, rng=None) -> TripleSystem:
+def sample_gamma(slots: Sequence[Slot], p1: float,
+                 gen: np.random.Generator) -> TripleSystem:
     """Triple system over X = 1..2m and the m ``slots``, with each of the
     C(2m,2)*m triples kept with probability p1."""
     slots = tuple(slots)
@@ -242,7 +229,6 @@ def sample_gamma(slots: Sequence[Slot], p1: float, rng=None) -> TripleSystem:
         raise ValueError("need at least one slot")
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"p1 must lie in [0, 1], got {p1}")
-    gen = as_generator(rng)
     ns = len(slots)
     pos = _included_positions(gen, math.comb(2 * ns, 2) * ns, p1)
     u, v = unrank_pairs(2 * ns, pos // ns)
@@ -256,7 +242,7 @@ def sample_gamma(slots: Sequence[Slot], p1: float, rng=None) -> TripleSystem:
 # ---------------------------------------------------------------------------
 
 
-def sample_coupled(n: int, p: float, r: int = DEFAULT_R, rng=None
+def sample_coupled(n: int, p: float, r: int, gen: np.random.Generator
                    ) -> tuple[Hypergraph3, tuple[TripleSystem, ...]]:
     """Sample 2r independent triple systems at p1 together with a hypergraph
     distributed exactly as the binomial model at p, coupled so that every
@@ -277,7 +263,6 @@ def sample_coupled(n: int, p: float, r: int = DEFAULT_R, rng=None
         raise ValueError(f"need n divisible by 4 and >= 8, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    gen = as_generator(rng)
     params = split_probability(p, r)
     m = n // 4
     two_m = 2 * m
@@ -292,12 +277,9 @@ def sample_coupled(n: int, p: float, r: int = DEFAULT_R, rng=None
 
     # top-up coins over base triples, ranked pair-major then by color
     pos = _included_positions(gen, math.comb(two_m, 2) * two_m, params.q)
-    if len(pos):
-        pair_rank = pos // two_m
-        color_idx = (pos % two_m).tolist()
-        u, v = unrank_pairs(two_m, pair_rank)
-        for uu, vv, yy in zip(u.tolist(), v.tolist(), color_idx):
-            edges.add((uu, vv, two_m + 1 + yy))
+    u, v = unrank_pairs(two_m, pos // two_m)
+    for uu, vv, yy in zip(u.tolist(), v.tolist(), (pos % two_m).tolist()):
+        edges.add((uu, vv, two_m + 1 + yy))
 
     # remaining shapes come straight from the full sampler at rate p
     backdrop = sample_h3(n, p, gen)
@@ -314,7 +296,7 @@ def sample_coupled(n: int, p: float, r: int = DEFAULT_R, rng=None
 # ---------------------------------------------------------------------------
 
 
-def sample_union_matchings(m2: int, r: int, rng=None, *,
+def sample_union_matchings(m2: int, r: int, gen: np.random.Generator, *,
                            colored: bool = False) -> ColoredMultigraph:
     """Union of 2r independent uniform perfect matchings of 1..m2.
 
@@ -327,7 +309,6 @@ def sample_union_matchings(m2: int, r: int, rng=None, *,
         raise ValueError(f"vertex count must be even and >= 2, got {m2}")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    gen = as_generator(rng)
     m = m2 // 2
     if colored:
         blocks = sample_copyset_partition(m, r, gen)
@@ -348,7 +329,8 @@ def sample_union_matchings(m2: int, r: int, rng=None, *,
     return ColoredMultigraph(m2, colors, edges)
 
 
-def sample_pairing_regular(m2: int, d: int, rng=None) -> ColoredMultigraph:
+def sample_pairing_regular(m2: int, d: int,
+                           gen: np.random.Generator) -> ColoredMultigraph:
     """Configuration-model d-regular multigraph on 1..m2, uncolored.
 
     Half-edges are paired by a uniform shuffle; any pairing containing a
@@ -357,7 +339,6 @@ def sample_pairing_regular(m2: int, d: int, rng=None) -> ColoredMultigraph:
     """
     if m2 < 2 or d < 1 or (m2 * d) % 2:
         raise ValueError(f"infeasible degree sequence: m2={m2}, d={d}")
-    gen = as_generator(rng)
     stubs = np.repeat(np.arange(1, m2 + 1, dtype=np.int64), d)
     for _ in range(PAIRING_ATTEMPTS):
         pairing = gen.permutation(stubs)

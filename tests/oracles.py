@@ -9,7 +9,8 @@ column numbering stands in for.
 
 from itertools import combinations, permutations, product
 
-from looselab import Hypergraph3, TripleSystem, exact_matching
+from looselab import Hypergraph3, exact_matching
+from looselab.sampling import TripleSystem
 
 
 def loose_hamilton_exists_naive(h: Hypergraph3) -> bool:

@@ -13,17 +13,16 @@ from looselab import (
     exact_loose_hamilton,
     exact_matching,
     exact_rainbow_hamilton,
-    is_equitable,
     isolated_experiment,
     run_pipeline,
     run_sweep,
     sample_coupled,
     sample_pairing_regular,
     sample_union_matchings,
-    split_probability,
     verify_loose_hamilton,
 )
-from looselab.sampling import rng_from_seed
+from looselab.colored import is_equitable
+from looselab.sampling import rng_from_seed, split_probability
 
 from oracles import (
     loose_hamilton_exists_naive,

@@ -171,6 +171,13 @@ class TestPipelineCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["success"] is True
 
+    def test_text_lines(self, capsys):
+        assert run("pipeline", "--n", "8", "--p", "1.0", "--seed", "1") == 0
+        keys = [ln.split(":")[0] for ln in capsys.readouterr().out.splitlines()]
+        assert keys == ["n", "p", "r", "seed", "matchings_found",
+                        "rainbow_undecided", "success", "failed_stage",
+                        "links", "middles"]
+
     def test_requires_p_or_c(self):
         assert run("pipeline", "--n", "8") == 2
 
@@ -255,6 +262,34 @@ def test_unwritable_out_refused_before_any_trial(argv, experiment, tmp_path,
     assert run(*argv, "--out", str(tmp_path / "missing" / "x")) == 2
     assert not called
     assert "No such file or directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,experiment", UNWRITABLE_OUT_RUNS,
+                         ids=["sweep", "isolated", "contiguity"])
+def test_directory_out_refused_before_any_trial(argv, experiment, tmp_path,
+                                                monkeypatch, capsys):
+    monkeypatch.setattr(f"looselab.cli.{experiment}",
+                        lambda *a, **k: pytest.fail(f"{experiment} ran"))
+    # sweep writes <out>.csv and <out>.json, the probes write <out>
+    for name in ("x", "x.csv", "x.json"):
+        (tmp_path / name).mkdir()
+    assert run(*argv, "--out", str(tmp_path / "x")) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["x", "x.csv", "x.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--model", "h3", "--n", "8"],
+    ["pipeline", "--n", "8"],
+    ["sweep", "--n", "8", "--trials", "1"],
+    ["probe", "isolated", "--n", "8", "--trials", "1"],
+], ids=["sample", "pipeline", "sweep", "probe-isolated"])
+def test_nan_coefficient_exits_two(argv, capsys):
+    assert run(*argv, "--c", "nan") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "Traceback" not in captured.err
 
 
 def test_probe_out_matches_stdout(tmp_path, capsys):

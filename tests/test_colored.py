@@ -3,20 +3,17 @@ from collections import Counter
 import pytest
 
 from looselab import (
-    ColoredEdge,
     ColoredMultigraph,
     FormatError,
     LooseCycle,
-    RainbowCycleCert,
     exact_rainbow_hamilton,
-    is_equitable,
     lift_to_loose,
     read_colored,
-    read_rainbow_claim,
     verify_rainbow_hamilton,
     write_colored,
-    write_rainbow_cert,
 )
+from looselab.colored import ColoredEdge, RainbowCycleCert, is_equitable, \
+    read_rainbow_claim, write_rainbow_cert
 
 
 def square(colors=(5, 6, 7, 8)):

@@ -7,18 +7,14 @@ from looselab import (
     FormatError,
     Hypergraph3,
     LooseCycle,
-    SizeCapExceeded,
     exact_loose_hamilton,
-    expected_isolated,
-    isolated_vertices,
     read_hypergraph,
-    read_loose_cycle_claim,
     sample_h3,
-    triple,
     verify_loose_hamilton,
     write_hypergraph,
-    write_loose_cycle,
 )
+from looselab.hypergraph import SizeCapExceeded, expected_isolated, \
+    isolated_vertices, read_loose_cycle_claim, triple, write_loose_cycle
 from looselab.sampling import rng_from_seed
 
 from oracles import complete_hypergraph, loose_hamilton_exists_naive, \

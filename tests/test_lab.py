@@ -14,9 +14,8 @@ from looselab import (
     isolated_experiment,
     probability_from_c,
     run_sweep,
-    wilson_interval,
 )
-from looselab.lab import CSV_HEADER, atomic_output
+from looselab.lab import CSV_HEADER, atomic_output, wilson_interval
 from looselab.sampling import rng_from_seed
 
 
@@ -210,6 +209,14 @@ class TestAtomicOutput:
             with atomic_output(tmp_path / "out.csv") as fh:
                 fh.write("partial")
                 raise RuntimeError("trial failed")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_refused_before_the_block(self, tmp_path):
+        ran = False
+        with pytest.raises(IsADirectoryError):
+            with atomic_output(tmp_path):
+                ran = True
+        assert not ran
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],

@@ -4,17 +4,16 @@ from collections import Counter
 import pytest
 
 from looselab import (
-    TripleSystem,
     build_gstar,
     exact_loose_hamilton,
-    is_equitable,
     run_pipeline,
     sample_coupled,
     verify_loose_hamilton,
 )
 from looselab import pipeline
+from looselab.colored import is_equitable
 from looselab.hypergraph import BudgetExhausted
-from looselab.sampling import rng_from_seed
+from looselab.sampling import TripleSystem, rng_from_seed
 from looselab.solvers import exact_matching
 
 
@@ -136,6 +135,10 @@ class TestRunPipeline:
         assert payload["rainbow_undecided"] is False
         assert payload["loose_cycle"]["links"]
         assert payload["seed"] == 1
+        assert set(rep.to_dict()) == {
+            "n", "p", "r", "seed", "matchings_found", "rainbow_undecided",
+            "success", "failed_stage", "matchings", "rainbow_cert",
+            "loose_cycle", "stage_seconds", "stage_steps"}
 
     def test_matching_absent_from_its_system_rejected(self, monkeypatch):
         # each matching partitions X and uses its block's slots, but at

@@ -10,24 +10,21 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from looselab import (
-    ColoredEdge,
     ColoredMultigraph,
     Hypergraph3,
     LooseCycle,
-    RainbowCycleCert,
-    TripleSystem,
     read_colored,
     read_hypergraph,
-    read_loose_cycle_claim,
-    read_rainbow_claim,
     verify_loose_hamilton,
-    verify_matching,
     verify_rainbow_hamilton,
     write_colored,
     write_hypergraph,
-    write_loose_cycle,
-    write_rainbow_cert,
 )
+from looselab.colored import ColoredEdge, RainbowCycleCert, \
+    read_rainbow_claim, write_rainbow_cert
+from looselab.hypergraph import read_loose_cycle_claim, write_loose_cycle
+from looselab.sampling import TripleSystem
+from looselab.solvers import verify_matching
 
 
 def round_trip(write, read, obj):

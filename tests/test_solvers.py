@@ -4,16 +4,15 @@ import pytest
 
 from looselab import (
     BudgetExhausted,
-    ColoredEdge,
     ColoredMultigraph,
-    TripleSystem,
     exact_matching,
     exact_rainbow_hamilton,
-    verify_matching,
     verify_rainbow_hamilton,
 )
+from looselab.colored import ColoredEdge
 from looselab.lab import probability_from_c
-from looselab.sampling import rng_from_seed, sample_coupled
+from looselab.sampling import TripleSystem, rng_from_seed, sample_coupled
+from looselab.solvers import verify_matching
 
 from oracles import (complete_triple_system, perfect_matching_exists_naive,
                      rainbow_hamilton_exists_naive, relabelled_matching)
