@@ -158,10 +158,11 @@ def _cmd_sweep(args) -> int:
             method=args.method, seed=args.seed, workers=args.workers)
     formats = ("csv", "json") if args.format == "both" else (args.format,)
     with ExitStack() as stack:
-        # every output file is reserved before the first trial runs
+        # every output file is reserved before the first trial runs;
+        # stdout takes one format, the CSV for "both"
         sinks = [(fmt, stack.enter_context(
                      atomic_output(f"{args.out}.{fmt}"))) for fmt in formats] \
-            if args.out else [("csv", sys.stdout)]
+            if args.out else [(formats[0], sys.stdout)]
         result = run_sweep(spec, workers=args.workers)
         for fmt, fh in sinks:
             fh.write(result.to_csv_text() if fmt == "csv"

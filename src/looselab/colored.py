@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable
 
 from .hypergraph import FormatError, LooseCycle, Verdict, _opened, \
     _read_int_lines, _write_int_lines
@@ -126,10 +126,12 @@ def is_equitable(g: ColoredMultigraph, r: int) -> bool:
 
 @dataclass(frozen=True)
 class RainbowCycleCert:
-    """Claimed rainbow Hamilton cycle: vertex order plus per-step colors.
+    """Rainbow-cycle record: vertex order plus per-step colors.
 
     colors[i] is the color of the edge (order[i], order[i+1]), indices
     cyclic, so colors[-1] belongs to the last edge, back to order[0].
+    The record only coerces both sequences to int tuples; it checks
+    nothing.  ``verify_rainbow_hamilton`` is the one check.
     """
 
     order: tuple[int, ...]
@@ -140,24 +142,15 @@ class RainbowCycleCert:
         object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
 
 
-CertLike = Union[RainbowCycleCert, tuple[Sequence[int], Sequence[int]]]
-
-
-def _cert_parts(cert: CertLike) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if isinstance(cert, RainbowCycleCert):
-        return cert.order, cert.colors
-    raw_order, raw_colors = cert
-    return tuple(int(v) for v in raw_order), tuple(int(c) for c in raw_colors)
-
-
-def verify_rainbow_hamilton(g: ColoredMultigraph, cert: CertLike) -> Verdict:
+def verify_rainbow_hamilton(g: ColoredMultigraph,
+                            cert: RainbowCycleCert) -> Verdict:
     """Check a rainbow Hamilton cycle claim against ``g``.
 
     A step is accepted if any parallel edge matches its endpoint pair and
     color.  On failure the first violated condition is reported, with the
     1-based step index where applicable.
     """
-    order, colors = _cert_parts(cert)
+    order, colors = cert.order, cert.colors
     nv = g.num_vertices
     if nv < 2:
         return Verdict(False, "cycle needs at least 2 vertices")
@@ -177,20 +170,16 @@ def verify_rainbow_hamilton(g: ColoredMultigraph, cert: CertLike) -> Verdict:
     return Verdict(True)
 
 
-def lift_to_loose(cert: CertLike) -> LooseCycle:
-    """Lift a rainbow cycle to the loose cycle it encodes.
+def lift_to_loose(cert: RainbowCycleCert) -> LooseCycle:
+    """Read a rainbow cycle as the loose cycle it encodes.
 
     Cycle vertices become links and step colors become middles, so the
     window {order[i], colors[i], order[i+1]} is exactly the hypergraph
-    edge behind each derived-graph step.  ``LooseCycle`` is the one check:
-    a certificate whose order and colors do not partition 1..2s as links
-    and middles raises ``ValueError``.
+    edge behind each derived-graph step.  Nothing is checked here: a
+    certificate whose order and colors do not partition 1..2s as links
+    and middles lifts to a record that ``verify_loose_hamilton`` rejects.
     """
-    order, colors = _cert_parts(cert)
-    try:
-        return LooseCycle(order, colors)
-    except ValueError as exc:
-        raise ValueError(f"certificate does not lift to a loose cycle: {exc}") from None
+    return LooseCycle(cert.order, cert.colors)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +241,10 @@ def write_rainbow_cert(cert: RainbowCycleCert, f) -> None:
     _write_int_lines(cert.order, cert.colors, f)
 
 
-def read_rainbow_claim(f) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Read a claimed (order, colors) pair without validating it."""
-    return _read_int_lines(f, "order, colors", "certificate")
+def read_rainbow_claim(f) -> RainbowCycleCert:
+    """Read a claimed rainbow cycle (order line, colors line) as a record.
+
+    Only the two-line integer format is checked here; a bogus claim
+    reaches ``verify_rainbow_hamilton`` and comes back as a false verdict."""
+    return RainbowCycleCert(
+        *_read_int_lines(f, "order, colors", "certificate"))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 
 class FormatError(ValueError):
@@ -92,50 +92,22 @@ class Hypergraph3:
         return f"Hypergraph3(n={self.n}, m={len(self.edge_list)})"
 
 
-def _canonical_rotation(
-    links: tuple[int, ...], middles: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Rotate so the smallest link leads, then fix the direction: second
-    # link below last link; with only two links that test is vacuous and
-    # the lexicographically smaller middle sequence wins.
-    s = len(links)
-    k = links.index(min(links))
-    fl = links[k:] + links[:k]
-    fm = middles[k:] + middles[:k]
-    rl = (fl[0],) + tuple(reversed(fl[1:]))
-    rm = tuple(reversed(fm))
-    if s == 2:
-        return (fl, fm) if fm <= rm else (rl, rm)
-    return (fl, fm) if fl[1] < fl[-1] else (rl, rm)
-
-
 @dataclass(frozen=True)
 class LooseCycle:
-    """Loose-cycle witness: links x_1..x_s and middles y_1..y_s.
+    """Loose-cycle record: links x_1..x_s and middles y_1..y_s.
 
-    Instances are stored in canonical form (see ``_canonical_rotation``),
-    so equal cycles compare equal and deduplication is a set operation.
-    Construction validates that links and middles partition 1..2s.
+    Edge i is {x_i, y_i, x_(i+1)}, indices cyclic.  The record only
+    coerces both sequences to int tuples; it checks nothing and keeps
+    the order it was given.  ``verify_loose_hamilton`` is the one check.
     """
 
     links: tuple[int, ...]
     middles: tuple[int, ...]
 
     def __post_init__(self):
-        links = tuple(int(v) for v in self.links)
-        middles = tuple(int(v) for v in self.middles)
-        s = len(links)
-        if s < 2 or len(middles) != s:
-            raise ValueError("need equally many links and middles, at least two each")
-        n = 2 * s
-        combined = set(links) | set(middles)
-        if len(set(links)) != s or len(set(middles)) != s or len(combined) != n:
-            raise ValueError("links and middles must be disjoint and duplicate-free")
-        if combined != set(range(1, n + 1)):
-            raise ValueError(f"links and middles must cover 1..{n} exactly")
-        links, middles = _canonical_rotation(links, middles)
-        object.__setattr__(self, "links", links)
-        object.__setattr__(self, "middles", middles)
+        object.__setattr__(self, "links", tuple(int(v) for v in self.links))
+        object.__setattr__(self, "middles",
+                           tuple(int(v) for v in self.middles))
 
     @property
     def n(self) -> int:
@@ -162,14 +134,11 @@ class Verdict:
         return self.ok
 
 
-CycleLike = Union[LooseCycle, tuple[Sequence[int], Sequence[int]]]
-
-
-def verify_loose_hamilton(h: Hypergraph3, cycle: CycleLike) -> Verdict:
+def verify_loose_hamilton(h: Hypergraph3, cycle: LooseCycle) -> Verdict:
     """Check a claimed loose Hamilton cycle against ``h``.
 
-    Accepts a ``LooseCycle`` or a raw ``(links, middles)`` pair, so claims
-    read from files can be judged without trusting their structure.
+    This is the one check a ``LooseCycle`` gets, whether it was read from
+    a file, lifted from a rainbow certificate or found by a search.
     Conditions are checked in order: link/middle counts, duplicates,
     link-middle overlap, vertex coverage, then each cyclic window
     {x_i, y_i, x_(i+1)}; the 1-based window index is reported on the
@@ -180,12 +149,7 @@ def verify_loose_hamilton(h: Hypergraph3, cycle: CycleLike) -> Verdict:
     """
     if h.n < 4 or h.n % 2:
         raise ValueError(f"loose Hamilton cycles need even n >= 4, got n={h.n}")
-    if isinstance(cycle, LooseCycle):
-        links, middles = cycle.links, cycle.middles
-    else:
-        raw_links, raw_middles = cycle
-        links = tuple(int(v) for v in raw_links)
-        middles = tuple(int(v) for v in raw_middles)
+    links, middles = cycle.links, cycle.middles
     s = h.n // 2
     if len(links) != s:
         return Verdict(False, f"expected {s} links, got {len(links)}")
@@ -395,7 +359,9 @@ def write_loose_cycle(cycle: LooseCycle, f) -> None:
     _write_int_lines(cycle.links, cycle.middles, f)
 
 
-def read_loose_cycle_claim(f) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Read a claimed (links, middles) pair; structure is NOT validated here,
-    so bogus claims reach the verifier and come back as false verdicts."""
-    return _read_int_lines(f, "links, middles", "cycle")
+def read_loose_cycle_claim(f) -> LooseCycle:
+    """Read a claimed loose cycle (links line, middles line) as a record.
+
+    Only the two-line integer format is checked here; a bogus claim
+    reaches ``verify_loose_hamilton`` and comes back as a false verdict."""
+    return LooseCycle(*_read_int_lines(f, "links, middles", "cycle"))

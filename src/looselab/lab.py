@@ -210,14 +210,15 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             for ci, (n, c) in enumerate(
                 (n, c) for n in spec.n_values for c in spec.c_values)]
     # each cell's trials split into ``stride`` interleaved ranges, none
-    # empty: one task per cell at 1 worker
+    # empty: one task per cell at 1 worker; the pool forks all its
+    # processes at the first submit, so it gets no more than the tasks
     stride = min(workers, spec.trials)
     tasks = [(spec, ci, n, p, range(w, spec.trials, stride))
              for ci, n, _c, p in grid for w in range(stride)]
     per_cell: dict[int, list[tuple[int, bool, float]]] = {ci: [] for ci, *_ in grid}
     with ExitStack() as stack:
         run = map if workers == 1 else stack.enter_context(
-            ProcessPoolExecutor(max_workers=workers)).map
+            ProcessPoolExecutor(max_workers=min(workers, len(tasks)))).map
         for ci, rows in run(_sweep_chunk, tasks):
             per_cell[ci].extend(rows)
     cells = []

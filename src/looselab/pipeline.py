@@ -6,9 +6,11 @@ of color y, so the union of the 2r matchings is 2r-regular and equitable
 with parameter r by construction.  ``build_gstar`` checks each matching
 against its system with ``verify_matching`` before using it.  A rainbow
 Hamilton cycle of that graph lifts to a loose Hamilton cycle whose windows
-all project into the coupled hypergraph; the pipeline re-verifies the
-lifted cycle against the sampled instance rather than trusting the
-construction.
+all project into the coupled hypergraph.  The lift only reads the cert's
+vertex order as links and its colors as middles; ``verify_loose_hamilton``
+is the stage's one check, against the sampled instance rather than the
+construction, and a cert that does not lift fails the lift stage through
+its verdict.
 
 Both searches are the complete engines of ``solvers``.  The matching
 engine is handed the trial's generator, so each system is searched under

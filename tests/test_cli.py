@@ -213,6 +213,12 @@ class TestSweepCommand:
                    "--seed", "7") == 0
         assert capsys.readouterr().out.startswith(CSV_HEADER)
 
+    def test_json_stdout_when_no_out(self, capsys):
+        assert run("sweep", "--n", "8", "--c", "16", "--trials", "3",
+                   "--format", "json") == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [(row["n"], row["trials"]) for row in rows] == [(8, 3)]
+
     def test_infeasible_combo_exits_two(self, capsys):
         assert run("sweep", "--n", "20", "--c", "2", "--trials", "5") == 2
 

@@ -9,11 +9,14 @@ from looselab import (
     exact_rainbow_hamilton,
     lift_to_loose,
     read_colored,
+    verify_loose_hamilton,
     verify_rainbow_hamilton,
     write_colored,
 )
 from looselab.colored import ColoredEdge, RainbowCycleCert, is_equitable, \
     read_rainbow_claim, write_rainbow_cert
+
+from oracles import complete_hypergraph
 
 
 def square(colors=(5, 6, 7, 8)):
@@ -93,13 +96,15 @@ class TestVerifyRainbow:
             4, (5, 6, 7, 8),
             [ColoredEdge(1, 2, 5), ColoredEdge(2, 3, 6),
              ColoredEdge(3, 4, 5), ColoredEdge(1, 4, 8)])
-        v = verify_rainbow_hamilton(g, ((1, 2, 3, 4), (5, 6, 5, 8)))
+        v = verify_rainbow_hamilton(
+            g, RainbowCycleCert((1, 2, 3, 4), (5, 6, 5, 8)))
         assert not v
         assert v.reason == "repeated color"
         assert v.index == 3
 
     def test_right_endpoints_wrong_color_rejected(self):
-        v = verify_rainbow_hamilton(square(), ((1, 2, 3, 4), (5, 6, 7, 6)))
+        v = verify_rainbow_hamilton(
+            square(), RainbowCycleCert((1, 2, 3, 4), (5, 6, 7, 6)))
         assert not v
 
     def test_wrong_color_on_existing_pair_reports_missing_edge(self):
@@ -108,7 +113,8 @@ class TestVerifyRainbow:
             4, (5, 6, 7, 8),
             [ColoredEdge(1, 2, 5), ColoredEdge(2, 3, 8),
              ColoredEdge(3, 4, 7), ColoredEdge(3, 4, 8), ColoredEdge(1, 4, 6)])
-        v = verify_rainbow_hamilton(g, ((1, 2, 3, 4), (5, 8, 6, 7)))
+        v = verify_rainbow_hamilton(
+            g, RainbowCycleCert((1, 2, 3, 4), (5, 8, 6, 7)))
         assert not v
         assert v.reason == "missing edge"
         assert v.index == 3
@@ -118,14 +124,16 @@ class TestVerifyRainbow:
             4, (5, 6, 7, 8),
             [ColoredEdge(1, 2, 5), ColoredEdge(1, 2, 6), ColoredEdge(2, 3, 6),
              ColoredEdge(3, 4, 7), ColoredEdge(1, 4, 8)])
-        assert verify_rainbow_hamilton(g, ((1, 2, 3, 4), (5, 6, 7, 8)))
+        assert verify_rainbow_hamilton(
+            g, RainbowCycleCert((1, 2, 3, 4), (5, 6, 7, 8)))
 
     def test_not_a_permutation(self):
-        assert not verify_rainbow_hamilton(square(), ((1, 2, 3, 3), (5, 6, 7, 8)))
+        assert not verify_rainbow_hamilton(
+            square(), RainbowCycleCert((1, 2, 3, 3), (5, 6, 7, 8)))
 
     def test_one_vertex_loop_rejected(self):
         g = ColoredMultigraph(1, (5,), [ColoredEdge(1, 1, 5)])
-        v = verify_rainbow_hamilton(g, ((1,), (5,)))
+        v = verify_rainbow_hamilton(g, RainbowCycleCert((1,), (5,)))
         assert not v
         assert v.reason == "cycle needs at least 2 vertices"
         assert exact_rainbow_hamilton(g) is None
@@ -136,13 +144,18 @@ class TestLift:
         cert = RainbowCycleCert((1, 2), (3, 4))
         assert lift_to_loose(cert) == LooseCycle((1, 2), (3, 4))
 
+    # the lift checks nothing; the loose verifier rejects what it returns
     def test_repeated_color_rejected(self):
-        with pytest.raises(ValueError, match="does not lift"):
-            lift_to_loose(((1, 2), (3, 3)))
+        cycle = lift_to_loose(RainbowCycleCert((1, 2), (3, 3)))
+        v = verify_loose_hamilton(complete_hypergraph(4), cycle)
+        assert not v
+        assert v.reason == "repeated middle vertex"
 
     def test_colors_overlapping_vertices_rejected(self):
-        with pytest.raises(ValueError, match="does not lift"):
-            lift_to_loose(((1, 2), (2, 3)))
+        cycle = lift_to_loose(RainbowCycleCert((1, 2), (2, 3)))
+        v = verify_loose_hamilton(complete_hypergraph(4), cycle)
+        assert not v
+        assert v.reason == "links and middles overlap"
 
 
 class TestColoredFormat:
@@ -186,4 +199,4 @@ class TestColoredFormat:
         cert = RainbowCycleCert((1, 2, 3, 4), (5, 6, 7, 8))
         path = tmp_path / "cert.txt"
         write_rainbow_cert(cert, path)
-        assert read_rainbow_claim(path) == ((1, 2, 3, 4), (5, 6, 7, 8))
+        assert read_rainbow_claim(path) == cert

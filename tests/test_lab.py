@@ -15,6 +15,7 @@ from looselab import (
     probability_from_c,
     run_sweep,
 )
+from looselab import lab
 from looselab.lab import CSV_HEADER, atomic_output, wilson_interval
 from looselab.sampling import rng_from_seed
 
@@ -156,6 +157,33 @@ class TestRunSweep:
         res = run_sweep(spec, workers=workers)
         assert res.to_csv_text() == base.to_csv_text()
         assert res.to_json_text() == base.to_json_text()
+
+    def test_pool_never_larger_than_the_task_list(self, monkeypatch):
+        # the executor forks every worker at its first submit, so the
+        # requested count must be capped before the pool is made; the
+        # recorder starts no process
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(lab, "ProcessPoolExecutor", Recorder)
+        one = SweepSpec(n_values=(8,), c_values=(16.0,), trials=1, seed=1)
+        six = SweepSpec(n_values=(8,), c_values=(2.0, 16.0), trials=3,
+                        seed=1)
+        assert run_sweep(one, workers=64).to_csv_text() == \
+            run_sweep(one).to_csv_text()
+        run_sweep(six, workers=64)
+        assert sizes == [1, 6]
 
     def test_pipeline_matching_has_no_size_cap(self):
         # m = 260/4 = 65 triple-system slots: decided, not refused mid-sweep

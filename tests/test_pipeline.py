@@ -11,7 +11,7 @@ from looselab import (
     verify_loose_hamilton,
 )
 from looselab import pipeline
-from looselab.colored import is_equitable
+from looselab.colored import RainbowCycleCert, is_equitable
 from looselab.hypergraph import BudgetExhausted
 from looselab.sampling import TripleSystem, rng_from_seed
 from looselab.solvers import exact_matching
@@ -127,6 +127,18 @@ class TestRunPipeline:
         assert rep.rainbow_undecided is True
         assert rep.stage_steps["rainbow"] == 7
         assert rep.to_dict()["rainbow_undecided"] is True
+
+    def test_cert_that_does_not_lift_fails_lift_stage(self, monkeypatch):
+        # a repeated color is a repeated middle: the verifier's verdict
+        # fails the lift stage, nothing raises
+        def repeated(g, *, stats=None):
+            return RainbowCycleCert((1, 2, 3, 4), (5, 5, 6, 7))
+
+        monkeypatch.setattr(pipeline, "exact_rainbow_hamilton", repeated)
+        rep = run_pipeline(8, 1.0, 4, seed=1)
+        assert not rep.success
+        assert rep.failed_stage == "lift"
+        assert rep.loose_cycle is None
 
     def test_report_serializes(self):
         rep = run_pipeline(8, 1.0, 4, seed=1)

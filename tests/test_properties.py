@@ -106,17 +106,15 @@ class TestRoundTrips:
     @settings(max_examples=60, deadline=None)
     @given(loose_cycles())
     def test_loose_certificate(self, cycle):
-        want = (cycle.links, cycle.middles)
         assert round_trip(write_loose_cycle, read_loose_cycle_claim,
-                          cycle) == (want, want)
+                          cycle) == (cycle, cycle)
 
     @settings(max_examples=60, deadline=None)
     @given(ints, ints)
     def test_rainbow_certificate(self, order, colors):
         cert = RainbowCycleCert(order, colors)
-        want = (cert.order, cert.colors)
         assert round_trip(write_rainbow_cert, read_rainbow_claim,
-                          cert) == (want, want)
+                          cert) == (cert, cert)
 
 
 def spots(data, length, label):
@@ -132,7 +130,7 @@ class TestVerifiersRejectSingleEdits:
     def test_loose(self, cycle, data):
         h = Hypergraph3(cycle.n, cycle.windows())
         links, middles = list(cycle.links), list(cycle.middles)
-        assert verify_loose_hamilton(h, (links, middles))
+        assert verify_loose_hamilton(h, LooseCycle(links, middles))
         s = len(links)
         i, j = spots(data, s, "positions")
         edit = data.draw(st.sampled_from(
@@ -151,7 +149,7 @@ class TestVerifiersRejectSingleEdits:
         else:
             missing = cycle.windows()[i]
             h = Hypergraph3(cycle.n, [t for t in h.edge_list if t != missing])
-        assert not verify_loose_hamilton(h, (links, middles))
+        assert not verify_loose_hamilton(h, LooseCycle(links, middles))
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(3, 10).flatmap(
@@ -165,7 +163,7 @@ class TestVerifiersRejectSingleEdits:
                  for k in range(nv)]
         universe = range(nv + 1, 2 * nv + 1)
         assert verify_rainbow_hamilton(ColoredMultigraph(nv, universe, edges),
-                                       (order, colors))
+                                       RainbowCycleCert(order, colors))
         i, j = spots(data, nv, "positions")
         edit = data.draw(st.sampled_from(
             ["repeat vertex", "repeat color", "drop", "append",
@@ -186,7 +184,7 @@ class TestVerifiersRejectSingleEdits:
             edges += [ColoredEdge(order[k], order[(k + 1) % nv], colors[k])
                       for k in range(nv) if order[k] != order[(k + 1) % nv]]
         g = ColoredMultigraph(nv, universe, edges)
-        assert not verify_rainbow_hamilton(g, (order, colors))
+        assert not verify_rainbow_hamilton(g, RainbowCycleCert(order, colors))
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 6).flatmap(
