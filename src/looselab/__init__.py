@@ -18,9 +18,9 @@ from .hypergraph import (BudgetExhausted, FormatError, Hypergraph3, LooseCycle,
 from .lab import (SweepSpec, contiguity_probe, isolated_experiment,
                   probability_from_c, run_sweep)
 from .pipeline import build_gstar, run_pipeline
-from .sampling import (derived_rng, rng_from_seed, sample_copyset_partition,
-                       sample_coupled, sample_gamma, sample_h3,
-                       sample_pairing_regular, sample_union_matchings)
+from .sampling import (derived_rng, sample_copyset_partition, sample_coupled,
+                       sample_gamma, sample_h3, sample_pairing_regular,
+                       sample_union_matchings)
 from .solvers import exact_matching, exact_rainbow_hamilton
 
 __version__ = "0.1.0"
@@ -30,9 +30,9 @@ __all__ = [
     "LooseCycle", "SweepSpec", "build_gstar", "contiguity_probe",
     "derived_rng", "exact_loose_hamilton", "exact_matching",
     "exact_rainbow_hamilton", "isolated_experiment", "lift_to_loose",
-    "probability_from_c", "read_colored", "read_hypergraph", "rng_from_seed",
-    "run_pipeline", "run_sweep", "sample_copyset_partition", "sample_coupled",
-    "sample_gamma", "sample_h3", "sample_pairing_regular",
-    "sample_union_matchings", "verify_loose_hamilton",
-    "verify_rainbow_hamilton", "write_colored", "write_hypergraph",
+    "probability_from_c", "read_colored", "read_hypergraph", "run_pipeline",
+    "run_sweep", "sample_copyset_partition", "sample_coupled", "sample_gamma",
+    "sample_h3", "sample_pairing_regular", "sample_union_matchings",
+    "verify_loose_hamilton", "verify_rainbow_hamilton", "write_colored",
+    "write_hypergraph",
 ]

@@ -15,13 +15,12 @@ from contextlib import ExitStack, contextmanager
 from . import __version__
 from .colored import read_colored, read_rainbow_claim, verify_rainbow_hamilton, \
     write_colored, write_rainbow_cert
-from .hypergraph import LOOSE_CAP, BudgetExhausted, FormatError, \
-    read_hypergraph, read_loose_cycle_claim, verify_loose_hamilton, \
-    write_hypergraph
+from .hypergraph import BudgetExhausted, FormatError, read_hypergraph, \
+    read_loose_cycle_claim, verify_loose_hamilton, write_hypergraph
 from .lab import SweepSpec, atomic_output, contiguity_probe, \
     isolated_experiment, probability_from_c, run_sweep
 from .pipeline import run_pipeline
-from .sampling import hypergraph_from_triple_system, rng_from_seed, sample_gamma, \
+from .sampling import derived_rng, hypergraph_from_triple_system, sample_gamma, \
     sample_h3, sample_pairing_regular, sample_union_matchings, \
     triple_system_from_hypergraph
 from .solvers import DEFAULT_RAINBOW_BUDGET, exact_matching, \
@@ -50,7 +49,7 @@ def _resolve_p(args, n: int) -> float:
 
 
 def _cmd_sample(args) -> int:
-    gen = rng_from_seed(args.seed)
+    gen = derived_rng(args.seed)
     if args.model == "h3":
         p = _resolve_p(args, args.n)
         _banner("sample", model="h3", n=args.n, p=p, seed=args.seed)
@@ -152,8 +151,7 @@ def _output(out):
 def _cmd_sweep(args) -> int:
     spec = SweepSpec(
         n_values=tuple(args.n), c_values=tuple(args.c), r=args.r,
-        trials=args.trials, method=args.method, seed=args.seed,
-        loose_cap=args.cap)
+        trials=args.trials, method=args.method, seed=args.seed)
     _banner("sweep", n=args.n, c=args.c, trials=args.trials,
             method=args.method, seed=args.seed, workers=args.workers)
     formats = ("csv", "json") if args.format == "both" else (args.format,)
@@ -256,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--trials", type=int, default=SweepSpec().trials)
     pw.add_argument("--method", choices=("exact", "pipeline"), default="exact")
     pw.add_argument("--seed", type=int, default=SweepSpec().seed)
-    pw.add_argument("--cap", type=int, default=LOOSE_CAP)
     pw.add_argument("--workers", type=int, default=1)
     pw.add_argument("--format", choices=("csv", "json", "both"), default="both")
     pw.add_argument("--out", help="output path prefix (.csv/.json appended)")

@@ -163,10 +163,9 @@ def verify_loose_hamilton(h: Hypergraph3, cycle: LooseCycle) -> Verdict:
         return Verdict(False, "links and middles overlap")
     if set(links) | set(middles) != set(range(1, h.n + 1)):
         return Verdict(False, f"links and middles do not cover 1..{h.n}")
-    for i in range(s):
-        t = triple(links[i], middles[i], links[(i + 1) % s])
+    for i, t in enumerate(cycle.windows(), 1):
         if t not in h.edges:
-            return Verdict(False, "missing edge", index=i + 1)
+            return Verdict(False, "missing edge", index=i)
     return Verdict(True)
 
 

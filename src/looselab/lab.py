@@ -19,10 +19,10 @@ import tempfile
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from statistics import NormalDist
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from .hypergraph import LOOSE_CAP, exact_loose_hamilton, expected_isolated, \
     isolated_vertices
@@ -72,8 +72,8 @@ def wilson_interval(successes: int, trials: int,
 class SweepSpec:
     """Grid description for a threshold sweep.
 
-    method 'exact' decides each trial with the complete cycle search
-    (requires every n within ``loose_cap``, ``LOOSE_CAP`` by default);
+    method 'exact' decides each trial with the complete cycle search,
+    so every n must be within ``loose_cap``, the constant ``LOOSE_CAP``;
     'pipeline' runs the full reduction, and a trial counts as a success
     only when it returns a verified loose cycle (an undecided rainbow
     search is a failure).  Each cell reports a 95% Wilson interval.
@@ -85,7 +85,7 @@ class SweepSpec:
     trials: int = DEFAULT_TRIALS
     method: str = "exact"
     seed: int = DEFAULT_SEED
-    loose_cap: int = LOOSE_CAP
+    loose_cap: ClassVar[int] = LOOSE_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "n_values",
@@ -177,60 +177,54 @@ def atomic_output(path):
         raise
 
 
-def _trial_success(spec: SweepSpec, cell_index: int, n: int, p: float,
-                   trial: int) -> bool:
+def _trial(task) -> tuple[bool, float]:
+    """One sweep trial: whether it succeeded, and its wall time in seconds."""
+    spec, cell_index, n, p, trial = task
+    t0 = time.perf_counter()
     gen = derived_rng(spec.seed, cell_index, trial)
     if spec.method == "exact":
         h = sample_h3(n, p, gen)
-        return exact_loose_hamilton(h, cap=spec.loose_cap) is not None
-    rep = _run_pipeline_stream(n, p, spec.r, gen)
-    return rep.success
-
-
-def _sweep_chunk(args) -> tuple[int, list[tuple[int, bool, float]]]:
-    spec, cell_index, n, p, trial_indices = args
-    out = []
-    for t in trial_indices:
-        t0 = time.perf_counter()
-        ok = _trial_success(spec, cell_index, n, p, t)
-        out.append((t, ok, time.perf_counter() - t0))
-    return cell_index, out
+        ok = exact_loose_hamilton(h, cap=spec.loose_cap) is not None
+    else:
+        ok = _run_pipeline_stream(n, p, spec.r, gen).success
+    return ok, time.perf_counter() - t0
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Run the grid; cells are emitted n-major in grid order.
 
-    The worker count changes scheduling only: every trial owns a derived
-    stream keyed by (seed, cell, trial) and results merge in trial order,
-    so the emitted CSV/JSON bytes are identical for any ``workers``.
+    The trials form one task list, cell-major then trial, mapped in order
+    in-process or over a pool of at most ``workers`` processes.  Every
+    trial owns a derived stream keyed by (seed, cell, trial), so the
+    emitted CSV/JSON bytes are identical for any ``workers``.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     grid = [(ci, n, c, probability_from_c(n, c))
             for ci, (n, c) in enumerate(
                 (n, c) for n in spec.n_values for c in spec.c_values)]
-    # each cell's trials split into ``stride`` interleaved ranges, none
-    # empty: one task per cell at 1 worker; the pool forks all its
-    # processes at the first submit, so it gets no more than the tasks
-    stride = min(workers, spec.trials)
-    tasks = [(spec, ci, n, p, range(w, spec.trials, stride))
-             for ci, n, _c, p in grid for w in range(stride)]
-    per_cell: dict[int, list[tuple[int, bool, float]]] = {ci: [] for ci, *_ in grid}
-    with ExitStack() as stack:
-        run = map if workers == 1 else stack.enter_context(
-            ProcessPoolExecutor(max_workers=min(workers, len(tasks)))).map
-        for ci, rows in run(_sweep_chunk, tasks):
-            per_cell[ci].extend(rows)
+    tasks = [(spec, ci, n, p, t)
+             for ci, n, _c, p in grid for t in range(spec.trials)]
+    # the pool forks all its processes at the first submit, so it gets no
+    # more than the tasks; a chunk of ceil(trials / procs) trials matched
+    # the speed of half that size, and smaller chunks were slower
+    procs = min(workers, len(tasks))
+    if procs == 1:
+        rows = list(map(_trial, tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            rows = list(pool.map(_trial, tasks,
+                                 chunksize=math.ceil(spec.trials / procs)))
     cells = []
     for ci, n, c, p in grid:
-        rows = sorted(per_cell[ci])
-        successes = sum(1 for _, ok, _ in rows if ok)
+        cell = rows[ci * spec.trials:(ci + 1) * spec.trials]
+        successes = sum(ok for ok, _ in cell)
         lo, hi = wilson_interval(successes, spec.trials)
         cells.append(SweepCell(
             n=n, c=c, p=p, trials=spec.trials, successes=successes,
             freq=successes / spec.trials, ci_low=lo, ci_high=hi,
             method=spec.method, seed=spec.seed,
-            mean_runtime=sum(s for *_, s in rows) / spec.trials))
+            mean_runtime=sum(s for _, s in cell) / spec.trials))
     return SweepResult(tuple(cells))
 
 

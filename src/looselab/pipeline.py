@@ -32,7 +32,7 @@ from .colored import (ColoredEdge, ColoredMultigraph, RainbowCycleCert,
                       lift_to_loose)
 from .hypergraph import BudgetExhausted, Hypergraph3, LooseCycle, \
     verify_loose_hamilton
-from .sampling import TripleSystem, rng_from_seed, sample_coupled
+from .sampling import TripleSystem, derived_rng, sample_coupled
 from .solvers import MatchTriple, exact_matching, exact_rainbow_hamilton, \
     verify_matching
 
@@ -172,6 +172,6 @@ def run_pipeline(n: int, p: float, r: int = 4, seed: int = 0, *,
     raises, and reports a search that spent its node budget as
     ``rainbow_undecided``.
     """
-    gen = rng_from_seed(seed)
+    gen = derived_rng(seed)
     return _run_pipeline_stream(n, p, r, gen, seed=seed,
                                 keep_instance=keep_instance)

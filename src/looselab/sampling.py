@@ -27,12 +27,11 @@ Slot = Hashable
 PAIRING_ATTEMPTS = 100_000
 
 
-def rng_from_seed(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
 def derived_rng(master_seed: int, *path: int) -> np.random.Generator:
-    """Independent stream for a trial, keyed by (master seed, path)."""
+    """Independent stream for a trial, keyed by (master seed, path).
+
+    With no path this is the stream of ``SeedSequence(master_seed)``.
+    """
     return np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=tuple(path))
     )

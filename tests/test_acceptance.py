@@ -22,7 +22,7 @@ from looselab import (
     verify_loose_hamilton,
 )
 from looselab.colored import is_equitable
-from looselab.sampling import rng_from_seed, split_probability
+from looselab.sampling import derived_rng, split_probability
 
 from oracles import (
     loose_hamilton_exists_naive,
@@ -65,7 +65,7 @@ def test_criterion_2_oracle_agreement():
     t0 = time.perf_counter()
     disagreements = 0
 
-    rng = rng_from_seed(1001)
+    rng = derived_rng(1001)
     for _ in range(500):
         h = random_hypergraph_instance(rng, 6, 6)
         if (exact_loose_hamilton(h) is not None) != \
@@ -81,7 +81,7 @@ def test_criterion_2_oracle_agreement():
                 perfect_matching_exists_naive(ts):
             disagreements += 1
 
-    rng = rng_from_seed(1002)
+    rng = derived_rng(1002)
     for _ in range(500):
         g = random_colored(rng)
         if (exact_rainbow_hamilton(g) is not None) != \
@@ -99,7 +99,7 @@ def test_criterion_3_coupling_exactness():
     t0 = time.perf_counter()
     n, r, p, trials = 16, 4, 0.2, 100_000
     p1 = split_probability(p, r).p1
-    gen = rng_from_seed(1003)
+    gen = derived_rng(1003)
     coupled_triple = (1, 2, 9)   # two link vertices, one color vertex
     other_triple = (2, 3, 4)     # entirely inside the link half
     copy_a = ((1, 2), (9, 1))    # two disjoint copy-triples
@@ -152,7 +152,7 @@ def test_criterion_4_structural_invariants():
                 not is_equitable(g, 4):
             bad += 1
 
-    gen = rng_from_seed(1004)
+    gen = derived_rng(1004)
     for _ in range(1000):
         g = sample_union_matchings(8, 4, gen)
         if any(d != 8 for d in g.degrees.values()):
@@ -178,7 +178,7 @@ def test_criterion_5_split_identities():
     def reconstruct(x, power):
         return -math.expm1(power * math.log1p(-x))
 
-    gen = rng_from_seed(1005)
+    gen = derived_rng(1005)
     worst = 0.0
     cases = [(1e-12, r) for r in range(1, 9)]
     while len(cases) < 10_000:

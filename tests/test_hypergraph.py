@@ -15,7 +15,7 @@ from looselab import (
 )
 from looselab.hypergraph import SizeCapExceeded, expected_isolated, \
     isolated_vertices, read_loose_cycle_claim, triple, write_loose_cycle
-from looselab.sampling import rng_from_seed
+from looselab.sampling import derived_rng
 
 from oracles import complete_hypergraph, loose_hamilton_exists_naive, \
     random_hypergraph_instance
@@ -97,7 +97,7 @@ class TestVerify:
 
     def test_agrees_with_naive_recheck(self):
         # independent re-check: windows present and partition correct
-        rng = rng_from_seed(11)
+        rng = derived_rng(11)
         for trial in range(50):
             h = random_hypergraph_instance(rng, 6, 10)
             perm = rng.permutation(6) + 1
@@ -129,7 +129,7 @@ class TestExactSearch:
             exact_loose_hamilton(Hypergraph3(7))
 
     def test_returned_cycles_always_verify(self):
-        rng = rng_from_seed(23)
+        rng = derived_rng(23)
         for trial in range(100):
             h = random_hypergraph_instance(rng, 8, 12)
             c = exact_loose_hamilton(h)
@@ -137,7 +137,7 @@ class TestExactSearch:
                 assert verify_loose_hamilton(h, c)
 
     def test_matches_naive_oracle_on_small_instances(self):
-        rng = rng_from_seed(37)
+        rng = derived_rng(37)
         for trial in range(150):
             h = random_hypergraph_instance(rng, 6, 6)
             assert (exact_loose_hamilton(h) is not None) == \
@@ -147,7 +147,7 @@ class TestExactSearch:
         from itertools import combinations
 
         pool = list(combinations(range(1, 7), 3))
-        rng = rng_from_seed(41)
+        rng = derived_rng(41)
         for trial in range(60):
             h1 = random_hypergraph_instance(rng, 6, 8)
             extra = [pool[i] for i in
@@ -166,7 +166,7 @@ class TestIsolated:
         assert isolated_vertices(Hypergraph3(4, [(1, 2, 3)])) == {4}
 
     def test_exactly_the_empty_incidence_lists(self):
-        rng = rng_from_seed(13)
+        rng = derived_rng(13)
         for _ in range(30):
             h = random_hypergraph_instance(rng, 9, 6)
             assert isolated_vertices(h) == \
@@ -183,7 +183,7 @@ class TestIsolated:
     def test_monte_carlo_mean_matches_closed_form(self):
         # each vertex avoids C(7,2) = 21 potential triples at n = 8
         n, p, trials = 8, 0.1, 100_000
-        gen = rng_from_seed(2024)
+        gen = derived_rng(2024)
         counts = [len(isolated_vertices(sample_h3(n, p, gen)))
                   for _ in range(trials)]
         mean = sum(counts) / trials
@@ -195,7 +195,7 @@ class TestIsolated:
 
 class TestFileFormat:
     def test_round_trip(self, tmp_path):
-        h = sample_h3(10, 0.25, rng_from_seed(3))
+        h = sample_h3(10, 0.25, derived_rng(3))
         path = tmp_path / "h.txt"
         write_hypergraph(h, path)
         assert read_hypergraph(path) == h

@@ -17,7 +17,7 @@ from looselab import (
 )
 from looselab import lab
 from looselab.lab import CSV_HEADER, atomic_output, wilson_interval
-from looselab.sampling import rng_from_seed
+from looselab.sampling import derived_rng
 
 
 class TestWilson:
@@ -90,7 +90,7 @@ class TestIntervalCoverageOnExactCell:
 
         # and the simulated version agrees with that law
         reps = 300
-        gen = rng_from_seed(424242)
+        gen = derived_rng(424242)
         covered = 0
         for _ in range(reps):
             hits = 0
@@ -120,7 +120,7 @@ class TestSweepSpec:
 
     def test_exact_method_needs_cap(self):
         with pytest.raises(ValueError):
-            SweepSpec(n_values=(20,), method="exact", loose_cap=16)
+            SweepSpec(n_values=(20,), method="exact")
 
     def test_pipeline_method_needs_n8(self):
         with pytest.raises(ValueError):
@@ -141,16 +141,18 @@ class TestRunSweep:
         assert run_sweep(spec).to_csv_text() == run_sweep(spec).to_csv_text()
 
     def test_worker_count_does_not_change_output(self):
-        spec = SweepSpec(n_values=(8, 12), c_values=(2.0, 6.0), trials=20,
-                         seed=10)
-        base = run_sweep(spec, workers=1)
-        for workers in (2, 3):
-            assert run_sweep(spec, workers=workers).to_csv_text() == \
-                base.to_csv_text()
+        for method in ("exact", "pipeline"):
+            spec = SweepSpec(n_values=(8, 12), c_values=(2.0, 6.0),
+                             trials=20, seed=10, method=method)
+            base = run_sweep(spec, workers=1)
+            for workers in (2, 3):
+                assert run_sweep(spec, workers=workers).to_csv_text() == \
+                    base.to_csv_text()
 
     @pytest.mark.parametrize("trials,workers", [(1, 2), (5, 3)])
     def test_edge_worker_counts_match_one_worker(self, trials, workers):
-        # fewer trials than workers, and strides of unequal length
+        # fewer trials than workers, and a chunk size that does not
+        # divide the trials
         spec = SweepSpec(n_values=(8, 12), c_values=(2.0, 6.0), trials=trials,
                          seed=11)
         base = run_sweep(spec, workers=1)
@@ -160,8 +162,8 @@ class TestRunSweep:
 
     def test_pool_never_larger_than_the_task_list(self, monkeypatch):
         # the executor forks every worker at its first submit, so the
-        # requested count must be capped before the pool is made; the
-        # recorder starts no process
+        # requested count must be capped before the pool is made, and a
+        # single task makes none; the recorder starts no process
         sizes = []
 
         class Recorder:
@@ -174,7 +176,8 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return False
 
-            map = staticmethod(map)
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
 
         monkeypatch.setattr(lab, "ProcessPoolExecutor", Recorder)
         one = SweepSpec(n_values=(8,), c_values=(16.0,), trials=1, seed=1)
@@ -183,7 +186,7 @@ class TestRunSweep:
         assert run_sweep(one, workers=64).to_csv_text() == \
             run_sweep(one).to_csv_text()
         run_sweep(six, workers=64)
-        assert sizes == [1, 6]
+        assert sizes == [6]
 
     def test_pipeline_matching_has_no_size_cap(self):
         # m = 260/4 = 65 triple-system slots: decided, not refused mid-sweep

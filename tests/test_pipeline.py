@@ -13,7 +13,7 @@ from looselab import (
 from looselab import pipeline
 from looselab.colored import RainbowCycleCert, is_equitable
 from looselab.hypergraph import BudgetExhausted
-from looselab.sampling import TripleSystem, rng_from_seed
+from looselab.sampling import TripleSystem, derived_rng
 from looselab.solvers import exact_matching
 
 
@@ -36,7 +36,7 @@ class TestBuildGstar:
         assert is_equitable(g, 1)
 
     def test_pipeline_inputs_regular_and_equitable(self):
-        gen = rng_from_seed(0)
+        gen = derived_rng(0)
         for _ in range(25):
             h, systems = sample_coupled(16, 1.0, 4, gen)
             matchings = [exact_matching(ts) for ts in systems]
@@ -46,7 +46,7 @@ class TestBuildGstar:
             assert is_equitable(g, 4)
 
     def test_edge_multiset_is_projection_of_triples(self):
-        gen = rng_from_seed(1)
+        gen = derived_rng(1)
         h, systems = sample_coupled(8, 1.0, 4, gen)
         matchings = [exact_matching(ts) for ts in systems]
         g = build_gstar(matchings, systems)

@@ -17,7 +17,6 @@ from looselab import (
 from looselab.sampling import (
     TripleSystem,
     derived_rng,
-    rng_from_seed,
     split_probability,
     unrank_pairs,
     unrank_triples,
@@ -86,7 +85,7 @@ class TestUnranking:
         total = math.comb(n, 3)
         ranks = np.concatenate([
             np.arange(5000), np.arange(total - 5000, total),
-            rng_from_seed(17).integers(0, total, size=100_000)])
+            derived_rng(17).integers(0, total, size=100_000)])
         a, b, c = unrank_triples(n, ranks)
         assert ((1 <= a) & (a < b) & (b < c) & (c <= n)).all()
 
@@ -111,24 +110,24 @@ class TestUnranking:
 
 class TestSampleH3:
     def test_p_one_complete(self):
-        h = sample_h3(7, 1.0, rng_from_seed(0))
+        h = sample_h3(7, 1.0, derived_rng(0))
         assert len(h.edge_list) == math.comb(7, 3)
 
     def test_p_zero_empty(self):
-        assert sample_h3(7, 0.0, rng_from_seed(0)).edge_list == ()
+        assert sample_h3(7, 0.0, derived_rng(0)).edge_list == ()
 
     def test_deterministic_for_seed(self):
-        a = sample_h3(20, 0.07, rng_from_seed(99))
-        b = sample_h3(20, 0.07, rng_from_seed(99))
+        a = sample_h3(20, 0.07, derived_rng(99))
+        b = sample_h3(20, 0.07, derived_rng(99))
         assert a == b
 
     def test_large_sparse_is_cheap(self):
-        h = sample_h3(400, 1e-7, rng_from_seed(1))
+        h = sample_h3(400, 1e-7, derived_rng(1))
         assert len(h.edge_list) < 40
 
     def test_fixed_triple_marginal(self):
         n, p, trials = 12, 0.05, 100_000
-        gen = rng_from_seed(314)
+        gen = derived_rng(314)
         hits = sum((2, 5, 9) in sample_h3(n, p, gen).edges
                    for _ in range(trials))
         sigma = math.sqrt(p * (1 - p) / trials)
@@ -137,20 +136,20 @@ class TestSampleH3:
 
 class TestCopySet:
     def test_block_sizes_and_multiplicity(self):
-        blocks = sample_copyset_partition(3, 4, rng_from_seed(5))
+        blocks = sample_copyset_partition(3, 4, derived_rng(5))
         assert len(blocks) == 8
         assert all(len(b) == 3 for b in blocks)
         assert sorted(el for blk in blocks for el in blk) == \
             [(y, i) for y in range(7, 13) for i in range(1, 5)]
 
     def test_default_base_colors(self):
-        blocks = sample_copyset_partition(2, 1, rng_from_seed(5))
+        blocks = sample_copyset_partition(2, 1, derived_rng(5))
         assert {y for blk in blocks for y, _ in blk} == {5, 6, 7, 8}
 
     def test_smallest_case_uniform(self):
         # m=1, r=1: two elements into two singleton blocks
         trials = 10_000
-        gen = rng_from_seed(77)
+        gen = derived_rng(77)
         first = sum(
             sample_copyset_partition(1, 1, gen)[0][0][0] == 3
             for _ in range(trials))
@@ -160,20 +159,20 @@ class TestCopySet:
 
 class TestSampleGamma:
     def test_p_one_complete(self):
-        ts = sample_gamma(("a", "b"), 1.0, rng_from_seed(0))
+        ts = sample_gamma(("a", "b"), 1.0, derived_rng(0))
         assert len(ts.present) == math.comb(4, 2) * 2
 
     def test_p_zero_empty(self):
-        ts = sample_gamma(("a", "b"), 0.0, rng_from_seed(0))
+        ts = sample_gamma(("a", "b"), 0.0, derived_rng(0))
         assert ts.present == frozenset()
 
     def test_requires_a_slot(self):
         with pytest.raises(ValueError, match="need at least one slot"):
-            sample_gamma((), 0.5, rng_from_seed(0))
+            sample_gamma((), 0.5, derived_rng(0))
 
     def test_fixed_triple_marginal(self):
         p1, trials = 0.1, 100_000
-        gen = rng_from_seed(8)
+        gen = derived_rng(8)
         target = ((1, 3), "b")
         hits = sum(target in sample_gamma(("a", "b"), p1, gen).present
                    for _ in range(trials))
@@ -185,15 +184,15 @@ class TestSampleCoupled:
     def test_rejects_bad_n(self):
         for n in (6, 10, 4):
             with pytest.raises(ValueError):
-                sample_coupled(n, 0.5, 2, rng_from_seed(0))
+                sample_coupled(n, 0.5, 2, derived_rng(0))
 
     def test_p_zero_all_empty(self):
-        h, systems = sample_coupled(8, 0.0, 2, rng_from_seed(0))
+        h, systems = sample_coupled(8, 0.0, 2, derived_rng(0))
         assert h.edge_list == ()
         assert all(ts.present == frozenset() for ts in systems)
 
     def test_shapes(self):
-        h, systems = sample_coupled(16, 0.3, 4, rng_from_seed(1))
+        h, systems = sample_coupled(16, 0.3, 4, derived_rng(1))
         assert len(systems) == 8
         # the 2r slot blocks partition the copy set {(y, i)}
         assert all(ts.m == 4 for ts in systems)
@@ -201,7 +200,7 @@ class TestSampleCoupled:
             [(y, i) for y in range(9, 17) for i in range(1, 5)]
 
     def test_projection_containment(self):
-        gen = rng_from_seed(2)
+        gen = derived_rng(2)
         for _ in range(50):
             h, systems = sample_coupled(16, 0.4, 4, gen)
             for ts in systems:
@@ -210,7 +209,7 @@ class TestSampleCoupled:
 
     def test_marginals_both_shapes(self):
         n, r, p, trials = 16, 4, 0.2, 20_000
-        gen = rng_from_seed(3)
+        gen = derived_rng(3)
         coupled_hits = other_hits = 0
         for _ in range(trials):
             h, _systems = sample_coupled(n, p, r, gen)
@@ -221,8 +220,8 @@ class TestSampleCoupled:
         assert abs(other_hits / trials - p) <= 3 * sigma
 
     def test_deterministic_for_seed(self):
-        a = sample_coupled(16, 0.3, 4, rng_from_seed(10))
-        b = sample_coupled(16, 0.3, 4, rng_from_seed(10))
+        a = sample_coupled(16, 0.3, 4, derived_rng(10))
+        b = sample_coupled(16, 0.3, 4, derived_rng(10))
         assert a[0] == b[0]
         assert all(x.slots == y.slots and x.present == y.present
                    for x, y in zip(a[1], b[1]))
@@ -230,7 +229,7 @@ class TestSampleCoupled:
 
 class TestUnionMatchings:
     def test_regular_and_edge_count(self):
-        gen = rng_from_seed(4)
+        gen = derived_rng(4)
         for _ in range(50):
             g = sample_union_matchings(8, 4, gen)
             assert len(g.edges) == 4 * 8
@@ -239,7 +238,7 @@ class TestUnionMatchings:
     def test_colored_variant_equitable(self):
         from looselab.colored import is_equitable
 
-        gen = rng_from_seed(5)
+        gen = derived_rng(5)
         for _ in range(50):
             g = sample_union_matchings(8, 4, gen, colored=True)
             assert g.colors == tuple(range(9, 17))
@@ -247,7 +246,7 @@ class TestUnionMatchings:
 
     def test_rejects_odd(self):
         with pytest.raises(ValueError):
-            sample_union_matchings(5, 2, rng_from_seed(0))
+            sample_union_matchings(5, 2, derived_rng(0))
 
     @pytest.mark.parametrize("r", [1, 2])
     def test_duplicate_excess_matches_exhaustive(self, r):
@@ -265,7 +264,7 @@ class TestUnionMatchings:
         rec(0, [])
         total = 3 ** (2 * r)
         trials = 4000
-        gen = rng_from_seed(6)
+        gen = derived_rng(6)
         seen = Counter()
         for _ in range(trials):
             g = sample_union_matchings(4, r, gen)
@@ -279,7 +278,7 @@ class TestUnionMatchings:
 
 class TestPairingModel:
     def test_regular_and_loopless(self):
-        gen = rng_from_seed(7)
+        gen = derived_rng(7)
         for _ in range(50):
             g = sample_pairing_regular(8, 3, gen)
             assert all(d == 3 for d in g.degrees.values())
@@ -287,7 +286,7 @@ class TestPairingModel:
 
     def test_d1_uniform_perfect_matching(self):
         trials = 6000
-        gen = rng_from_seed(8)
+        gen = derived_rng(8)
         seen = Counter()
         for _ in range(trials):
             g = sample_pairing_regular(4, 1, gen)
@@ -320,7 +319,7 @@ class TestPairingModel:
         exact = single / loopless
 
         trials = 4000
-        gen = rng_from_seed(9)
+        gen = derived_rng(9)
         hits = 0
         for _ in range(trials):
             g = sample_pairing_regular(4, 2, gen)
@@ -330,9 +329,9 @@ class TestPairingModel:
 
     def test_rejects_infeasible(self):
         with pytest.raises(ValueError):
-            sample_pairing_regular(5, 3, rng_from_seed(0))
+            sample_pairing_regular(5, 3, derived_rng(0))
         with pytest.raises(ValueError):
-            sample_pairing_regular(1, 2, rng_from_seed(0))
+            sample_pairing_regular(1, 2, derived_rng(0))
 
 
 class TestStreams:
@@ -349,16 +348,16 @@ class TestStreams:
         def edges(g):
             return [(e.u, e.v, e.color) for e in g.edges]
 
-        a = sample_union_matchings(8, 2, rng_from_seed(17), colored=True)
-        b = sample_union_matchings(8, 2, rng_from_seed(17), colored=True)
+        a = sample_union_matchings(8, 2, derived_rng(17), colored=True)
+        b = sample_union_matchings(8, 2, derived_rng(17), colored=True)
         assert edges(a) == edges(b)
-        a = sample_pairing_regular(8, 3, rng_from_seed(18))
-        b = sample_pairing_regular(8, 3, rng_from_seed(18))
+        a = sample_pairing_regular(8, 3, derived_rng(18))
+        b = sample_pairing_regular(8, 3, derived_rng(18))
         assert edges(a) == edges(b)
-        assert sample_copyset_partition(3, 2, rng_from_seed(19)) == \
-            sample_copyset_partition(3, 2, rng_from_seed(19))
-        a = sample_gamma(("a", "b", "c"), 0.4, rng_from_seed(20))
-        b = sample_gamma(("a", "b", "c"), 0.4, rng_from_seed(20))
+        assert sample_copyset_partition(3, 2, derived_rng(19)) == \
+            sample_copyset_partition(3, 2, derived_rng(19))
+        a = sample_gamma(("a", "b", "c"), 0.4, derived_rng(20))
+        b = sample_gamma(("a", "b", "c"), 0.4, derived_rng(20))
         assert a.present == b.present
 
 

@@ -11,7 +11,7 @@ from looselab import (
 )
 from looselab.colored import ColoredEdge
 from looselab.lab import probability_from_c
-from looselab.sampling import TripleSystem, rng_from_seed, sample_coupled
+from looselab.sampling import TripleSystem, derived_rng, sample_coupled
 from looselab.solvers import verify_matching
 
 from oracles import (complete_triple_system, perfect_matching_exists_naive,
@@ -55,7 +55,7 @@ class TestExactMatching:
             assert got == perfect_matching_exists_naive(ts), f"mask={mask}"
 
     def test_returned_matchings_verify(self):
-        rng = rng_from_seed(1)
+        rng = derived_rng(1)
         for _ in range(100):
             ts = random_system(rng, range(1, 7), ("a", "b", "c"), 0.3)
             pm = exact_matching(ts)
@@ -63,14 +63,14 @@ class TestExactMatching:
                 assert verify_matching(ts, pm)
 
     def test_matches_naive_on_m3(self):
-        rng = rng_from_seed(2)
+        rng = derived_rng(2)
         for _ in range(150):
             ts = random_system(rng, range(1, 7), ("a", "b", "c"), 0.25)
             assert (exact_matching(ts) is not None) == \
                 perfect_matching_exists_naive(ts)
 
     def test_monotone_under_added_triples(self):
-        rng = rng_from_seed(3)
+        rng = derived_rng(3)
         for _ in range(80):
             ts = random_system(rng, range(1, 7), ("a", "b", "c"), 0.2)
             pool = [((x1, x2), s) for x1, x2 in combinations(range(1, 7), 2)
@@ -88,7 +88,7 @@ class TestExactMatching:
         xs = tuple(range(1, 2 * m + 1))
         slots = tuple(range(1000, 1000 + m))
         planted = {((2 * k + 1, 2 * k + 2), slots[k]) for k in range(m)}
-        rng = rng_from_seed(4)
+        rng = derived_rng(4)
         decoys = set()
         for _ in range(3 * m):
             x1, x2 = sorted(rng.choice(xs, size=2, replace=False).tolist())
@@ -109,10 +109,10 @@ class TestExactMatching:
         systems = [TripleSystem(("a", "b", "c"), frozenset())]
         for n, p in ((28, 0.9), (40, probability_from_c(40, 64))):
             for seed in range(60):
-                systems += sample_coupled(n, p, 4, rng_from_seed(seed))[1]
+                systems += sample_coupled(n, p, 4, derived_rng(seed))[1]
         found = 0
         for k, ts in enumerate(systems):
-            g1, g2 = rng_from_seed(k), rng_from_seed(k)
+            g1, g2 = derived_rng(k), derived_rng(k)
             pm = exact_matching(ts, gen=g1)
             assert pm == relabelled_matching(ts, g2), f"system {k}"
             assert g1.bit_generator.state == g2.bit_generator.state
@@ -158,7 +158,7 @@ class TestExactRainbow:
         assert verify_rainbow_hamilton(g, cert)
 
     def test_matches_naive_oracle(self):
-        rng = rng_from_seed(5)
+        rng = derived_rng(5)
         for _ in range(200):
             g = random_colored(rng)
             assert (exact_rainbow_hamilton(g) is not None) == \
