@@ -49,12 +49,11 @@ class ColoredMultigraph:
 
     ``colors`` is the color universe (empty for uncolored graphs, in which
     case every edge carries color 0).  Parallel edges are distinct entries
-    of ``edges`` with stable indices.  Per-color usage and per-vertex
-    degree counts are cached at construction; loops add 2 to a degree.
+    of ``edges`` with stable indices.  Per-vertex degree counts are cached
+    at construction; loops add 2 to a degree.
     """
 
-    __slots__ = ("num_vertices", "colors", "edges", "color_usage", "degrees",
-                 "_adjacency")
+    __slots__ = ("num_vertices", "colors", "edges", "degrees", "_adjacency")
 
     def __init__(self, num_vertices: int, colors: Iterable[int],
                  edges: Iterable[ColoredEdge]):
@@ -66,7 +65,6 @@ class ColoredMultigraph:
             raise ValueError("color 0 is reserved for uncolored edges")
         edge_tuple = tuple(edges)
         uni = set(universe)
-        usage: Counter = Counter()
         degrees: Counter = Counter()
         for e in edge_tuple:
             if not 1 <= e.u <= num_vertices or not 1 <= e.v <= num_vertices:
@@ -76,14 +74,11 @@ class ColoredMultigraph:
                     raise ValueError(f"edge {e} color outside the universe")
             elif e.color != 0:
                 raise ValueError(f"edge {e} colored but the universe is empty")
-            usage[e.color] += 1
             degrees[e.u] += 1
             degrees[e.v] += 1
         self.num_vertices = num_vertices
         self.colors = universe
         self.edges = edge_tuple
-        self.color_usage = {c: usage.get(c, 0) for c in universe} if universe \
-            else dict(usage)
         self.degrees = {v: degrees.get(v, 0) for v in range(1, num_vertices + 1)}
         self._adjacency = None
 
@@ -113,15 +108,6 @@ class ColoredMultigraph:
         kind = f"{len(self.colors)} colors" if self.colors else "uncolored"
         return (f"ColoredMultigraph(vertices={self.num_vertices}, "
                 f"edges={len(self.edges)}, {kind})")
-
-
-def is_equitable(g: ColoredMultigraph, r: int) -> bool:
-    """True iff every color of the universe is used exactly r times.
-
-    Meaningful only for colored graphs; an empty universe is vacuously
-    equitable.
-    """
-    return all(g.color_usage[c] == r for c in g.colors)
 
 
 @dataclass(frozen=True)

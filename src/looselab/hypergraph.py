@@ -354,10 +354,6 @@ def _read_int_lines(f, names: str, kind: str
     return first, second
 
 
-def write_loose_cycle(cycle: LooseCycle, f) -> None:
-    _write_int_lines(cycle.links, cycle.middles, f)
-
-
 def read_loose_cycle_claim(f) -> LooseCycle:
     """Read a claimed loose cycle (links line, middles line) as a record.
 

@@ -9,7 +9,9 @@ has proven that no witness exists; the test suite checks both against
 unpruned enumeration oracles at small sizes.
 Neither has a size cap: the matching engine runs to a decision on any
 input, and the rainbow engine spends at most a node budget and raises
-``BudgetExhausted`` when the search is undecided.
+``BudgetExhausted`` when the search is undecided.  Both recurse with
+their search state as int bit masks passed by value, so a failed branch
+has nothing to undo; only the partial witness is a list.
 """
 
 from __future__ import annotations
@@ -65,6 +67,10 @@ def exact_matching(ts: TripleSystem, *, gen=None, stats: Optional[dict] = None
     pair, iff one exists, for any m: there is no size cap and no node
     budget.  ``stats["nodes"]`` accumulates the search nodes expanded.
 
+    A node receives the live rows, in that order, each with its column
+    mask, and the mask of open columns; a chosen row passes down the live
+    rows disjoint from it.
+
     Without ``gen``, X-vertex x is column x - 1 and slot j column 2m + j.
     A fixed numbering would hand every saturated system the same witness
     and collapse the derived graph to parallel bundles.  So, given a
@@ -84,51 +90,35 @@ def exact_matching(ts: TripleSystem, *, gen=None, stats: Optional[dict] = None
         triple_at[min(a, b), max(a, b), scol[slot]] = t
     if not triple_at:
         return None
-    row_cols = sorted(triple_at)
-    cols: dict[int, set[int]] = {c: set() for c in range(two_m + m)}
-    for rid, rc in enumerate(row_cols):
-        for c in rc:
-            cols[c].add(rid)
+    ncols = two_m + m
+    rows = [((a, b, s), 1 << a | 1 << b | 1 << s)
+            for a, b, s in sorted(triple_at)]
+    chosen: list[tuple[int, int, int]] = []
 
-    def select(rid: int) -> list[set[int]]:
-        removed = []
-        for j in row_cols[rid]:
-            for i in cols[j]:
-                for k in row_cols[i]:
-                    if k != j:
-                        cols[k].discard(i)
-            removed.append(cols.pop(j))
-        return removed
-
-    def deselect(rid: int, removed: list[set[int]]) -> None:
-        for j in reversed(row_cols[rid]):
-            cols[j] = removed.pop()
-            for i in cols[j]:
-                for k in row_cols[i]:
-                    if k != j:
-                        cols[k].add(i)
-
-    chosen: list[int] = []
-
-    def solve() -> bool:
+    def solve(live: list, open_cols: int) -> bool:
         if stats is not None:
             stats["nodes"] = stats.get("nodes", 0) + 1
-        if not cols:
+        if not open_cols:
             return True
-        col = min(cols, key=lambda c: (len(cols[c]), c))
-        if not cols[col]:
+        counts = [0] * ncols
+        for cols, _ in live:
+            for c in cols:
+                counts[c] += 1
+        fewest, col = min((counts[c], c) for c in range(ncols)
+                          if open_cols >> c & 1)
+        if not fewest:
             return False
-        for rid in sorted(cols[col]):
-            chosen.append(rid)
-            removed = select(rid)
-            if solve():
-                return True
-            deselect(rid, removed)
-            chosen.pop()
+        for cols, mask in live:
+            if col in cols:
+                chosen.append(cols)
+                if solve([r for r in live if not r[1] & mask],
+                         open_cols & ~mask):
+                    return True
+                chosen.pop()
         return False
 
-    if solve():
-        return tuple(sorted((triple_at[row_cols[rid]] for rid in chosen),
+    if solve(rows, (1 << ncols) - 1):
+        return tuple(sorted((triple_at[cols] for cols in chosen),
                             key=lambda t: t[0]))
     return None
 
@@ -149,11 +139,12 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *,
     ``budget`` search nodes, and ``ValueError`` when ``budget`` is below 1.
 
     Backtracks over (next vertex, edge color) extensions from vertex 1,
-    with the cycle's direction canonicalized (second vertex below the
-    last).  Prunes on used colors, on unvisited vertices left with fewer
-    than two usable distinct colors (or, above 2 vertices, fewer than two
-    usable neighbors), and on usable-edge connectivity of the region still
-    to be traversed.
+    neighbours ascending and then their colors ascending, with the cycle's
+    direction canonicalized (second vertex below the last).  Prunes on
+    used colors, on unvisited vertices left with fewer than two usable
+    distinct colors (or, above 2 vertices, fewer than two usable
+    neighbors), and on usable-edge connectivity of the region still to be
+    traversed.  Visited vertices and used colors are masks (bit v, bit c).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -165,43 +156,41 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *,
         return None
     if len({e.color for e in g.edges if e.u != e.v}) < nv:
         return None
-    start = 1
+    # v -> ascending (w, bit of w, color mask of vw, colors of vw)
+    nbrs = {v: tuple((w, 1 << w, sum(1 << c for c in cs), cs)
+                     for w, cs in adj[v].items()) for v in adj}
+    start, start_bit = 1, 1 << 1
+    everyone = (1 << (nv + 1)) - 2  # bits 1..nv
     path = [start]
-    visited = {start}
-    used_colors: set[int] = set()
     colors_seq: list[int] = []
 
-    def viable(u: int) -> bool:
-        allowed = (set(range(1, nv + 1)) - visited) | {u, start}
-        unvisited = allowed - {u, start}
-        for w in unvisited:
-            usable_colors: set[int] = set()
-            usable_neighbors = 0
-            for w2, cs in adj[w].items():
-                if w2 in allowed:
-                    free = [c for c in cs if c not in used_colors]
-                    if free:
-                        usable_neighbors += 1
-                        usable_colors.update(free)
-            if len(usable_colors) < 2 or (nv > 2 and usable_neighbors < 2):
+    def viable(u: int, visited: int, used: int) -> bool:
+        allowed = (everyone & ~visited) | 1 << u | start_bit
+        for w in range(1, nv + 1):
+            if visited >> w & 1:
+                continue
+            free = usable_neighbors = 0
+            for _, bit, cmask, _ in nbrs[w]:
+                if allowed & bit and cmask & ~used:
+                    usable_neighbors += 1
+                    free |= cmask & ~used
+            if free & (free - 1) == 0 or (nv > 2 and usable_neighbors < 2):
                 return False
         # the rest of the cycle must connect u to start through the
         # unvisited region using edges with unused colors
         frontier = [u]
-        seen = {u}
+        seen = 1 << u
         while frontier:
-            x = frontier.pop()
-            for w2, cs in adj[x].items():
-                if w2 in allowed and w2 not in seen \
-                        and any(c not in used_colors for c in cs):
-                    seen.add(w2)
-                    frontier.append(w2)
-        return allowed <= seen
+            for w, bit, cmask, _ in nbrs[frontier.pop()]:
+                if allowed & bit and not seen & bit and cmask & ~used:
+                    seen |= bit
+                    frontier.append(w)
+        return allowed & ~seen == 0
 
     result: Optional[RainbowCycleCert] = None
     nodes = 0
 
-    def dfs(u: int) -> bool:
+    def dfs(u: int, visited: int, used: int) -> bool:
         nonlocal result, nodes
         if nodes >= budget:
             raise BudgetExhausted(
@@ -211,32 +200,28 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *,
             if nv > 2 and path[1] > path[-1]:
                 return False
             for c in adj[u].get(start, ()):
-                if c not in used_colors:
-                    result = RainbowCycleCert(tuple(path), tuple(colors_seq) + (c,))
+                if not used >> c & 1:
+                    result = RainbowCycleCert(tuple(path), (*colors_seq, c))
                     return True
             return False
-        if not viable(u):
+        if not viable(u, visited, used):
             return False
-        for w, cs in adj[u].items():
-            if w in visited:
+        for w, bit, _, cs in nbrs[u]:
+            if visited & bit:
                 continue
             for c in cs:
-                if c in used_colors:
+                if used >> c & 1:
                     continue
                 path.append(w)
-                visited.add(w)
-                used_colors.add(c)
                 colors_seq.append(c)
-                if dfs(w):
+                if dfs(w, visited | bit, used | 1 << c):
                     return True
                 path.pop()
-                visited.discard(w)
-                used_colors.discard(c)
                 colors_seq.pop()
         return False
 
     try:
-        dfs(start)
+        dfs(start, start_bit, 0)
     finally:
         if stats is not None:
             stats["nodes"] = stats.get("nodes", 0) + nodes

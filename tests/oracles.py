@@ -1,15 +1,19 @@
-"""Independent brute-force oracles for the exact engines.
+"""Independent brute-force oracles for the exact engines, and the test-only
+helpers no library code calls.
 
-Everything here is deliberately naive: plain permutation scans with no
+Every oracle is deliberately naive: plain permutation scans with no
 pruning and no shared code with the engines under test.  The one
 exception is ``relabelled_matching``, which pins how the matching engine
 reads a generator by rebuilding the relabelled system that engine's
 column numbering stands in for.
 """
 
+from collections import Counter
 from itertools import combinations, permutations, product
 
-from looselab import Hypergraph3, exact_matching
+from looselab import ColoredMultigraph, Hypergraph3, LooseCycle, \
+    exact_matching
+from looselab.hypergraph import _write_int_lines
 from looselab.sampling import TripleSystem
 
 
@@ -126,3 +130,19 @@ def complete_triple_system(slots) -> TripleSystem:
     return TripleSystem(slots, frozenset(
         (pair, s) for pair in combinations(range(1, 2 * len(slots) + 1), 2)
         for s in slots))
+
+
+def is_equitable(g: ColoredMultigraph, r: int) -> bool:
+    """True iff every color of the universe is used exactly r times.
+
+    Meaningful only for colored graphs; an empty universe is vacuously
+    equitable.
+    """
+    usage = Counter(e.color for e in g.edges)
+    return all(usage[c] == r for c in g.colors)
+
+
+def write_loose_cycle(cycle: LooseCycle, f) -> None:
+    """Write a loose cycle as the two-line claim (links, middles) that
+    ``read_loose_cycle_claim`` reads."""
+    _write_int_lines(cycle.links, cycle.middles, f)

@@ -21,10 +21,11 @@ from looselab import (
     sample_union_matchings,
     verify_loose_hamilton,
 )
-from looselab.colored import is_equitable
+from looselab.lab import probability_from_c
 from looselab.sampling import derived_rng, split_probability
 
 from oracles import (
+    is_equitable,
     loose_hamilton_exists_naive,
     perfect_matching_exists_naive,
     rainbow_hamilton_exists_naive,
@@ -234,3 +235,31 @@ def test_criterion_7_isolated_expectation():
     elapsed = time.perf_counter() - t0
     print(f"  criterion 7: 9 cells x 10^4 trials, worst |z| = {worst_z:.2f}")
     report(7, "isolated-vertex expectation", worst_z <= 3.0, elapsed, 120.0)
+
+
+def test_criterion_8_r1_matching_symmetry():
+    # At r=1, G* is the union of the two systems' perfect matchings of the
+    # 2m link vertices with each color on one edge, so any Hamilton cycle
+    # of it is rainbow.  If each witness is a uniform perfect matching, as
+    # exact_matching's random column numbering claims, the union is one
+    # Hamilton cycle with probability 2^(m-1) (m-1)! / (2m-1)!!.  At p=1
+    # every system is complete, so a fixed numbering would give both the
+    # same witness and never succeed.
+    t0 = time.perf_counter()
+    n, m, trials = 16, 4, 2000
+    want = 2 ** (m - 1) * math.factorial(m - 1) / math.prod(range(1, 2 * m, 2))
+    ok = True
+    for p in (probability_from_c(n, 64), 1.0):
+        reached = successes = 0
+        for seed in range(trials):
+            rep = run_pipeline(n, p, 1, seed=seed)
+            if rep.failed_stage != "matching":
+                reached += 1
+                successes += rep.success
+        rate = successes / max(reached, 1)
+        sigma = math.sqrt(want * (1 - want) / max(reached, 1))
+        ok = ok and reached >= trials // 2 and abs(rate - want) <= 3 * sigma
+        print(f"  criterion 8: p={p:.3f}, {successes}/{reached} past matching "
+              f"succeed, {rate:.4f} vs {want:.4f} (3 sigma = {3 * sigma:.4f})")
+    elapsed = time.perf_counter() - t0
+    report(8, "r=1 matching symmetry", ok, elapsed, 60.0)

@@ -1,0 +1,119 @@
+"""The exact engines' outputs on fixed seeded inputs, pinned.
+
+Each engine's first witness and node count follow from its branch order
+alone, so a rewrite that keeps the order reproduces every value here and
+one that drifts from it fails.  The inputs are the pipeline's own: seed
+s's coupled triple systems (r=4), each searched with the trial's
+generator as ``run_pipeline`` does and again without one, and the derived
+graph G* their generator-drawn matchings build.  Matchings are pinned by a
+digest of their repr; node counts and rainbow certificates literally.
+"""
+
+import hashlib
+
+import pytest
+
+from looselab import BudgetExhausted, build_gstar, exact_matching, \
+    exact_rainbow_hamilton
+from looselab.lab import probability_from_c
+from looselab.sampling import derived_rng, sample_coupled
+
+
+def search_systems(n, p, seed):
+    """Sample seed's coupled systems; return them with the (witness, nodes)
+    of each search with the trial's generator and without one."""
+    gen = derived_rng(seed)
+    _, systems = sample_coupled(n, p, 4, gen)
+    drawn, plain = [], []
+    for ts in systems:
+        for out, g in ((drawn, gen), (plain, None)):
+            stats = {}
+            pm = exact_matching(ts, gen=g, stats=stats)
+            out.append((pm, stats["nodes"]))
+    return systems, drawn, plain
+
+
+def digest(searches) -> str:
+    witnesses = [None if pm is None else
+                 [((int(a), int(b)), (int(y), int(i)))
+                  for (a, b), (y, i) in pm]
+                 for pm, _ in searches]
+    return hashlib.sha256(repr(witnesses).encode()).hexdigest()[:16]
+
+
+# (n, seed) at p=0.9: (nodes with gen, nodes without, digest with gen, digest
+# without, cert order, cert colors, rainbow nodes)
+GSTAR_PINS = {
+    (28, 0): (
+        [8, 8, 8, 9, 9, 10, 8, 8], [8, 8, 8, 8, 8, 8, 9, 8],
+        "fe5482bffe76187d", "e9aec6f0869c24c6",
+        (1, 2, 3, 6, 12, 14, 9, 4, 7, 13, 11, 10, 5, 8),
+        (15, 28, 20, 18, 19, 24, 22, 25, 26, 23, 17, 21, 27, 16),
+        726),
+    (28, 1): (
+        [8, 10, 8, 8, 9, 8, 8, 8], [10, 8, 13, 8, 8, 11, 8, 8],
+        "92ca57e7aa71e4c2", "b62b18aee32fb70c",
+        (1, 6, 2, 8, 14, 10, 9, 12, 3, 13, 5, 4, 11, 7),
+        (21, 18, 23, 25, 17, 26, 24, 22, 19, 16, 20, 28, 15, 27),
+        735),
+    (28, 2): (
+        [8, 8, 8, 8, 8, 8, 8, 9], [8, 8, 8, 8, 14, 8, 8, 14],
+        "941a05ba2019bd7a", "f7ff2d9a1c453f57",
+        (1, 2, 3, 9, 8, 6, 7, 10, 4, 5, 13, 12, 11, 14),
+        (23, 17, 16, 28, 26, 22, 25, 20, 19, 24, 27, 15, 21, 18),
+        299),
+    (40, 0): (
+        [11, 11, 12, 12, 11, 12, 12, 12], [12, 11, 11, 13, 12, 11, 11, 12],
+        "25bf4a36dd4ec433", "d167d2368dc5e105",
+        (1, 12, 3, 5, 4, 9, 7, 15, 6, 16,
+         8, 20, 19, 13, 2, 11, 10, 17, 14, 18),
+        (34, 22, 29, 30, 23, 31, 21, 32, 36, 26,
+         33, 37, 24, 39, 35, 28, 38, 27, 25, 40),
+        1298),
+    (40, 1): (
+        [11, 11, 11, 12, 11, 11, 11, 11], [11, 16, 11, 11, 12, 11, 13, 11],
+        "04223d50cb9430e6", "85bf89bccb93a9ac",
+        (1, 10, 2, 3, 12, 13, 20, 4, 15, 5,
+         11, 7, 6, 16, 9, 18, 8, 19, 14, 17),
+        (27, 29, 37, 22, 33, 36, 28, 21, 39, 25,
+         34, 30, 35, 32, 23, 40, 38, 31, 24, 26),
+        2245),
+}
+
+# (n, c, seed), where matchings backtrack: (nodes with gen, nodes without,
+# digest with gen, digest without); seed 0's third system has no perfect
+# matching
+MATCHING_PINS = {
+    (40, 128, 0): ([28, 14, 19, 56, 54, 15, 14, 29],
+                   [14, 32, 16, 34, 85, 43, 15, 43],
+                   "3164cfcca589cb93", "8c3903d8c9b59194"),
+    (40, 128, 1): ([17, 30, 11, 52, 20, 15, 27, 14],
+                   [40, 14, 11, 13, 66, 18, 53, 24],
+                   "4d02bd6029755535", "2408ffb40121fae2"),
+}
+
+
+def matching_pin(drawn, plain):
+    return ([k for _, k in drawn], [k for _, k in plain],
+            digest(drawn), digest(plain))
+
+
+@pytest.mark.parametrize("n, seed", sorted(GSTAR_PINS))
+def test_pipeline_gstar_pinned(n, seed):
+    *match_pin, order, colors, nodes = GSTAR_PINS[n, seed]
+    systems, drawn, plain = search_systems(n, 0.9, seed)
+    assert matching_pin(drawn, plain) == tuple(match_pin)
+    g = build_gstar([pm for pm, _ in drawn], systems)
+    stats = {}
+    cert = exact_rainbow_hamilton(g, stats=stats)
+    assert (cert.order, cert.colors, stats["nodes"]) == (order, colors, nodes)
+    # the budget that first decides is exactly the node count
+    assert exact_rainbow_hamilton(g, budget=nodes) == cert
+    with pytest.raises(BudgetExhausted):
+        exact_rainbow_hamilton(g, budget=nodes - 1)
+
+
+@pytest.mark.parametrize("n, c, seed", sorted(MATCHING_PINS))
+def test_backtracking_matchings_pinned(n, c, seed):
+    _, drawn, plain = search_systems(n, probability_from_c(n, c), seed)
+    assert matching_pin(drawn, plain) == MATCHING_PINS[n, c, seed]

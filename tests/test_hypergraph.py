@@ -14,11 +14,11 @@ from looselab import (
     write_hypergraph,
 )
 from looselab.hypergraph import SizeCapExceeded, expected_isolated, \
-    isolated_vertices, read_loose_cycle_claim, triple, write_loose_cycle
+    isolated_vertices, read_loose_cycle_claim, triple
 from looselab.sampling import derived_rng
 
 from oracles import complete_hypergraph, loose_hamilton_exists_naive, \
-    random_hypergraph_instance
+    random_hypergraph_instance, write_loose_cycle
 
 
 class TestTriple:

@@ -11,10 +11,12 @@ from looselab import (
     verify_loose_hamilton,
 )
 from looselab import pipeline
-from looselab.colored import RainbowCycleCert, is_equitable
+from looselab.colored import RainbowCycleCert
 from looselab.hypergraph import BudgetExhausted
 from looselab.sampling import TripleSystem, derived_rng
 from looselab.solvers import exact_matching
+
+from oracles import is_equitable
 
 
 def smallest_systems():

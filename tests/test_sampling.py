@@ -22,7 +22,7 @@ from looselab.sampling import (
     unrank_triples,
 )
 
-from oracles import complete_triple_system
+from oracles import complete_triple_system, is_equitable
 
 
 def reconstruct(p1: float, power: int) -> float:
@@ -236,8 +236,6 @@ class TestUnionMatchings:
             assert all(d == 8 for d in g.degrees.values())
 
     def test_colored_variant_equitable(self):
-        from looselab.colored import is_equitable
-
         gen = derived_rng(5)
         for _ in range(50):
             g = sample_union_matchings(8, 4, gen, colored=True)
