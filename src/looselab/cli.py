@@ -15,8 +15,9 @@ from contextlib import ExitStack, contextmanager
 from . import __version__
 from .colored import read_colored, read_rainbow_claim, verify_rainbow_hamilton, \
     write_colored, write_rainbow_cert
-from .hypergraph import BudgetExhausted, FormatError, read_hypergraph, \
-    read_loose_cycle_claim, verify_loose_hamilton, write_hypergraph
+from .hypergraph import BudgetExhausted, FormatError, _write_rows, \
+    read_hypergraph, read_loose_cycle_claim, verify_loose_hamilton, \
+    write_hypergraph
 from .lab import SweepSpec, atomic_output, contiguity_probe, \
     isolated_experiment, probability_from_c, run_sweep
 from .pipeline import run_pipeline
@@ -48,27 +49,41 @@ def _resolve_p(args, n: int) -> float:
     raise FormatError("one of --p or --c is required")
 
 
+@contextmanager
+def _output(out):
+    """Stdout, or the file ``out`` reserved on entry by ``atomic_output``."""
+    if out:
+        with atomic_output(out) as fh:
+            yield fh
+    else:
+        yield sys.stdout
+
+
 def _cmd_sample(args) -> int:
     gen = derived_rng(args.seed)
-    if args.model == "h3":
-        p = _resolve_p(args, args.n)
-        _banner("sample", model="h3", n=args.n, p=p, seed=args.seed)
-        h = sample_h3(args.n, p, gen)
-        write_hypergraph(h, args.out if args.out else sys.stdout)
-    elif args.model == "gamma":
-        _banner("sample", model="gamma", m=args.m, p1=args.p1, seed=args.seed)
-        ts = sample_gamma(range(2 * args.m + 1, 3 * args.m + 1), args.p1, gen)
-        write_hypergraph(hypergraph_from_triple_system(ts),
-                         args.out if args.out else sys.stdout)
-    elif args.model == "union":
-        _banner("sample", model="union", m2=args.m2, r=args.r,
-                colored=args.colored, seed=args.seed)
-        g = sample_union_matchings(args.m2, args.r, gen, colored=args.colored)
-        write_colored(g, args.r, args.out if args.out else sys.stdout)
-    else:  # pairing
-        _banner("sample", model="pairing", m2=args.m2, d=args.d, seed=args.seed)
-        g = sample_pairing_regular(args.m2, args.d, gen)
-        write_colored(g, 1, args.out if args.out else sys.stdout)
+    with _output(args.out) as out:
+        if args.model == "h3":
+            p = _resolve_p(args, args.n)
+            _banner("sample", model="h3", n=args.n, p=p, seed=args.seed)
+            h = sample_h3(args.n, p, gen)
+            write_hypergraph(h, out)
+        elif args.model == "gamma":
+            _banner("sample", model="gamma", m=args.m, p1=args.p1,
+                    seed=args.seed)
+            ts = sample_gamma(range(2 * args.m + 1, 3 * args.m + 1), args.p1,
+                              gen)
+            write_hypergraph(hypergraph_from_triple_system(ts), out)
+        elif args.model == "union":
+            _banner("sample", model="union", m2=args.m2, r=args.r,
+                    colored=args.colored, seed=args.seed)
+            g = sample_union_matchings(args.m2, args.r, gen,
+                                       colored=args.colored)
+            write_colored(g, args.r, out)
+        else:  # pairing
+            _banner("sample", model="pairing", m2=args.m2, d=args.d,
+                    seed=args.seed)
+            g = sample_pairing_regular(args.m2, args.d, gen)
+            write_colored(g, 1, out)
     return 0
 
 
@@ -79,8 +94,7 @@ def _cmd_solve_matching(args) -> int:
     if pm is None:
         print("no perfect matching found")
         return 1
-    for (x1, x2), slot in pm:
-        print(f"{x1} {x2} {slot}")
+    _write_rows(sys.stdout, ((x1, x2, slot) for (x1, x2), slot in pm))
     return 0
 
 
@@ -136,16 +150,6 @@ def _cmd_pipeline(args) -> int:
             print(f"links: {' '.join(str(v) for v in rep.loose_cycle.links)}")
             print(f"middles: {' '.join(str(v) for v in rep.loose_cycle.middles)}")
     return 0 if rep.success else 1
-
-
-@contextmanager
-def _output(out):
-    """Stdout, or the file ``out`` reserved on entry by ``atomic_output``."""
-    if out:
-        with atomic_output(out) as fh:
-            yield fh
-    else:
-        yield sys.stdout
 
 
 def _cmd_sweep(args) -> int:
@@ -288,10 +292,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (FormatError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, RuntimeError) as exc:

@@ -5,7 +5,7 @@ The derived graph of a hypergraph instance lives on the link vertices
 {x, y, x'} whose middle y falls in the color universe 2m+1..4m.  A rainbow
 Hamilton cycle of the derived graph lifts directly to a loose Hamilton
 cycle of the hypergraph: cycle vertices become links, edge colors become
-middles.
+middles.  The file formats here use the row helpers of ``hypergraph``.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .hypergraph import FormatError, LooseCycle, Verdict, _opened, \
-    _read_int_lines, _write_int_lines
+from .hypergraph import FormatError, LooseCycle, Verdict, _read_rows, \
+    _read_table, _write_rows
 
 
 @dataclass(frozen=True)
@@ -177,54 +177,34 @@ def lift_to_loose(cert: RainbowCycleCert) -> LooseCycle:
 
 
 def write_colored(g: ColoredMultigraph, r: int, f) -> None:
-    with _opened(f, "w") as fh:
-        fh.write(f"{g.num_vertices} {r}\n")
-        for e in g.edges:
-            fh.write(f"{e.u} {e.v} {e.color}\n")
+    _write_rows(f, [(g.num_vertices, r),
+                    *((e.u, e.v, e.color) for e in g.edges)])
 
 
 def read_colored(f) -> tuple[ColoredMultigraph, int]:
-    with _opened(f, "r") as fh:
-        lines = fh.read().splitlines()
-    rows = [(i + 1, ln.split()) for i, ln in enumerate(lines) if ln.strip()]
-    if not rows:
-        raise FormatError("empty file, expected '2m r' header")
-    lineno, head = rows[0]
-    if len(head) != 2:
-        raise FormatError(f"line {lineno}: header must be '2m r'")
-    try:
-        m2, r = int(head[0]), int(head[1])
-    except ValueError:
-        raise FormatError(f"line {lineno}: header must be two integers") from None
+    (k, (m2, r)), body = _read_table(f, "2m r")
     if m2 < 2 or m2 % 2:
-        raise FormatError(f"line {lineno}: vertex count must be even and >= 2")
+        raise FormatError(f"line {k}: vertex count must be even and >= 2")
     if r < 1:
-        raise FormatError(f"line {lineno}: r must be >= 1")
+        raise FormatError(f"line {k}: r must be >= 1")
     lo, hi = m2 + 1, 2 * m2
-    edges = []
-    for lineno, fields in rows[1:]:
-        if len(fields) != 3:
-            raise FormatError(f"line {lineno}: expected 'u v y'")
-        try:
-            u, v, y = (int(x) for x in fields)
-        except ValueError:
-            raise FormatError(f"line {lineno}: fields must be integers") from None
+    for k, (u, v, y) in body:
         if not (1 <= u <= m2 and 1 <= v <= m2):
-            raise FormatError(f"line {lineno}: endpoints must lie in 1..{m2}")
+            raise FormatError(f"line {k}: endpoints must lie in 1..{m2}")
         if y != 0 and not lo <= y <= hi:
             raise FormatError(
-                f"line {lineno}: color must lie in {lo}..{hi} (or 0 when "
+                f"line {k}: color must lie in {lo}..{hi} (or 0 when "
                 f"the whole file is uncolored)")
-        edges.append(ColoredEdge(u, v, y))
+    edges = [ColoredEdge(*row) for _k, row in body]
     if any(e.color == 0 for e in edges):
         if any(e.color != 0 for e in edges):
             raise FormatError("file mixes colored and uncolored edges")
         return ColoredMultigraph(m2, (), edges), r
-    return ColoredMultigraph(m2, range(m2 + 1, 2 * m2 + 1), edges), r
+    return ColoredMultigraph(m2, range(lo, hi + 1), edges), r
 
 
 def write_rainbow_cert(cert: RainbowCycleCert, f) -> None:
-    _write_int_lines(cert.order, cert.colors, f)
+    _write_rows(f, (cert.order, cert.colors))
 
 
 def read_rainbow_claim(f) -> RainbowCycleCert:
@@ -232,5 +212,7 @@ def read_rainbow_claim(f) -> RainbowCycleCert:
 
     Only the two-line integer format is checked here; a bogus claim
     reaches ``verify_rainbow_hamilton`` and comes back as a false verdict."""
-    return RainbowCycleCert(
-        *_read_int_lines(f, "order, colors", "certificate"))
+    rows = _read_rows(f)
+    if len(rows) != 2:
+        raise FormatError(f"expected 2 lines (order, colors), found {len(rows)}")
+    return RainbowCycleCert(rows[0][1], rows[1][1])

@@ -4,6 +4,9 @@ A loose Hamilton cycle on a vertex set 1..n (n even) is a cyclic sequence
 of n/2 edges {x_i, y_i, x_(i+1)} in which consecutive edges overlap in the
 single "link" vertex x_(i+1).  The links x_1..x_(n/2) and the "middle"
 vertices y_1..y_(n/2) together cover every vertex exactly once.
+
+Instance and certificate files are lines of integers: ``_read_rows`` alone
+parses them, naming the line of a bad field, and ``_write_rows`` writes them.
 """
 
 from __future__ import annotations
@@ -264,7 +267,8 @@ def exact_loose_hamilton(h: Hypergraph3, *,
 
 
 # ---------------------------------------------------------------------------
-# text format: first line "n m", then m lines "a b c" with a < b < c
+# text formats: a hypergraph is a header "n m", then m lines "a b c" with
+# a < b < c; a certificate is two lines of whitespace-separated integers
 # ---------------------------------------------------------------------------
 
 
@@ -279,79 +283,69 @@ def _opened(f, mode: str):
             yield fh
 
 
-def write_hypergraph(h: Hypergraph3, f) -> None:
+_Row = tuple[int, tuple[int, ...]]
+
+
+def _read_rows(f) -> list[_Row]:
+    """(1-based line number, integers) for each non-blank line of ``f``."""
+    with _opened(f, "r") as fh:
+        lines = fh.read().splitlines()
+    rows = []
+    for k, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                rows.append((k, tuple(int(x) for x in line.split())))
+            except ValueError:
+                raise FormatError(f"line {k}: fields must be integers") from None
+    return rows
+
+
+def _read_table(f, header: str) -> tuple[_Row, list[_Row]]:
+    """The header row ``(k, (a, b))`` and the body rows of a file made of a
+    two-integer header named ``header`` and three-integer lines."""
+    rows = _read_rows(f)
+    if not rows:
+        raise FormatError(f"empty file, expected '{header}' header")
+    k, head = rows[0]
+    if len(head) != 2:
+        raise FormatError(f"line {k}: header must be '{header}'")
+    for j, row in rows[1:]:
+        if len(row) != 3:
+            raise FormatError(f"line {j}: expected 3 integers")
+    return rows[0], rows[1:]
+
+
+def _write_rows(f, rows: Iterable[Iterable[int]]) -> None:
+    """Write each row as one line of space-separated integers."""
     with _opened(f, "w") as fh:
-        fh.write(f"{h.n} {len(h.edge_list)}\n")
-        for a, b, c in h.edge_list:
-            fh.write(f"{a} {b} {c}\n")
+        for row in rows:
+            fh.write(" ".join(str(v) for v in row) + "\n")
+
+
+def write_hypergraph(h: Hypergraph3, f) -> None:
+    _write_rows(f, [(h.n, len(h.edge_list)), *h.edge_list])
 
 
 def read_hypergraph(f) -> Hypergraph3:
     """Parse the hypergraph text format, rejecting malformed lines.
 
-    Out-of-range vertices, unsorted or repeated triples, field-count and
-    edge-count mismatches all raise FormatError with the offending line.
+    Non-integer fields, out-of-range vertices, unsorted or repeated
+    triples, field-count and edge-count mismatches all raise FormatError;
+    every fault of a single line names that line.
     """
-    with _opened(f, "r") as fh:
-        lines = fh.read().splitlines()
-    rows = [(i + 1, ln.split()) for i, ln in enumerate(lines) if ln.strip()]
-    if not rows:
-        raise FormatError("empty file, expected 'n m' header")
-    lineno, head = rows[0]
-    if len(head) != 2:
-        raise FormatError(f"line {lineno}: header must be 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise FormatError(f"line {lineno}: header must be two integers") from None
+    (k, (n, m)), body = _read_table(f, "n m")
     if n < 1 or m < 0:
-        raise FormatError(f"line {lineno}: need n >= 1 and m >= 0")
-    body = rows[1:]
+        raise FormatError(f"line {k}: need n >= 1 and m >= 0")
     if len(body) != m:
         raise FormatError(f"expected {m} edge lines, found {len(body)}")
     seen: set[Triple] = set()
-    edges: list[Triple] = []
-    for lineno, fields in body:
-        if len(fields) != 3:
-            raise FormatError(f"line {lineno}: expected 3 vertex ids")
-        try:
-            a, b, c = (int(x) for x in fields)
-        except ValueError:
-            raise FormatError(f"line {lineno}: vertex ids must be integers") from None
-        if not (1 <= a < b < c <= n):
-            raise FormatError(f"line {lineno}: need 1 <= a < b < c <= {n}")
-        t = (a, b, c)
+    for k, t in body:
+        if not (1 <= t[0] < t[1] < t[2] <= n):
+            raise FormatError(f"line {k}: need 1 <= a < b < c <= {n}")
         if t in seen:
-            raise FormatError(f"line {lineno}: duplicate triple {t}")
+            raise FormatError(f"line {k}: duplicate triple {t}")
         seen.add(t)
-        edges.append(t)
-    return Hypergraph3(n, edges)
-
-
-# ---------------------------------------------------------------------------
-# certificate format: two lines of whitespace-separated integers
-# ---------------------------------------------------------------------------
-
-
-def _write_int_lines(first: Sequence[int], second: Sequence[int], f) -> None:
-    with _opened(f, "w") as fh:
-        for row in (first, second):
-            fh.write(" ".join(str(v) for v in row) + "\n")
-
-
-def _read_int_lines(f, names: str, kind: str
-                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # ``names`` labels the two lines and ``kind`` the certificate in the
-    # FormatError messages, e.g. "links, middles" and "cycle".
-    with _opened(f, "r") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if len(lines) != 2:
-        raise FormatError(f"expected 2 lines ({names}), found {len(lines)}")
-    try:
-        first, second = (tuple(int(x) for x in ln.split()) for ln in lines)
-    except ValueError:
-        raise FormatError(f"{kind} lines must contain integers") from None
-    return first, second
+    return Hypergraph3(n, seen)
 
 
 def read_loose_cycle_claim(f) -> LooseCycle:
@@ -359,4 +353,7 @@ def read_loose_cycle_claim(f) -> LooseCycle:
 
     Only the two-line integer format is checked here; a bogus claim
     reaches ``verify_loose_hamilton`` and comes back as a false verdict."""
-    return LooseCycle(*_read_int_lines(f, "links, middles", "cycle"))
+    rows = _read_rows(f)
+    if len(rows) != 2:
+        raise FormatError(f"expected 2 lines (links, middles), found {len(rows)}")
+    return LooseCycle(rows[0][1], rows[1][1])

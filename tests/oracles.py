@@ -13,7 +13,7 @@ from itertools import combinations, permutations, product
 
 from looselab import ColoredMultigraph, Hypergraph3, LooseCycle, \
     exact_matching
-from looselab.hypergraph import _write_int_lines
+from looselab.hypergraph import _write_rows
 from looselab.sampling import TripleSystem
 
 
@@ -145,4 +145,4 @@ def is_equitable(g: ColoredMultigraph, r: int) -> bool:
 def write_loose_cycle(cycle: LooseCycle, f) -> None:
     """Write a loose cycle as the two-line claim (links, middles) that
     ``read_loose_cycle_claim`` reads."""
-    _write_int_lines(cycle.links, cycle.middles, f)
+    _write_rows(f, (cycle.links, cycle.middles))

@@ -251,11 +251,12 @@ UNWRITABLE_OUT_RUNS = [
     (["sweep", "--n", "8", "--c", "2", "--trials", "5"], "run_sweep"),
     (["probe", "isolated", "--n", "8", "--trials", "5"], "isolated_experiment"),
     (["probe", "contiguity", "--m2", "4", "--trials", "5"], "contiguity_probe"),
+    (["sample", "--model", "h3", "--n", "8", "--c", "2"], "sample_h3"),
 ]
 
 
 @pytest.mark.parametrize("argv,experiment", UNWRITABLE_OUT_RUNS,
-                         ids=["sweep", "isolated", "contiguity"])
+                         ids=["sweep", "isolated", "contiguity", "sample"])
 def test_unwritable_out_refused_before_any_trial(argv, experiment, tmp_path,
                                                  monkeypatch, capsys):
     called = []
@@ -271,12 +272,12 @@ def test_unwritable_out_refused_before_any_trial(argv, experiment, tmp_path,
 
 
 @pytest.mark.parametrize("argv,experiment", UNWRITABLE_OUT_RUNS,
-                         ids=["sweep", "isolated", "contiguity"])
+                         ids=["sweep", "isolated", "contiguity", "sample"])
 def test_directory_out_refused_before_any_trial(argv, experiment, tmp_path,
                                                 monkeypatch, capsys):
     monkeypatch.setattr(f"looselab.cli.{experiment}",
                         lambda *a, **k: pytest.fail(f"{experiment} ran"))
-    # sweep writes <out>.csv and <out>.json, the probes write <out>
+    # sweep writes <out>.csv and <out>.json, the others write <out>
     for name in ("x", "x.csv", "x.json"):
         (tmp_path / name).mkdir()
     assert run(*argv, "--out", str(tmp_path / "x")) == 2

@@ -13,10 +13,11 @@ from looselab import (
 from looselab import pipeline
 from looselab.colored import RainbowCycleCert
 from looselab.hypergraph import BudgetExhausted
+from looselab.lab import probability_from_c
 from looselab.sampling import TripleSystem, derived_rng
-from looselab.solvers import exact_matching
+from looselab.solvers import exact_matching, exact_rainbow_hamilton
 
-from oracles import is_equitable
+from oracles import is_equitable, rainbow_hamilton_exists_naive
 
 
 def smallest_systems():
@@ -109,6 +110,24 @@ class TestRunPipeline:
                     assert exact_loose_hamilton(rep.hypergraph) is not None
         assert successes[8] == 100
         assert successes[16] >= 1
+
+    def test_r2_rainbow_answers_match_enumeration(self):
+        # at r=2 and threshold-scale p most G* that reach the rainbow stage
+        # have no rainbow Hamilton cycle; each ABSENT is checked here
+        # against enumeration on the pipeline's own derived graphs
+        reached = absent = 0
+        for n, seeds in ((16, range(60)), (20, range(6))):
+            for seed in seeds:
+                rep = run_pipeline(n, probability_from_c(n, 64), 2,
+                                   seed=seed, keep_instance=True)
+                if rep.gstar is None:
+                    continue
+                found = exact_rainbow_hamilton(rep.gstar) is not None
+                assert found == rainbow_hamilton_exists_naive(rep.gstar), \
+                    (n, seed)
+                reached += 1
+                absent += not found
+        assert reached == 60 and absent == 38
 
     def test_deterministic_report(self):
         a = run_pipeline(16, 0.9, 4, seed=11).to_dict()

@@ -1,16 +1,18 @@
 """Property tests: every text format round-trips through a path and through
-a stream, and every verifier rejects single-edit corruptions of a valid
-certificate."""
+a stream and names the line of a non-integer field, and every verifier
+rejects single-edit corruptions of a valid certificate."""
 
 import io
 import tempfile
 from itertools import combinations
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from looselab import (
     ColoredMultigraph,
+    FormatError,
     Hypergraph3,
     LooseCycle,
     read_colored,
@@ -117,6 +119,18 @@ class TestRoundTrips:
         cert = RainbowCycleCert(order, colors)
         assert round_trip(write_rainbow_cert, read_rainbow_claim,
                           cert) == (cert, cert)
+
+
+@pytest.mark.parametrize("read,text", [
+    (read_hypergraph, "4 1\n\n1 2 x\n"),
+    (read_colored, "4 1\n\n1 2 x\n"),
+    (read_loose_cycle_claim, "1 2\n\n3 x\n"),
+    (read_rainbow_claim, "1 2\n\n3 x\n"),
+], ids=["hypergraph", "colored", "loose", "rainbow"])
+def test_non_integer_field_names_its_line(read, text):
+    # blank lines count towards the line number
+    with pytest.raises(FormatError, match="^line 3: fields must be integers$"):
+        read(io.StringIO(text))
 
 
 def spots(data, length, label):
