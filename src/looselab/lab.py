@@ -156,14 +156,19 @@ def atomic_output(path):
 
     On entry a directory at ``path`` is refused and the temporary file is
     created beside ``path``, so a destination that cannot be written
-    fails before the block does any work; a block that raises leaves
-    ``path`` untouched and no temporary file behind.  The file gets the mode ``open`` would give it, 0o666
-    less the umask, not the 0o600 of ``mkstemp``.
+    fails, naming ``path``, before the block does any work; a block that
+    raises leaves ``path`` untouched and no temporary file behind.  The
+    file gets the mode ``open`` would give it, 0o666 less the umask, not
+    the 0o600 of ``mkstemp``.
     """
     path = os.fspath(path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                   suffix=".tmp")
+    except OSError as exc:  # name the path given, not the temporary file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         umask = os.umask(0)
         os.umask(umask)

@@ -7,7 +7,9 @@ how they are scheduled across workers.
 
 Sparse models are sampled by geometric skipping over a ranked universe
 (triples in lexicographic order) instead of one Bernoulli coin per slot,
-which keeps cost proportional to the number of edges drawn.
+which keeps cost proportional to the number of edges drawn.  The coupled
+sampler merges its sources as int64 keys, one per triple, sorted and
+deduplicated in numpy.
 """
 
 from __future__ import annotations
@@ -231,9 +233,8 @@ def sample_gamma(slots: Sequence[Slot], p1: float,
     ns = len(slots)
     pos = _included_positions(gen, math.comb(2 * ns, 2) * ns, p1)
     u, v = unrank_pairs(2 * ns, pos // ns)
-    return TripleSystem(slots, frozenset(
-        ((uu, vv), slots[ss])
-        for uu, vv, ss in zip(u.tolist(), v.tolist(), (pos % ns).tolist())))
+    return TripleSystem(slots, frozenset(zip(
+        zip(u.tolist(), v.tolist()), [slots[k] for k in (pos % ns).tolist()])))
 
 
 # ---------------------------------------------------------------------------
@@ -265,29 +266,32 @@ def sample_coupled(n: int, p: float, r: int, gen: np.random.Generator
     params = split_probability(p, r)
     m = n // 4
     two_m = 2 * m
+    # triple a < b < c is the key (a*base + b)*base + c, so keys sort as
+    # triples do
+    base = n + 1
 
     systems = tuple(sample_gamma(blk, params.p1, gen)
                     for blk in sample_copyset_partition(m, r, gen))
-
-    edges: set[tuple[int, int, int]] = set()
-    for ts in systems:
-        for (x1, x2), (y, _copy) in ts.present:
-            edges.add((x1, x2, y))
+    keys = [np.array([(x1 * base + x2) * base + y for ts in systems
+                      for (x1, x2), (y, _copy) in ts.present], dtype=np.int64)]
 
     # top-up coins over base triples, ranked pair-major then by color
     pos = _included_positions(gen, math.comb(two_m, 2) * two_m, params.q)
     u, v = unrank_pairs(two_m, pos // two_m)
-    for uu, vv, yy in zip(u.tolist(), v.tolist(), (pos % two_m).tolist()):
-        edges.add((uu, vv, two_m + 1 + yy))
+    keys.append((u * base + v) * base + two_m + 1 + pos % two_m)
 
-    # remaining shapes come straight from the full sampler at rate p
-    backdrop = sample_h3(n, p, gen)
-    for a, b, c in backdrop.edge_list:
-        if not (b <= two_m < c):
-            edges.add((a, b, c))
+    # every other shape at rate p: all of C(n,3) drawn as sample_h3 does,
+    # less the coupled shape x < x' <= 2m < y
+    pos = _included_positions(gen, math.comb(n, 3), p)
+    a, b, c = unrank_triples(n, pos)
+    keys.append(((a * base + b) * base + c)[~((b <= two_m) & (two_m < c))])
 
-    h = Hypergraph3._from_sorted(n, sorted(edges))
-    return h, systems
+    keys = np.sort(np.concatenate([[-1], *keys]))  # -1 sorts below every key
+    keys = keys[1:][keys[1:] != keys[:-1]]
+    ab, c = np.divmod(keys, base)
+    a, b = np.divmod(ab, base)
+    edges = list(zip(a.tolist(), b.tolist(), c.tolist()))
+    return Hypergraph3._from_sorted(n, edges), systems
 
 
 # ---------------------------------------------------------------------------

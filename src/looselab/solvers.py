@@ -11,7 +11,9 @@ Neither has a size cap: the matching engine runs to a decision on any
 input, and the rainbow engine spends at most a node budget and raises
 ``BudgetExhausted`` when the search is undecided.  Both recurse with
 their search state as int bit masks passed by value, so a failed branch
-has nothing to undo; only the partial witness is a list.
+has nothing to undo; only the partial witness is a list.  The rainbow
+engine's prunes never reorder its branches, so a prune can only lower
+the node count, and the first certificate stays as it was.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .sampling import Slot, TripleSystem
 MatchTriple = tuple[tuple[int, int], Slot]
 
 # Search nodes exact_rainbow_hamilton may expand before giving up: about
-# 20x the most any of 1000 seeded pipeline graphs at n=40 needed (~52k).
+# 46x the most any of 1000 seeded pipeline graphs at n=40, p=0.9 needed
+# (21,569, at seed 316).
 DEFAULT_RAINBOW_BUDGET = 1_000_000
 
 
@@ -143,8 +146,11 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *,
     direction canonicalized (second vertex below the last).  Prunes on
     used colors, on unvisited vertices left with fewer than two usable
     distinct colors (or, above 2 vertices, fewer than two usable
-    neighbors), and on usable-edge connectivity of the region still to be
-    traversed.  Visited vertices and used colors are masks (bit v, bit c).
+    neighbors), on usable-edge connectivity of the region still to be
+    traversed, and, when the graph has exactly nv colors off its loops,
+    on color coverage: a rainbow Hamilton cycle then uses every color,
+    so each unused one must lie on a usable edge at an unvisited vertex.
+    Visited vertices and used colors are masks (bit v, bit c).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -154,8 +160,11 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *,
     adj = g.adjacency
     if any(not adj[v] for v in adj):
         return None
-    if len({e.color for e in g.edges if e.u != e.v}) < nv:
+    palette = {e.color for e in g.edges if e.u != e.v}
+    if len(palette) < nv:
         return None
+    # the colors the coverage prune checks: none unless there are exactly nv
+    must_cover = sum(1 << c for c in palette) if len(palette) == nv else 0
     # v -> ascending (w, bit of w, color mask of vw, colors of vw)
     nbrs = {v: tuple((w, 1 << w, sum(1 << c for c in cs), cs)
                      for w, cs in adj[v].items()) for v in adj}
@@ -166,6 +175,7 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *,
 
     def viable(u: int, visited: int, used: int) -> bool:
         allowed = (everyone & ~visited) | 1 << u | start_bit
+        reach = 0
         for w in range(1, nv + 1):
             if visited >> w & 1:
                 continue
@@ -176,6 +186,10 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *,
                     free |= cmask & ~used
             if free & (free - 1) == 0 or (nv > 2 and usable_neighbors < 2):
                 return False
+            reach |= free
+        # every edge left to traverse meets an unvisited vertex
+        if must_cover & ~used & ~reach:
+            return False
         # the rest of the cycle must connect u to start through the
         # unvisited region using edges with unused colors
         frontier = [u]

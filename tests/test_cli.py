@@ -268,7 +268,11 @@ def test_unwritable_out_refused_before_any_trial(argv, experiment, tmp_path,
     monkeypatch.setattr(f"looselab.cli.{experiment}", never)
     assert run(*argv, "--out", str(tmp_path / "missing" / "x")) == 2
     assert not called
-    assert "No such file or directory" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "No such file or directory" in err
+    # the message names the path given, not the temporary file beside it
+    assert str(tmp_path / "missing" / "x") in err
+    assert ".tmp" not in err.replace(str(tmp_path), "")
 
 
 @pytest.mark.parametrize("argv,experiment", UNWRITABLE_OUT_RUNS,

@@ -1,4 +1,4 @@
-"""The exact engines' outputs on fixed seeded inputs, pinned.
+"""The samplers' and exact engines' outputs on fixed seeded inputs, pinned.
 
 Each engine's first witness and node count follow from its branch order
 alone, so a rewrite that keeps the order reproduces every value here and
@@ -7,6 +7,9 @@ s's coupled triple systems (r=4), each searched with the trial's
 generator as ``run_pipeline`` does and again without one, and the derived
 graph G* their generator-drawn matchings build.  Matchings are pinned by a
 digest of their repr; node counts and rainbow certificates literally.
+The samplers that feed them are pinned first, by a digest of each draw
+and of the generator's next value, so a rewrite must make the same
+generator calls and return the same objects.
 """
 
 import hashlib
@@ -16,7 +19,56 @@ import pytest
 from looselab import BudgetExhausted, build_gstar, exact_matching, \
     exact_rainbow_hamilton
 from looselab.lab import probability_from_c
-from looselab.sampling import derived_rng, sample_coupled
+from looselab.sampling import derived_rng, sample_coupled, sample_gamma
+
+
+def sha(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+# (n, "p" or "c", value) at r=4 -> digests of seeds 0, 1, 2
+COUPLED_PINS = {
+    (8, "p", 1.0): ["ff0672d4c5603d97", "57d6e92ca9fb827e", "730f4b1cce06bb98"],
+    (12, "p", 0.0): ["0956507a76e71e3a", "ef47775bc4ebf27e", "0861ce234ae6faf0"],
+    (16, "c", 64): ["f3211d0dcf097ad1", "fa50b05634cda6d5", "203c520b15a19d03"],
+    (28, "p", 0.9): ["56171e27d76695ba", "a929becdb3a55c2e", "4bcbefbe1df8b54c"],
+    (40, "c", 32): ["13985cdccbec12e8", "54e21fe69b9e48c3", "122c36b7138bde81"],
+    (64, "c", 128): ["7723828a55b83ffc", "e963c919a8359c5b", "d387ef3dac8a1bca"],
+}
+
+# (slots, p1) -> digests of seeds 0, 1, 2
+GAMMA_PINS = {
+    (("a", "b", "c"), 0.4): ["0d6cf061fe991313", "3a0da67a310a0272",
+                             "7cce492c8827bdc5"],
+    ((9, 10, 11, 12), 0.25): ["5c7768e39232e559", "1fc79ce669ca7776",
+                              "5e3616c071e5972f"],
+    ((7, 8, 9), 1.0): ["daa001706799504e", "fcec58fd75a9a632",
+                       "def4be02da48f64e"],
+}
+
+
+@pytest.mark.parametrize("n, kind, value", sorted(COUPLED_PINS))
+def test_coupled_samples_pinned(n, kind, value):
+    p = value if kind == "p" else probability_from_c(n, value)
+    digests = []
+    for seed in range(3):
+        gen = derived_rng(seed)
+        h, systems = sample_coupled(n, p, 4, gen)
+        digests.append(sha((h.n, h.edge_list,
+                            [(ts.slots, sorted(ts.present)) for ts in systems],
+                            int(gen.integers(1 << 62)))))
+    assert digests == COUPLED_PINS[n, kind, value]
+
+
+@pytest.mark.parametrize("slots, p1", sorted(GAMMA_PINS, key=repr))
+def test_gamma_samples_pinned(slots, p1):
+    digests = []
+    for seed in range(3):
+        gen = derived_rng(seed)
+        ts = sample_gamma(slots, p1, gen)
+        digests.append(sha((ts.slots, sorted(ts.present),
+                            int(gen.integers(1 << 62)))))
+    assert digests == GAMMA_PINS[slots, p1]
 
 
 def search_systems(n, p, seed):
@@ -38,7 +90,7 @@ def digest(searches) -> str:
                  [((int(a), int(b)), (int(y), int(i)))
                   for (a, b), (y, i) in pm]
                  for pm, _ in searches]
-    return hashlib.sha256(repr(witnesses).encode()).hexdigest()[:16]
+    return sha(witnesses)
 
 
 # (n, seed) at p=0.9: (nodes with gen, nodes without, digest with gen, digest
@@ -49,19 +101,19 @@ GSTAR_PINS = {
         "fe5482bffe76187d", "e9aec6f0869c24c6",
         (1, 2, 3, 6, 12, 14, 9, 4, 7, 13, 11, 10, 5, 8),
         (15, 28, 20, 18, 19, 24, 22, 25, 26, 23, 17, 21, 27, 16),
-        726),
+        189),
     (28, 1): (
         [8, 10, 8, 8, 9, 8, 8, 8], [10, 8, 13, 8, 8, 11, 8, 8],
         "92ca57e7aa71e4c2", "b62b18aee32fb70c",
         (1, 6, 2, 8, 14, 10, 9, 12, 3, 13, 5, 4, 11, 7),
         (21, 18, 23, 25, 17, 26, 24, 22, 19, 16, 20, 28, 15, 27),
-        735),
+        481),
     (28, 2): (
         [8, 8, 8, 8, 8, 8, 8, 9], [8, 8, 8, 8, 14, 8, 8, 14],
         "941a05ba2019bd7a", "f7ff2d9a1c453f57",
         (1, 2, 3, 9, 8, 6, 7, 10, 4, 5, 13, 12, 11, 14),
         (23, 17, 16, 28, 26, 22, 25, 20, 19, 24, 27, 15, 21, 18),
-        299),
+        203),
     (40, 0): (
         [11, 11, 12, 12, 11, 12, 12, 12], [12, 11, 11, 13, 12, 11, 11, 12],
         "25bf4a36dd4ec433", "d167d2368dc5e105",
@@ -69,7 +121,7 @@ GSTAR_PINS = {
          8, 20, 19, 13, 2, 11, 10, 17, 14, 18),
         (34, 22, 29, 30, 23, 31, 21, 32, 36, 26,
          33, 37, 24, 39, 35, 28, 38, 27, 25, 40),
-        1298),
+        715),
     (40, 1): (
         [11, 11, 11, 12, 11, 11, 11, 11], [11, 16, 11, 11, 12, 11, 13, 11],
         "04223d50cb9430e6", "85bf89bccb93a9ac",
@@ -77,7 +129,7 @@ GSTAR_PINS = {
          11, 7, 6, 16, 9, 18, 8, 19, 14, 17),
         (27, 29, 37, 22, 33, 36, 28, 21, 39, 25,
          34, 30, 35, 32, 23, 40, 38, 31, 24, 26),
-        2245),
+        352),
 }
 
 # (n, c, seed), where matchings backtrack: (nodes with gen, nodes without,

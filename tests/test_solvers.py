@@ -127,8 +127,10 @@ def rainbow_square_with_clutter():
     return ColoredMultigraph(4, (5, 6, 7, 8), edges)
 
 
-def random_colored(rng, nv=4, max_edges=8, palette=(5, 6, 7, 8)):
+def random_colored(rng, nv=4, max_edges=8, palette=(5, 6, 7, 8), loops=False):
     pairs = list(combinations(range(1, nv + 1), 2))
+    if loops:
+        pairs += [(v, v) for v in range(1, nv + 1)]
     k = int(rng.integers(0, max_edges + 1))
     edges = []
     for _ in range(k):
@@ -158,11 +160,30 @@ class TestExactRainbow:
         assert verify_rainbow_hamilton(g, cert)
 
     def test_matches_naive_oracle(self):
-        rng = derived_rng(5)
-        for _ in range(200):
-            g = random_colored(rng)
-            assert (exact_rainbow_hamilton(g) is not None) == \
-                rainbow_hamilton_exists_naive(g), g.edges
+        # on 6 vertices the color-coverage prune is on when exactly 6
+        # colors lie off the loops, which no cycle uses; a palette of 7
+        # also draws graphs with 7 such colors, where it stays off
+        for nv, max_edges, palette, loops in (
+                (4, 8, (5, 6, 7, 8), False),
+                (6, 30, tuple(range(7, 13)), True),
+                (6, 30, tuple(range(7, 14)), True)):
+            rng = derived_rng(5)
+            found = 0
+            for _ in range(200):
+                g = random_colored(rng, nv, max_edges, palette, loops)
+                exists = rainbow_hamilton_exists_naive(g)
+                assert (exact_rainbow_hamilton(g) is not None) == exists, g.edges
+                found += exists
+            assert 0 < found < 200
+
+    def test_spare_color_may_stay_unused(self):
+        # the 5-ring is the only Hamilton cycle and leaves the chord's
+        # color unused, so the coverage prune must not fire on 6 colors
+        edges = [ColoredEdge(i, i % 5 + 1, 5 + i) for i in range(1, 6)]
+        g = ColoredMultigraph(5, range(6, 12), edges + [ColoredEdge(1, 3, 11)])
+        cert = exact_rainbow_hamilton(g)
+        assert cert is not None and 11 not in cert.colors
+        assert verify_rainbow_hamilton(g, cert)
 
     def test_no_size_cap(self):
         # 24 vertices are searched, not refused: a rainbow 24-cycle is
