@@ -12,6 +12,7 @@ parses them, naming the line of a bad field, and ``_write_rows`` writes them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -46,13 +47,13 @@ def triple(a: int, b: int, c: int) -> Triple:
 class Hypergraph3:
     """Immutable 3-uniform hypergraph on vertices 1..n.
 
-    Edges are kept both as a sorted tuple (``edge_list``, giving each edge
-    a stable id) and as a frozenset (``edges``) for membership tests.
-    Duplicate triples are rejected rather than silently merged, so sampler
-    bugs surface instead of disappearing.
+    Edges are one strictly ascending tuple of sorted triples (``edge_list``,
+    giving each edge a stable id); ``e in h`` binary-searches it.  The
+    constructor rejects duplicate triples; samplers bypass it through
+    ``_from_sorted``, checked by ``test_sampling.py::TestSortedEdgeList``.
     """
 
-    __slots__ = ("n", "edge_list", "edges")
+    __slots__ = ("n", "edge_list")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         n = int(n)
@@ -66,7 +67,6 @@ class Hypergraph3:
             raise ValueError("edge vertex outside 1..n")
         self.n = n
         self.edge_list: tuple[Triple, ...] = tuple(canon)
-        self.edges: frozenset[Triple] = frozenset(canon)
 
     @classmethod
     def _from_sorted(cls, n: int, edge_list: Sequence[Triple]) -> "Hypergraph3":
@@ -75,11 +75,12 @@ class Hypergraph3:
         self = cls.__new__(cls)
         self.n = n
         self.edge_list = tuple(edge_list)
-        self.edges = frozenset(self.edge_list)
         return self
 
     def __contains__(self, e) -> bool:
-        return tuple(e) in self.edges
+        e = tuple(e)
+        i = bisect_left(self.edge_list, e)
+        return i < len(self.edge_list) and self.edge_list[i] == e
 
     def __eq__(self, other) -> bool:
         return (
@@ -167,7 +168,7 @@ def verify_loose_hamilton(h: Hypergraph3, cycle: LooseCycle) -> Verdict:
     if set(links) | set(middles) != set(range(1, h.n + 1)):
         return Verdict(False, f"links and middles do not cover 1..{h.n}")
     for i, t in enumerate(cycle.windows(), 1):
-        if t not in h.edges:
+        if t not in h:
             return Verdict(False, "missing edge", index=i)
     return Verdict(True)
 
@@ -226,7 +227,6 @@ def exact_loose_hamilton(h: Hypergraph3, *,
 
     bit = [0] + [1 << (v - 1) for v in range(1, n + 1)]
     full = (1 << n) - 1
-    edges = h.edges
 
     def dfs(u: int, used: int, links: list[int], mids: list[int],
             v0: int) -> Optional[LooseCycle]:
@@ -234,7 +234,7 @@ def exact_loose_hamilton(h: Hypergraph3, *,
             rest = full & ~used
             y = rest.bit_length()  # the single remaining vertex
             a, b, c = sorted((u, y, v0))
-            if (a, b, c) in edges:
+            if (a, b, c) in h:
                 return LooseCycle(tuple(links), tuple(mids) + (y,))
             return None
         for y, w in cand[u]:

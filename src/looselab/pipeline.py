@@ -116,16 +116,14 @@ def _run_pipeline_stream(n: int, p: float, r: int, gen, *,
 
     t0 = time.perf_counter()
     matchings: list[tuple[MatchTriple, ...]] = []
-    match_steps = 0
+    stats: dict = {}
     for ts in systems:
-        stats: dict = {}
         pm = exact_matching(ts, gen=gen, stats=stats)
-        match_steps += stats.get("nodes", 0)
         if pm is None:
             break
         matchings.append(pm)
     rep.stage_seconds["matching"] = time.perf_counter() - t0
-    rep.stage_steps["matching"] = match_steps
+    rep.stage_steps["matching"] = stats.get("nodes", 0)
     rep.matchings_found = len(matchings)
     if len(matchings) < len(systems):
         rep.failed_stage = "matching"

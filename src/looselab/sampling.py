@@ -226,8 +226,6 @@ def sample_gamma(slots: Sequence[Slot], p1: float,
     """Triple system over X = 1..2m and the m ``slots``, with each of the
     C(2m,2)*m triples kept with probability p1."""
     slots = tuple(slots)
-    if not slots:
-        raise ValueError("need at least one slot")
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"p1 must lie in [0, 1], got {p1}")
     ns = len(slots)

@@ -21,11 +21,12 @@ def loose_hamilton_exists_naive(h: Hypergraph3) -> bool:
     """Scan every permutation of 1..n read as (x1, y1, x2, y2, ...)."""
     n = h.n
     s = n // 2
+    edges = set(h.edge_list)
     for perm in permutations(range(1, n + 1)):
         links = perm[0::2]
         mids = perm[1::2]
         if all(
-            tuple(sorted((links[i], mids[i], links[(i + 1) % s]))) in h.edges
+            tuple(sorted((links[i], mids[i], links[(i + 1) % s]))) in edges
             for i in range(s)
         ):
             return True

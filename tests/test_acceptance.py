@@ -108,8 +108,8 @@ def test_criterion_3_coupling_exactness():
     hits_coupled = hits_other = hits_a = hits_b = hits_joint = 0
     for _ in range(trials):
         h, systems = sample_coupled(n, p, r, gen)
-        hits_coupled += coupled_triple in h.edges
-        hits_other += other_triple in h.edges
+        hits_coupled += coupled_triple in h
+        hits_other += other_triple in h
         a = any(copy_a in ts.present for ts in systems)
         b = any(copy_b in ts.present for ts in systems)
         hits_a += a

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from looselab import (
     LooseCycle,
     exact_loose_hamilton,
     read_hypergraph,
+    sample_coupled,
     sample_h3,
     verify_loose_hamilton,
     write_hypergraph,
@@ -43,6 +45,43 @@ class TestHypergraph3:
         h = Hypergraph3(5, [(1, 2, 3)])
         assert (1, 2, 3) in h
         assert (1, 2, 4) not in h
+        assert (3, 2, 1) not in h
+
+
+class TestMembership:
+    """``t in h`` answers as a set of the edge list would, for every int
+    tuple of length 2 to 4 over 0..n+1, in any order."""
+
+    @staticmethod
+    def check(h):
+        edges = set(h.edge_list)
+        for k in (2, 3, 4):
+            for t in product(range(h.n + 2), repeat=k):
+                assert (t in h) == (t in edges), t
+
+    def test_constructed(self):
+        rng = derived_rng(5)
+        for h in (Hypergraph3(6), complete_hypergraph(6),
+                  *(random_hypergraph_instance(rng, 6, 12) for _ in range(5))):
+            self.check(h)
+
+    def test_read(self, tmp_path):
+        rng = derived_rng(6)
+        for i in range(5):
+            path = tmp_path / f"h{i}.txt"
+            write_hypergraph(random_hypergraph_instance(rng, 6, 12), path)
+            self.check(read_hypergraph(path))
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_sample_h3(self, p):
+        for seed in range(3):
+            self.check(sample_h3(6, p, derived_rng(seed)))
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_sample_coupled(self, p):
+        # n = 8 is the smallest size the coupled sampler accepts
+        for seed in range(3):
+            self.check(sample_coupled(8, p, 2, derived_rng(seed))[0])
 
 
 class TestLooseCycle:
@@ -104,8 +143,9 @@ class TestVerify:
             links, mids = tuple(perm[0::2].tolist()), tuple(perm[1::2].tolist())
             verdict = verify_loose_hamilton(h, LooseCycle(links, mids))
             s = 3
+            edges = set(h.edge_list)
             naive = all(
-                tuple(sorted((links[i], mids[i], links[(i + 1) % s]))) in h.edges
+                tuple(sorted((links[i], mids[i], links[(i + 1) % s]))) in edges
                 for i in range(s)
             )
             assert bool(verdict) == naive
@@ -152,7 +192,7 @@ class TestExactSearch:
             h1 = random_hypergraph_instance(rng, 6, 8)
             extra = [pool[i] for i in
                      rng.choice(len(pool), size=4, replace=False).tolist()
-                     if pool[i] not in h1.edges]
+                     if pool[i] not in h1]
             h2 = Hypergraph3(6, list(h1.edge_list) + extra)
             if exact_loose_hamilton(h1) is not None:
                 assert exact_loose_hamilton(h2) is not None

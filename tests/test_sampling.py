@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from looselab import (
+    Hypergraph3,
+    probability_from_c,
     sample_copyset_partition,
     sample_coupled,
     sample_gamma,
@@ -128,7 +130,7 @@ class TestSampleH3:
     def test_fixed_triple_marginal(self):
         n, p, trials = 12, 0.05, 100_000
         gen = derived_rng(314)
-        hits = sum((2, 5, 9) in sample_h3(n, p, gen).edges
+        hits = sum((2, 5, 9) in sample_h3(n, p, gen)
                    for _ in range(trials))
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(hits / trials - p) <= 3 * sigma
@@ -167,8 +169,11 @@ class TestSampleGamma:
         assert ts.present == frozenset()
 
     def test_requires_a_slot(self):
+        gen = derived_rng(0)
         with pytest.raises(ValueError, match="need at least one slot"):
-            sample_gamma((), 0.5, derived_rng(0))
+            sample_gamma((), 0.5, gen)
+        # refused before any draw: the stream is where a fresh one starts
+        assert gen.integers(1 << 62) == derived_rng(0).integers(1 << 62)
 
     def test_fixed_triple_marginal(self):
         p1, trials = 0.1, 100_000
@@ -205,7 +210,7 @@ class TestSampleCoupled:
             h, systems = sample_coupled(16, 0.4, 4, gen)
             for ts in systems:
                 for (x1, x2), (y, _i) in ts.present:
-                    assert (x1, x2, y) in h.edges
+                    assert (x1, x2, y) in h
 
     def test_marginals_both_shapes(self):
         n, r, p, trials = 16, 4, 0.2, 20_000
@@ -213,8 +218,8 @@ class TestSampleCoupled:
         coupled_hits = other_hits = 0
         for _ in range(trials):
             h, _systems = sample_coupled(n, p, r, gen)
-            coupled_hits += (1, 2, 9) in h.edges
-            other_hits += (2, 3, 4) in h.edges
+            coupled_hits += (1, 2, 9) in h
+            other_hits += (2, 3, 4) in h
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(coupled_hits / trials - p) <= 3 * sigma
         assert abs(other_hits / trials - p) <= 3 * sigma
@@ -225,6 +230,35 @@ class TestSampleCoupled:
         assert a[0] == b[0]
         assert all(x.slots == y.slots and x.present == y.present
                    for x, y in zip(a[1], b[1]))
+
+
+class TestSortedEdgeList:
+    """The samplers build their hypergraphs through the trusted
+    ``Hypergraph3._from_sorted``; membership is a binary search, so each
+    edge list must be what the checking constructor makes of it: sorted
+    triples, strictly ascending, inside 1..n."""
+
+    CASES = pytest.mark.parametrize("n, p", [
+        pytest.param(8, 0.0, id="n8-p0"),
+        pytest.param(8, 1.0, id="n8-p1"),
+        pytest.param(16, probability_from_c(16, 4), id="n16-c4"),
+        pytest.param(16, probability_from_c(16, 64), id="n16-c64"),
+        pytest.param(28, 0.9, id="n28-p0.9"),
+        pytest.param(40, probability_from_c(40, 32), id="n40-c32"),
+        pytest.param(64, probability_from_c(64, 128), id="n64-c128"),
+    ])
+
+    @CASES
+    @pytest.mark.parametrize("seed", range(3))
+    def test_h3(self, n, p, seed):
+        h = sample_h3(n, p, derived_rng(seed))
+        assert Hypergraph3(h.n, h.edge_list) == h
+
+    @CASES
+    @pytest.mark.parametrize("seed", range(3))
+    def test_coupled(self, n, p, seed):
+        h, _systems = sample_coupled(n, p, 4, derived_rng(seed))
+        assert Hypergraph3(h.n, h.edge_list) == h
 
 
 class TestUnionMatchings:
