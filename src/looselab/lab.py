@@ -261,6 +261,8 @@ def isolated_experiment(n: int, c_values: Sequence[float], trials: int,
     the empirical standard error; a zero-variance sample scores 0 when the
     gap is zero and +/-inf otherwise.
     """
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     # every c is checked before the first trial

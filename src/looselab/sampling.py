@@ -14,6 +14,7 @@ deduplicated in numpy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
@@ -104,46 +105,32 @@ def _included_positions(gen: np.random.Generator, count: int, prob: float) -> np
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-_PAIR_CUM: dict[int, np.ndarray] = {}
-_TRIPLE_CUM: dict[int, np.ndarray] = {}
-
-
-def _pair_cum(m: int) -> np.ndarray:
-    tab = _PAIR_CUM.get(m)
-    if tab is None:
-        tab = np.cumsum(np.arange(m - 1, 0, -1, dtype=np.int64))
-        _PAIR_CUM[m] = tab
-    return tab
+@functools.cache
+def _offsets(n: int, k: int) -> np.ndarray:
+    """Entry a - 1 counts the k-subsets of 1..n led by an element below a."""
+    return np.cumsum([0] + [math.comb(n - a, k - 1) for a in range(1, n - k + 1)],
+                     dtype=np.int64)
 
 
 def unrank_pairs(m: int, ranks) -> tuple[np.ndarray, np.ndarray]:
     """Lexicographic rank -> pair (u, v), 1 <= u < v <= m."""
     ranks = np.asarray(ranks, dtype=np.int64)
-    cum = _pair_cum(m)
-    ui = np.searchsorted(cum, ranks, side="right")
-    base = np.where(ui > 0, cum[np.maximum(ui - 1, 0)], 0)
-    u = ui + 1
-    v = u + 1 + (ranks - base)
-    return u.astype(np.int64), v.astype(np.int64)
+    off = _offsets(m, 2)
+    u = np.searchsorted(off, ranks, side="right")
+    return u, u + 1 + ranks - off[u - 1]
 
 
 def unrank_triples(n: int, ranks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lexicographic rank -> triple (a, b, c), 1 <= a < b < c <= n."""
     ranks = np.asarray(ranks, dtype=np.int64)
-    tab = _TRIPLE_CUM.get(n)
-    if tab is None:
-        firsts = np.array([math.comb(n - a, 2) for a in range(1, n - 1)],
-                          dtype=np.int64)
-        tab = np.cumsum(firsts)
-        _TRIPLE_CUM[n] = tab
-    ai = np.searchsorted(tab, ranks, side="right")
-    base = np.where(ai > 0, tab[np.maximum(ai - 1, 0)], 0)
+    off = _offsets(n, 3)
+    a = np.searchsorted(off, ranks, side="right")
     # (b, c) is a pair of the last k elements of 1..n-1, shifted up by
     # one; those pairs are the last C(k, 2) in lexicographic order
-    k = n - 1 - ai
+    k = n - a
     b, c = unrank_pairs(n - 1, math.comb(n - 1, 2) - k * (k - 1) // 2
-                        + (ranks - base))
-    return (ai + 1).astype(np.int64), b + 1, c + 1
+                        + (ranks - off[a - 1]))
+    return a, b + 1, c + 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ Neither has a size cap: the matching engine runs to a decision on any
 input, and the rainbow engine spends at most a node budget and raises
 ``BudgetExhausted`` when the search is undecided.  Both recurse with
 their search state as int bit masks passed by value, so a failed branch
-has nothing to undo; only the partial witness is a list.  The rainbow
-engine's prunes never reorder its branches, so a prune can only lower
-the node count, and the first certificate stays as it was.
+has nothing to undo; only the partial witness is a list, and a matching
+row carries the triple it adds.  The rainbow engine's prunes never
+reorder its branches, so a prune only lowers the node count and keeps
+the first certificate.
 """
 
 from __future__ import annotations
@@ -70,9 +71,10 @@ def exact_matching(ts: TripleSystem, *, gen=None, stats: Optional[dict] = None
     pair, iff one exists, for any m: there is no size cap and no node
     budget.  ``stats["nodes"]`` accumulates the search nodes expanded.
 
-    A node receives the live rows, in that order, each with its column
-    mask, and the mask of open columns; a chosen row passes down the live
-    rows disjoint from it.
+    A row is its three columns in that order, their mask and its triple;
+    rows differ in their columns, so sorting never compares triples.  A
+    node receives the live rows, sorted, and the mask of open columns; a
+    chosen row passes down the live rows disjoint from it.
 
     Without ``gen``, X-vertex x is column x - 1 and slot j column 2m + j.
     A fixed numbering would hand every saturated system the same witness
@@ -86,17 +88,16 @@ def exact_matching(ts: TripleSystem, *, gen=None, stats: Optional[dict] = None
     sperm = range(m) if gen is None else gen.permutation(m).tolist()
     xcol = [None, *xperm]  # X starts at 1
     scol = {s: two_m + c for s, c in zip(ts.slots, sperm)}
-    triple_at = {}
+    rows = []
     for t in ts.present:
         (x1, x2), slot = t
-        a, b = xcol[x1], xcol[x2]
-        triple_at[min(a, b), max(a, b), scol[slot]] = t
-    if not triple_at:
-        return None
+        a, b, s = xcol[x1], xcol[x2], scol[slot]
+        if a > b:
+            a, b = b, a
+        rows.append((a, b, s, 1 << a | 1 << b | 1 << s, t))
+    rows.sort()
     ncols = two_m + m
-    rows = [((a, b, s), 1 << a | 1 << b | 1 << s)
-            for a, b, s in sorted(triple_at)]
-    chosen: list[tuple[int, int, int]] = []
+    chosen: list[MatchTriple] = []
 
     def solve(live: list, open_cols: int) -> bool:
         if stats is not None:
@@ -104,25 +105,25 @@ def exact_matching(ts: TripleSystem, *, gen=None, stats: Optional[dict] = None
         if not open_cols:
             return True
         counts = [0] * ncols
-        for cols, _ in live:
-            for c in cols:
-                counts[c] += 1
+        for a, b, s, _, _ in live:
+            counts[a] += 1
+            counts[b] += 1
+            counts[s] += 1
         fewest, col = min((counts[c], c) for c in range(ncols)
                           if open_cols >> c & 1)
         if not fewest:
             return False
-        for cols, mask in live:
-            if col in cols:
-                chosen.append(cols)
-                if solve([r for r in live if not r[1] & mask],
+        for a, b, s, mask, t in live:
+            if col == a or col == b or col == s:
+                chosen.append(t)
+                if solve([r for r in live if not r[3] & mask],
                          open_cols & ~mask):
                     return True
                 chosen.pop()
         return False
 
-    if solve(rows, (1 << ncols) - 1):
-        return tuple(sorted((triple_at[cols] for cols in chosen),
-                            key=lambda t: t[0]))
+    if rows and solve(rows, (1 << ncols) - 1):
+        return tuple(sorted(chosen, key=lambda t: t[0]))
     return None
 
 

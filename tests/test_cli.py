@@ -245,6 +245,22 @@ class TestProbeCommand:
         assert "error: trials must be >= 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("ns,bad", [("16,2", 2), ("0", 0), ("-1", -1)])
+    def test_isolated_n_below_three_refused_before_any_trial(
+            self, ns, bad, monkeypatch, capsys):
+        trials = []
+
+        def never(*args, **kwargs):
+            trials.append(args)
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("looselab.lab.sample_h3", never)
+        assert run("probe", "isolated", f"--n={ns}", "--trials", "5") == 2
+        assert not trials
+        err = capsys.readouterr().err
+        assert f"error: need n >= 3, got {bad}" in err
+        assert "Traceback" not in err
+
 
 # (argv, the looselab.cli name of the experiment it runs)
 UNWRITABLE_OUT_RUNS = [

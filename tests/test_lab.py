@@ -285,6 +285,11 @@ class TestIsolatedExperiment:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             isolated_experiment(8, (1.0,), trials=trials, seed=7)
 
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_rejects_n_below_three(self, n):
+        with pytest.raises(ValueError, match=f"need n >= 3, got {n}"):
+            isolated_experiment(n, (1.0,), trials=1, seed=7)
+
     def test_record_fields(self):
         (cell,) = isolated_experiment(8, (1.0,), trials=50, seed=7)
         assert set(cell.record()) == {

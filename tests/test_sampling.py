@@ -109,6 +109,14 @@ class TestUnranking:
         assert list(zip(u.tolist(), v.tolist())) == \
             list(combinations(range(1, m + 1), 2))
 
+    @pytest.mark.parametrize("ranks", [np.arange(10), np.arange(0), [0, 9], []],
+                             ids=["array", "empty-array", "list", "empty-list"])
+    def test_decoders_return_int64(self, ranks):
+        # sample_coupled builds its int64 triple keys from these arrays
+        for out in (*unrank_pairs(6, ranks), *unrank_triples(6, ranks)):
+            assert out.dtype == np.int64
+            assert out.shape == (len(ranks),)
+
 
 class TestSampleH3:
     def test_p_one_complete(self):

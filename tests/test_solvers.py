@@ -119,6 +119,24 @@ class TestExactMatching:
             found += pm is not None
         assert 0 < found < len(systems)
 
+    def test_unorderable_slots(self):
+        # a str, an int and a tuple never compare, so the search must never
+        # order two triples by their slots
+        slots = ("a", 1, (2, 3))
+        rng = derived_rng(5)
+        found = 0
+        for k in range(60):
+            ts = random_system(rng, range(1, 7), slots, 0.35)
+            exists = perfect_matching_exists_naive(ts)
+            relabelled = exact_matching(ts, gen=derived_rng(k))
+            assert relabelled == relabelled_matching(ts, derived_rng(k)), \
+                f"system {k}"
+            for pm in (exact_matching(ts), relabelled):
+                assert (pm is not None) == exists, f"system {k}"
+                assert pm is None or verify_matching(ts, pm)
+            found += exists
+        assert 0 < found < 60
+
 
 def rainbow_square_with_clutter():
     edges = [ColoredEdge(1, 2, 5), ColoredEdge(2, 3, 6), ColoredEdge(3, 4, 7),
