@@ -175,7 +175,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_probe_isolated(args) -> int:
     _banner("probe isolated", n=args.n, c=args.c, trials=args.trials,
             seed=args.seed)
-    if min(args.n, default=3) < 3:  # every n is refused before any trial
+    if not args.n:
+        raise ValueError("n and c grids must be non-empty")
+    if min(args.n) < 3:  # every n is refused before any trial
         raise ValueError(f"need n >= 3, got {min(args.n)}")
     with _output(args.out) as fh:
         rows = []

@@ -267,6 +267,8 @@ def isolated_experiment(n: int, c_values: Sequence[float], trials: int,
         raise ValueError("trials must be >= 1")
     # every c is checked before the first trial
     grid = [(c, probability_from_c(n, c)) for c in map(float, c_values)]
+    if not grid:
+        raise ValueError("n and c grids must be non-empty")
     cells = []
     for ci, (c, p) in enumerate(grid):
         counts = []

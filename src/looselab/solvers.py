@@ -9,16 +9,20 @@ has proven that no witness exists; the test suite checks both against
 unpruned enumeration oracles at small sizes.
 Neither has a size cap: the matching engine runs to a decision on any
 input, and the rainbow engine spends at most a node budget and raises
-``BudgetExhausted`` when the search is undecided.  Both recurse with
-their search state as int bit masks passed by value, so a failed branch
-has nothing to undo; only the partial witness is a list, and a matching
-row carries the triple it adds.  The rainbow engine's prunes never
-reorder its branches, so a prune only lowers the node count and keeps
-the first certificate.
+``BudgetExhausted`` when the search is undecided.  Neither undoes a
+move: the matching engine recurses with its search state as int bit
+masks passed by value, and a matching row carries the triple it adds.
+The rainbow engine loops over an explicit stack, so its depth is not
+bounded by the recursion limit; a move copies the per-vertex state it
+changes, and a node re-checks only the vertices that move changed.  Its
+prunes never reorder its branches, so a prune only lowers the node count
+and keeps the first certificate.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Optional
 
 from .colored import ColoredMultigraph, RainbowCycleCert
@@ -151,7 +155,18 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *,
     traversed, and, when the graph has exactly nv colors off its loops,
     on color coverage: a rainbow Hamilton cycle then uses every color,
     so each unused one must lie on a usable edge at an unvisited vertex.
-    Visited vertices and used colors are masks (bit v, bit c).
+    An edge is usable when its color is unused and both its ends are
+    allowed: unvisited, the current vertex, or vertex 1.
+
+    Visited vertices and used colors are masks (bit v, bit c).  Two lists
+    indexed by vertex hold the rest of a node's state: ``fm[x]``, the
+    colors of x's edges to allowed vertices (0 once x is visited), and
+    ``un[x]``, x's neighbours joined by a pair with an unused color.  A
+    move copies the lists it changes, so nothing is undone, and a node
+    re-checks only the unvisited vertices the move could change: the
+    neighbours of the vertex left and the ends of the new color's pairs.
+    The search is a loop over an explicit stack of frames, so its depth
+    is not bounded by the recursion limit.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -166,78 +181,124 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *,
         return None
     # the colors the coverage prune checks: none unless there are exactly nv
     must_cover = sum(1 << c for c in palette) if len(palette) == nv else 0
-    # v -> ascending (w, bit of w, color mask of vw, colors of vw)
-    nbrs = {v: tuple((w, 1 << w, sum(1 << c for c in cs), cs)
-                     for w, cs in adj[v].items()) for v in adj}
+    min_nbrs = 2 if nv > 2 else 0
     start, start_bit = 1, 1 << 1
     everyone = (1 << (nv + 1)) - 2  # bits 1..nv
-    path = [start]
-    colors_seq: list[int] = []
+    fm, un = [0] * (nv + 1), [0] * (nv + 1)
+    holders: list = [None] * (nv + 1)  # v: {c: v's neighbours by c}
+    moves: list = [None] * (nv + 1)  # v: flat (w, bit w, c, bit c) moves
+    pairs: dict[int, list] = {}  # c: [(a, bit a, b, bit b, colors of ab)]
+    ends: dict[int, int] = {}  # c: the ends of its pairs
+    for v, row in adj.items():
+        held: dict[int, int] = {}
+        flat: list[int] = []
+        for w, cs in row.items():
+            wbit, cmask = 1 << w, 0
+            for c in cs:
+                cmask |= 1 << c
+                flat += (w, wbit, c, 1 << c)
+                held[c] = held.get(c, 0) | wbit
+            fm[v] |= cmask
+            un[v] |= wbit
+            if v < w:
+                for c in cs:
+                    pairs.setdefault(c, []).append((v, 1 << v, w, wbit, cmask))
+                    ends[c] = ends.get(c, 0) | 1 << v | wbit
+        holders[v] = held
+        moves[v] = tuple(flat)
+    nbr_mask = un[:]
+    fm[start] = 0
 
-    def viable(u: int, visited: int, used: int) -> bool:
-        allowed = (everyone & ~visited) | 1 << u | start_bit
-        reach = 0
-        for w in range(1, nv + 1):
-            if visited >> w & 1:
-                continue
-            free = usable_neighbors = 0
-            for _, bit, cmask, _ in nbrs[w]:
-                if allowed & bit and cmask & ~used:
-                    usable_neighbors += 1
-                    free |= cmask & ~used
-            if free & (free - 1) == 0 or (nv > 2 and usable_neighbors < 2):
+    def viable(ubit: int, visited: int, used: int, fm: list, un: list,
+               changed: int) -> bool:
+        allowed = (everyone & ~visited) | ubit | start_bit
+        while changed:
+            b = changed & -changed
+            changed ^= b
+            x = b.bit_length() - 1
+            free = fm[x] & ~used
+            if not free & (free - 1) or \
+                    (un[x] & allowed).bit_count() < min_nbrs:
                 return False
-            reach |= free
         # every edge left to traverse meets an unvisited vertex
-        if must_cover & ~used & ~reach:
+        if must_cover and must_cover & ~used & ~reduce(or_, fm):
             return False
         # the rest of the cycle must connect u to start through the
-        # unvisited region using edges with unused colors
-        frontier = [u]
-        seen = 1 << u
-        while frontier:
-            for w, bit, cmask, _ in nbrs[frontier.pop()]:
-                if allowed & bit and not seen & bit and cmask & ~used:
-                    seen |= bit
-                    frontier.append(w)
-        return allowed & ~seen == 0
+        # unvisited region using usable edges
+        frontier, unseen = ubit, allowed & ~ubit
+        while frontier and unseen:
+            b = frontier & -frontier
+            frontier ^= b
+            new = un[b.bit_length() - 1] & unseen
+            unseen ^= new
+            frontier |= new
+        return not unseen
 
-    result: Optional[RainbowCycleCert] = None
+    path = [start]
+    colors_seq: list[int] = []
+    # a frame: [visited, used, fm of u's children, un, moves of u, index
+    # of u's next move, u's neighbours] for each vertex u on the path
+    stack: list[list] = []
+    u, ubit, visited, used = start, start_bit, start_bit, 0
+    changed = everyone & ~start_bit  # the root checks every vertex
     nodes = 0
-
-    def dfs(u: int, visited: int, used: int) -> bool:
-        nonlocal result, nodes
-        if nodes >= budget:
-            raise BudgetExhausted(
-                f"rainbow search undecided after {budget} nodes")
-        nodes += 1
-        if len(path) == nv:
-            if nv > 2 and path[1] > path[-1]:
-                return False
-            for c in adj[u].get(start, ()):
-                if not used >> c & 1:
-                    result = RainbowCycleCert(tuple(path), (*colors_seq, c))
-                    return True
-            return False
-        if not viable(u, visited, used):
-            return False
-        for w, bit, _, cs in nbrs[u]:
-            if visited & bit:
-                continue
-            for c in cs:
-                if used >> c & 1:
-                    continue
-                path.append(w)
-                colors_seq.append(c)
-                if dfs(w, visited | bit, used | 1 << c):
-                    return True
-                path.pop()
-                colors_seq.pop()
-        return False
-
     try:
-        dfs(start, start_bit, 0)
+        while True:
+            if nodes >= budget:
+                raise BudgetExhausted(
+                    f"rainbow search undecided after {budget} nodes")
+            nodes += 1
+            if len(path) == nv:
+                if not (nv > 2 and path[1] > path[-1]):
+                    for c in adj[u].get(start, ()):
+                        if not used >> c & 1:
+                            return RainbowCycleCert(tuple(path),
+                                                    (*colors_seq, c))
+            elif viable(ubit, visited, used, fm, un, changed):
+                if u != start:  # u leaves the allowed set
+                    allowed = (everyone & ~visited) | start_bit
+                    fm = fm[:]
+                    for x, cs in adj[u].items():
+                        f = fm[x]
+                        if f:  # x is unvisited
+                            held = holders[x]
+                            for c in cs:
+                                if not held[c] & allowed:
+                                    f &= ~(1 << c)
+                            fm[x] = f
+                stack.append([visited, used, fm, un, moves[u], 0,
+                              nbr_mask[u]])
+            # step to the next move of the deepest frame that has one
+            while stack:
+                frame = stack[-1]
+                visited, used, _, _, mv, i, _ = frame
+                for i in range(i, len(mv), 4):
+                    if not (visited & mv[i + 1] or used & mv[i + 3]):
+                        break
+                else:
+                    stack.pop()
+                    continue
+                break
+            else:
+                return None
+            frame[5] = i + 4
+            u, ubit, c, cbit = mv[i:i + 4]
+            depth = len(stack)
+            del path[depth:], colors_seq[depth - 1:]
+            path.append(u)
+            colors_seq.append(c)
+            visited |= ubit
+            used |= cbit
+            fm = frame[2][:]
+            fm[u] = 0
+            un = frame[3]
+            for a, abit, b, bbit, cmask in pairs[c]:
+                if not cmask & ~used:  # ab has no unused color left
+                    if un is frame[3]:
+                        un = un[:]
+                    un[a] &= ~bbit
+                    un[b] &= ~abit
+            changed = (frame[6] | ends[c]) & ~visited
     finally:
         if stats is not None:
             stats["nodes"] = stats.get("nodes", 0) + nodes
-    return result

@@ -2,19 +2,24 @@
 helpers no library code calls.
 
 Every oracle is deliberately naive: plain permutation scans with no
-pruning and no shared code with the engines under test.  The one
-exception is ``relabelled_matching``, which pins how the matching engine
-reads a generator by rebuilding the relabelled system that engine's
-column numbering stands in for.
+pruning and no shared code with the engines under test.  There are two
+exceptions.  ``relabelled_matching`` pins how the matching engine reads
+a generator by rebuilding the relabelled system that engine's column
+numbering stands in for.  ``rainbow_full_scan`` is the rainbow engine's
+earlier, non-incremental form, kept as the reference its node counts
+must match.
 """
 
 from collections import Counter
 from itertools import combinations, permutations, product
+from typing import Optional
 
-from looselab import ColoredMultigraph, Hypergraph3, LooseCycle, \
-    exact_matching
+from looselab import BudgetExhausted, ColoredMultigraph, Hypergraph3, \
+    LooseCycle, exact_matching
+from looselab.colored import RainbowCycleCert
 from looselab.hypergraph import _write_rows
 from looselab.sampling import TripleSystem
+from looselab.solvers import DEFAULT_RAINBOW_BUDGET
 
 
 def loose_hamilton_exists_naive(h: Hypergraph3) -> bool:
@@ -110,6 +115,107 @@ def rainbow_hamilton_exists_naive(g) -> bool:
             if len(set(assignment)) == nv:
                 return True
     return False
+
+
+def rainbow_full_scan(g: ColoredMultigraph, *,
+                      budget: int = DEFAULT_RAINBOW_BUDGET,
+                      stats: Optional[dict] = None
+                      ) -> Optional[RainbowCycleCert]:
+    """The rainbow engine as it was before its state became incremental:
+    the same branch order and prunes, computed by rescanning every
+    unvisited vertex's neighbourhood at every node, in a recursion.
+
+    ``exact_rainbow_hamilton`` must return the same cert, raise
+    ``BudgetExhausted`` on the same budgets and count the same nodes.
+    """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    nv = g.num_vertices
+    if nv < 2:
+        return None
+    adj = g.adjacency
+    if any(not adj[v] for v in adj):
+        return None
+    palette = {e.color for e in g.edges if e.u != e.v}
+    if len(palette) < nv:
+        return None
+    # the colors the coverage prune checks: none unless there are exactly nv
+    must_cover = sum(1 << c for c in palette) if len(palette) == nv else 0
+    # v -> ascending (w, bit of w, color mask of vw, colors of vw)
+    nbrs = {v: tuple((w, 1 << w, sum(1 << c for c in cs), cs)
+                     for w, cs in adj[v].items()) for v in adj}
+    start, start_bit = 1, 1 << 1
+    everyone = (1 << (nv + 1)) - 2  # bits 1..nv
+    path = [start]
+    colors_seq: list[int] = []
+
+    def viable(u: int, visited: int, used: int) -> bool:
+        allowed = (everyone & ~visited) | 1 << u | start_bit
+        reach = 0
+        for w in range(1, nv + 1):
+            if visited >> w & 1:
+                continue
+            free = usable_neighbors = 0
+            for _, bit, cmask, _ in nbrs[w]:
+                if allowed & bit and cmask & ~used:
+                    usable_neighbors += 1
+                    free |= cmask & ~used
+            if free & (free - 1) == 0 or (nv > 2 and usable_neighbors < 2):
+                return False
+            reach |= free
+        # every edge left to traverse meets an unvisited vertex
+        if must_cover & ~used & ~reach:
+            return False
+        # the rest of the cycle must connect u to start through the
+        # unvisited region using edges with unused colors
+        frontier = [u]
+        seen = 1 << u
+        while frontier:
+            for w, bit, cmask, _ in nbrs[frontier.pop()]:
+                if allowed & bit and not seen & bit and cmask & ~used:
+                    seen |= bit
+                    frontier.append(w)
+        return allowed & ~seen == 0
+
+    result: Optional[RainbowCycleCert] = None
+    nodes = 0
+
+    def dfs(u: int, visited: int, used: int) -> bool:
+        nonlocal result, nodes
+        if nodes >= budget:
+            raise BudgetExhausted(
+                f"rainbow search undecided after {budget} nodes")
+        nodes += 1
+        if len(path) == nv:
+            if nv > 2 and path[1] > path[-1]:
+                return False
+            for c in adj[u].get(start, ()):
+                if not used >> c & 1:
+                    result = RainbowCycleCert(tuple(path), (*colors_seq, c))
+                    return True
+            return False
+        if not viable(u, visited, used):
+            return False
+        for w, bit, _, cs in nbrs[u]:
+            if visited & bit:
+                continue
+            for c in cs:
+                if used >> c & 1:
+                    continue
+                path.append(w)
+                colors_seq.append(c)
+                if dfs(w, visited | bit, used | 1 << c):
+                    return True
+                path.pop()
+                colors_seq.pop()
+        return False
+
+    try:
+        dfs(start, start_bit, 0)
+    finally:
+        if stats is not None:
+            stats["nodes"] = stats.get("nodes", 0) + nodes
+    return result
 
 
 def random_hypergraph_instance(rng, n: int, max_edges: int) -> Hypergraph3:

@@ -261,6 +261,23 @@ class TestProbeCommand:
         assert f"error: need n >= 3, got {bad}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("grid", [["--n="], ["--n=8,16", "--c="]],
+                             ids=["n", "c"])
+    def test_isolated_empty_grid_refused_before_any_trial(
+            self, grid, monkeypatch, capsys):
+        # the same refusal and message as sweep's
+        trials = []
+        monkeypatch.setattr("looselab.lab.sample_h3",
+                            lambda *args: trials.append(args))
+        assert run("probe", "isolated", *grid, "--trials", "5") == 2
+        assert not trials
+        err = capsys.readouterr().err
+        assert "error: n and c grids must be non-empty" in err
+        assert "Traceback" not in err
+        assert run("sweep", *grid, "--trials", "5") == 2
+        assert "error: n and c grids must be non-empty" in \
+            capsys.readouterr().err
+
 
 # (argv, the looselab.cli name of the experiment it runs)
 UNWRITABLE_OUT_RUNS = [

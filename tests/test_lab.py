@@ -290,6 +290,12 @@ class TestIsolatedExperiment:
         with pytest.raises(ValueError, match=f"need n >= 3, got {n}"):
             isolated_experiment(n, (1.0,), trials=1, seed=7)
 
+    def test_rejects_empty_c_grid(self):
+        # refused as SweepSpec refuses an empty grid, not run as no cells
+        with pytest.raises(ValueError,
+                           match="n and c grids must be non-empty"):
+            isolated_experiment(8, (), trials=5, seed=7)
+
     def test_record_fields(self):
         (cell,) = isolated_experiment(8, (1.0,), trials=50, seed=7)
         assert set(cell.record()) == {

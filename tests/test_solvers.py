@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -5,8 +6,10 @@ import pytest
 from looselab import (
     BudgetExhausted,
     ColoredMultigraph,
+    build_gstar,
     exact_matching,
     exact_rainbow_hamilton,
+    run_pipeline,
     verify_rainbow_hamilton,
 )
 from looselab.colored import ColoredEdge
@@ -15,7 +18,8 @@ from looselab.sampling import TripleSystem, derived_rng, sample_coupled
 from looselab.solvers import verify_matching
 
 from oracles import (complete_triple_system, perfect_matching_exists_naive,
-                     rainbow_hamilton_exists_naive, relabelled_matching)
+                     rainbow_full_scan, rainbow_hamilton_exists_naive,
+                     relabelled_matching)
 
 XS4 = (1, 2, 3, 4)
 SLOTS2 = ("a", "b")
@@ -145,6 +149,22 @@ def rainbow_square_with_clutter():
     return ColoredMultigraph(4, (5, 6, 7, 8), edges)
 
 
+def rainbow_ring(nv):
+    """The nv-cycle 1, 2, ..., nv with a distinct color on every edge."""
+    edges = [ColoredEdge(i, i % nv + 1, nv + i) for i in range(1, nv + 1)]
+    return ColoredMultigraph(nv, tuple(range(nv + 1, 2 * nv + 1)), edges)
+
+
+def rainbow_search(engine, g, budget):
+    """An engine's (cert, None, or "undecided"; nodes counted) on g."""
+    stats = {}
+    try:
+        got = engine(g, budget=budget, stats=stats)
+    except BudgetExhausted:
+        got = "undecided"
+    return got, stats.get("nodes")
+
+
 def random_colored(rng, nv=4, max_edges=8, palette=(5, 6, 7, 8), loops=False):
     pairs = list(combinations(range(1, nv + 1), 2))
     if loops:
@@ -207,12 +227,66 @@ class TestExactRainbow:
         # 24 vertices are searched, not refused: a rainbow 24-cycle is
         # found, and an edgeless graph is proven to have none
         nv = 24
-        edges = [ColoredEdge(i, i % nv + 1, nv + i) for i in range(1, nv + 1)]
-        g = ColoredMultigraph(nv, tuple(range(nv + 1, 2 * nv + 1)), edges)
+        g = rainbow_ring(nv)
         cert = exact_rainbow_hamilton(g)
         assert cert is not None
         assert verify_rainbow_hamilton(g, cert)
         assert exact_rainbow_hamilton(ColoredMultigraph(nv, (), [])) is None
+
+    def test_depth_beyond_the_recursion_limit(self):
+        # a path of 1100 vertices is deeper than Python's default
+        # recursion limit of 1000, so the search must not recurse
+        g = rainbow_ring(1100)
+        stats = {}
+        cert = exact_rainbow_hamilton(g, stats=stats)
+        assert cert is not None
+        assert verify_rainbow_hamilton(g, cert)
+        assert stats["nodes"] == 1100
+
+    def test_budget_bounds_a_large_search(self):
+        # the 130-vertex G* of run_pipeline(260, c=600, r=4, seed=0), an
+        # undecided trial, spends exactly the budget it is given
+        gen = derived_rng(0)
+        _, systems = sample_coupled(260, probability_from_c(260, 600), 4, gen)
+        g = build_gstar([exact_matching(ts, gen=gen) for ts in systems],
+                        systems)
+        assert g.num_vertices == 130
+        stats = {}
+        with pytest.raises(BudgetExhausted):
+            exact_rainbow_hamilton(g, budget=5000, stats=stats)
+        assert stats["nodes"] == 5000
+
+    def test_agrees_with_full_scan_reference(self):
+        # the incremental state must give exactly what a rescan of every
+        # vertex at every node gives: the same cert, the same budget
+        # exhaustion and the same node count.  Loops and pairs with several
+        # colors, which pipeline graphs rarely have, are where an update
+        # could drift, so most inputs are small random graphs with both
+        rng = derived_rng(6)
+        graphs = []
+        for k in range(2000):
+            nv = 2 + k % 7
+            palette = tuple(range(nv + 1, 2 * nv + 1 + k // 7 % 2))
+            graphs.append(random_colored(rng, nv, 8 * nv, palette, loops=True))
+        budgets = (10 ** 6, 3)
+        outcomes = Counter()
+        for g in graphs:
+            for budget in budgets:
+                got = rainbow_search(exact_rainbow_hamilton, g, budget)
+                assert got == rainbow_search(rainbow_full_scan, g, budget), \
+                    (budget, g.edges)
+                outcomes[budget, got[0] if got[0] in (None, "undecided")
+                         else "found"] += 1
+        assert min(outcomes[b, kind] for b in budgets
+                   for kind in (None, "found")) > 50
+        assert outcomes[3, "undecided"] > 50
+        for n, seeds in ((28, 12), (40, 4)):
+            for seed in range(seeds):
+                g = run_pipeline(n, 0.9, 4, seed, keep_instance=True).gstar
+                for budget in (10 ** 6, 100):
+                    assert rainbow_search(exact_rainbow_hamilton, g, budget) \
+                        == rainbow_search(rainbow_full_scan, g, budget), \
+                        (n, seed, budget)
 
     def test_budget_exhausted_is_not_absence(self):
         g = rainbow_square_with_clutter()
