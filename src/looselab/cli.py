@@ -1,5 +1,10 @@
 """Command-line front end.
 
+After parsing, and before the command runs, ``main`` prints one stderr
+banner, ``looselab <version> | name=value ...``, naming every parsed
+argument, so each output can be reproduced from its header.  Refusals of
+bad parameters are left to the library calls the commands make.
+
 Exit codes: 0 on success / verified-true / witness found, 1 on
 verified-false, witness proven absent, or a search left undecided by its
 budget, 2 on usage or input errors.
@@ -28,11 +33,6 @@ from .solvers import DEFAULT_RAINBOW_BUDGET, exact_matching, \
     exact_rainbow_hamilton
 
 
-def _banner(command: str, **params) -> None:
-    detail = " ".join(f"{k}={v}" for k, v in params.items())
-    print(f"looselab {__version__} | {command} | {detail}", file=sys.stderr)
-
-
 def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -41,11 +41,11 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _resolve_p(args, n: int) -> float:
+def _resolve_p(args) -> float:
     if args.p is not None:
         return args.p
     if args.c is not None:
-        return probability_from_c(n, args.c)
+        return probability_from_c(args.n, args.c)
     raise FormatError("one of --p or --c is required")
 
 
@@ -63,25 +63,17 @@ def _cmd_sample(args) -> int:
     gen = derived_rng(args.seed)
     with _output(args.out) as out:
         if args.model == "h3":
-            p = _resolve_p(args, args.n)
-            _banner("sample", model="h3", n=args.n, p=p, seed=args.seed)
-            h = sample_h3(args.n, p, gen)
+            h = sample_h3(args.n, _resolve_p(args), gen)
             write_hypergraph(h, out)
         elif args.model == "gamma":
-            _banner("sample", model="gamma", m=args.m, p1=args.p1,
-                    seed=args.seed)
             ts = sample_gamma(range(2 * args.m + 1, 3 * args.m + 1), args.p1,
                               gen)
             write_hypergraph(hypergraph_from_triple_system(ts), out)
         elif args.model == "union":
-            _banner("sample", model="union", m2=args.m2, r=args.r,
-                    colored=args.colored, seed=args.seed)
             g = sample_union_matchings(args.m2, args.r, gen,
                                        colored=args.colored)
             write_colored(g, args.r, out)
         else:  # pairing
-            _banner("sample", model="pairing", m2=args.m2, d=args.d,
-                    seed=args.seed)
             g = sample_pairing_regular(args.m2, args.d, gen)
             write_colored(g, 1, out)
     return 0
@@ -89,7 +81,6 @@ def _cmd_sample(args) -> int:
 
 def _cmd_solve_matching(args) -> int:
     ts = triple_system_from_hypergraph(read_hypergraph(args.input))
-    _banner("solve matching", input=args.input)
     pm = exact_matching(ts)
     if pm is None:
         print("no perfect matching found")
@@ -100,7 +91,6 @@ def _cmd_solve_matching(args) -> int:
 
 def _cmd_solve_rainbow(args) -> int:
     g, _r = read_colored(args.input)
-    _banner("solve rainbow", input=args.input, budget=args.budget)
     try:
         cert = exact_rainbow_hamilton(g, budget=args.budget)
     except BudgetExhausted as exc:
@@ -125,7 +115,6 @@ def _cmd_verify(args) -> int:
     read_instance, read_claim, verify = _VERIFIERS[args.kind]
     instance = read_instance(args.instance)
     claim = read_claim(args.cert)
-    _banner(f"verify {args.kind}", instance=args.instance, cert=args.cert)
     verdict = verify(instance, claim)
     if verdict:
         print(f"valid {args.kind} Hamilton cycle")
@@ -136,9 +125,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    p = _resolve_p(args, args.n)
-    _banner("pipeline", n=args.n, p=p, r=args.r, seed=args.seed)
-    rep = run_pipeline(args.n, p, args.r, args.seed)
+    rep = run_pipeline(args.n, _resolve_p(args), args.r, args.seed)
     if args.format == "json":
         print(rep.to_json())
     else:
@@ -156,8 +143,6 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(
         n_values=tuple(args.n), c_values=tuple(args.c), r=args.r,
         trials=args.trials, method=args.method, seed=args.seed)
-    _banner("sweep", n=args.n, c=args.c, trials=args.trials,
-            method=args.method, seed=args.seed, workers=args.workers)
     formats = ("csv", "json") if args.format == "both" else (args.format,)
     with ExitStack() as stack:
         # every output file is reserved before the first trial runs;
@@ -173,25 +158,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_probe_isolated(args) -> int:
-    _banner("probe isolated", n=args.n, c=args.c, trials=args.trials,
-            seed=args.seed)
-    if not args.n:
-        raise ValueError("n and c grids must be non-empty")
-    if min(args.n) < 3:  # every n is refused before any trial
-        raise ValueError(f"need n >= 3, got {min(args.n)}")
     with _output(args.out) as fh:
-        rows = []
-        for n in args.n:
-            rows.extend(cell.record()
-                        for cell in isolated_experiment(n, args.c, args.trials,
-                                                        args.seed))
-        fh.write(json.dumps(rows, indent=2) + "\n")
+        cells = isolated_experiment(args.n, args.c, args.trials, args.seed)
+        fh.write(json.dumps([cell.record() for cell in cells], indent=2) + "\n")
     return 0
 
 
 def _cmd_probe_contiguity(args) -> int:
-    _banner("probe contiguity", m2=args.m2, r=args.r, trials=args.trials,
-            seed=args.seed)
     with _output(args.out) as fh:
         report = contiguity_probe(args.m2, args.r, args.trials, args.seed)
         fh.write(report.to_json() + "\n")
@@ -294,6 +267,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
+    detail = " ".join(f"{k}={v}" for k, v in vars(args).items() if k != "func")
+    print(f"looselab {__version__} | {detail}", file=sys.stderr)
     try:
         return args.func(args)
     except (FormatError, FileNotFoundError) as exc:

@@ -159,13 +159,14 @@ def verify_loose_hamilton(h: Hypergraph3, cycle: LooseCycle) -> Verdict:
         return Verdict(False, f"expected {s} links, got {len(links)}")
     if len(middles) != s:
         return Verdict(False, f"expected {s} middles, got {len(middles)}")
-    if len(set(links)) != s:
+    link_set, middle_set = set(links), set(middles)
+    if len(link_set) != s:
         return Verdict(False, "repeated link vertex")
-    if len(set(middles)) != s:
+    if len(middle_set) != s:
         return Verdict(False, "repeated middle vertex")
-    if set(links) & set(middles):
+    if link_set & middle_set:
         return Verdict(False, "links and middles overlap")
-    if set(links) | set(middles) != set(range(1, h.n + 1)):
+    if link_set | middle_set != set(range(1, h.n + 1)):
         return Verdict(False, f"links and middles do not cover 1..{h.n}")
     for i, t in enumerate(cycle.windows(), 1):
         if t not in h:

@@ -250,27 +250,37 @@ class IsolatedCell:
     prob_at_least_one: float
 
     def record(self) -> dict:
-        return asdict(self)
+        """The serialised view: a non-finite z is None (JSON null), since
+        JSON has no infinity; the cell itself keeps +/-inf."""
+        rec = asdict(self)
+        if not math.isfinite(self.z_score):
+            rec["z_score"] = None
+        return rec
 
 
-def isolated_experiment(n: int, c_values: Sequence[float], trials: int,
-                        seed: int) -> tuple[IsolatedCell, ...]:
-    """Empirical vs analytic isolated-vertex counts over a c grid.
+def isolated_experiment(n_values: Sequence[int], c_values: Sequence[float],
+                        trials: int, seed: int) -> tuple[IsolatedCell, ...]:
+    """Empirical vs analytic isolated-vertex counts over an (n, c) grid,
+    one cell per pair, n-major in grid order.
 
-    The z score compares the empirical mean against n(1-p)^C(n-1,2) using
-    the empirical standard error; a zero-variance sample scores 0 when the
-    gap is zero and +/-inf otherwise.
+    The whole grid is refused before its first trial.  Cell (n,
+    c_values[k]) draws trial t from ``derived_rng(seed, k, t)`` for every
+    n, so the streams are shared across n.  The z score compares the
+    empirical mean against n(1-p)^C(n-1,2) using the empirical standard
+    error; a zero-variance sample scores 0 when the gap is zero and
+    +/-inf otherwise.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    c_values = tuple(map(float, c_values))
+    if not n_values or not c_values:
+        raise ValueError("n and c grids must be non-empty")
+    if min(n_values) < 3:
+        raise ValueError(f"need n >= 3, got {min(n_values)}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # every c is checked before the first trial
-    grid = [(c, probability_from_c(n, c)) for c in map(float, c_values)]
-    if not grid:
-        raise ValueError("n and c grids must be non-empty")
+    grid = [(n, ci, c, probability_from_c(n, c))
+            for n in n_values for ci, c in enumerate(c_values)]
     cells = []
-    for ci, (c, p) in enumerate(grid):
+    for n, ci, c, p in grid:
         counts = []
         for t in range(trials):
             gen = derived_rng(seed, ci, t)

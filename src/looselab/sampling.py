@@ -194,9 +194,10 @@ class TripleSystem:
         object.__setattr__(self, "present", frozenset(self.present))
         if not slots:
             raise ValueError("need at least one slot")
-        if len(set(slots)) != len(slots):
+        sset = set(slots)
+        if len(sset) != len(slots):
             raise ValueError("slots must be distinct")
-        xset, sset = set(range(1, 2 * len(slots) + 1)), set(slots)
+        xset = set(range(1, 2 * len(slots) + 1))
         for (x1, x2), slot in self.present:
             if not (x1 in xset and x2 in xset and x1 < x2):
                 raise ValueError(f"pair ({x1}, {x2}) is not ordered in 1..{len(xset)}")
@@ -246,8 +247,6 @@ def sample_coupled(n: int, p: float, r: int, gen: np.random.Generator
     """
     if n % 4 or n < 8:
         raise ValueError(f"need n divisible by 4 and >= 8, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
     params = split_probability(p, r)
     m = n // 4
     two_m = 2 * m

@@ -229,7 +229,7 @@ def test_criterion_7_isolated_expectation():
     t0 = time.perf_counter()
     worst_z = 0.0
     for n in (8, 12, 16):
-        for cell in isolated_experiment(n, (0.5, 1.0, 2.0), trials=10_000,
+        for cell in isolated_experiment((n,), (0.5, 1.0, 2.0), trials=10_000,
                                         seed=1006 + n):
             worst_z = max(worst_z, abs(cell.z_score))
     elapsed = time.perf_counter() - t0

@@ -14,6 +14,14 @@ def run(*argv):
     return main(list(argv))
 
 
+def strict_json(text):
+    """json.loads that refuses Infinity, -Infinity and NaN, as RFC 8259
+    does."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestVerifyCommand:
     def test_valid_loose_cycle_exits_zero(self, tmp_path, capsys):
         inst = tmp_path / "h.txt"
@@ -231,6 +239,15 @@ class TestProbeCommand:
         rows = json.loads(out.read_text())
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "8", "--c", "1", "--trials", "1"],
+        ["--n", "16", "--c", "0.01", "--trials", "3"],
+    ])
+    def test_isolated_infinite_z_is_json_null(self, argv, capsys):
+        assert run("probe", "isolated", *argv) == 0
+        (row,) = strict_json(capsys.readouterr().out)
+        assert row["z_score"] is None
+
     def test_contiguity(self, tmp_path):
         out = tmp_path / "cont.json"
         assert run("probe", "contiguity", "--m2", "4", "--r", "1",
@@ -344,6 +361,57 @@ def test_probe_out_matches_stdout(tmp_path, capsys):
     assert run(*argv, "--out", str(out)) == 0
     assert out.read_text() == printed
     assert [p.name for p in tmp_path.iterdir()] == ["cont.json"]
+
+
+# one argv per leaf command, run in a directory holding h.txt, ts.txt,
+# g.txt, loose.txt and rainbow.txt
+LEAF_RUNS = {
+    "sample-h3": ["sample", "--model", "h3", "--n", "8", "--c", "2"],
+    "sample-gamma": ["sample", "--model", "gamma", "--m", "2"],
+    "sample-union": ["sample", "--model", "union", "--m2", "4", "--r", "1"],
+    "sample-pairing": ["sample", "--model", "pairing", "--m2", "4"],
+    "solve-matching": ["solve", "matching", "--in", "ts.txt"],
+    "solve-rainbow": ["solve", "rainbow", "--in", "g.txt"],
+    "verify-loose": ["verify", "loose", "--instance", "h.txt",
+                     "--cert", "loose.txt"],
+    "verify-rainbow": ["verify", "rainbow", "--instance", "g.txt",
+                       "--cert", "rainbow.txt"],
+    "pipeline": ["pipeline", "--n", "8", "--p", "1.0", "--seed", "1"],
+    "sweep": ["sweep", "--n", "8", "--c", "16", "--trials", "1",
+              "--method", "pipeline", "--r", "2"],
+    "probe-isolated": ["probe", "isolated", "--n", "8", "--c", "1",
+                       "--trials", "2"],
+    "probe-contiguity": ["probe", "contiguity", "--m2", "4", "--r", "1",
+                         "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", LEAF_RUNS.values(), ids=LEAF_RUNS.keys())
+def test_banner_names_every_parsed_argument(argv, tmp_path, monkeypatch,
+                                            capsys):
+    for name, text in [("h.txt", "4 2\n1 2 3\n1 2 4\n"),
+                       ("ts.txt", "6 2\n1 2 5\n3 4 6\n"),
+                       ("g.txt", "4 1\n1 2 5\n2 3 6\n3 4 7\n1 4 8\n"),
+                       ("loose.txt", "1 2\n3 4\n"),
+                       ("rainbow.txt", "1 2 3 4\n5 6 7 8\n")]:
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv) == 0
+    (banner,) = capsys.readouterr().err.splitlines()
+    assert banner.startswith("looselab ")
+    parsed = vars(build_parser().parse_args(argv))
+    del parsed["func"]
+    for key, value in parsed.items():
+        assert f" {key}={value}" in banner
+
+
+def test_sweep_banner_tells_r_apart(capsys):
+    banners = []
+    for r in ("1", "4"):
+        assert run("sweep", "--n", "8", "--c", "16", "--trials", "1",
+                   "--method", "pipeline", "--r", r, "--format", "csv") == 0
+        banners.append(capsys.readouterr().err)
+    assert banners[0] != banners[1]
 
 
 class TestUsage:

@@ -265,7 +265,7 @@ class TestAtomicOutput:
 
 class TestIsolatedExperiment:
     def test_p_zero_and_one_edges(self):
-        cells = isolated_experiment(8, (0.0, 1e9), trials=200, seed=5)
+        cells = isolated_experiment((8,), (0.0, 1e9), trials=200, seed=5)
         empty, full = cells
         assert empty.p == 0.0
         assert empty.mean_isolated == 8.0
@@ -277,27 +277,48 @@ class TestIsolatedExperiment:
         assert full.prob_at_least_one == 0.0
 
     def test_mean_matches_closed_form(self):
-        (cell,) = isolated_experiment(16, (0.5,), trials=10_000, seed=6)
+        (cell,) = isolated_experiment((16,), (0.5,), trials=10_000, seed=6)
         assert abs(cell.z_score) <= 3.0
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_rejects_trials_below_one(self, trials):
         with pytest.raises(ValueError, match="trials must be >= 1"):
-            isolated_experiment(8, (1.0,), trials=trials, seed=7)
+            isolated_experiment((8,), (1.0,), trials=trials, seed=7)
 
     @pytest.mark.parametrize("n", [0, -4])
     def test_rejects_n_below_three(self, n):
         with pytest.raises(ValueError, match=f"need n >= 3, got {n}"):
-            isolated_experiment(n, (1.0,), trials=1, seed=7)
+            isolated_experiment((n,), (1.0,), trials=1, seed=7)
 
     def test_rejects_empty_c_grid(self):
         # refused as SweepSpec refuses an empty grid, not run as no cells
         with pytest.raises(ValueError,
                            match="n and c grids must be non-empty"):
-            isolated_experiment(8, (), trials=5, seed=7)
+            isolated_experiment((8,), (), trials=5, seed=7)
+
+    def test_n_grid_is_the_cells_of_each_n(self):
+        # cell (n, c_values[k]) draws from (seed, k, trial) for every n
+        c, trials, seed = (0.5, 2.0), 20, 9
+        assert isolated_experiment((8, 16), c, trials, seed) == \
+            isolated_experiment((8,), c, trials, seed) + \
+            isolated_experiment((16,), c, trials, seed)
+
+    @pytest.mark.parametrize("n_values,c_values,message", [
+        ((16, 2), (1.0,), "need n >= 3, got 2"),
+        ((8, 16), (), "n and c grids must be non-empty"),
+        ((8, 16), (1.0, math.nan), "c must be >= 0, got nan"),
+    ], ids=["n", "empty-c", "nan-c"])
+    def test_grid_refused_before_any_trial(self, n_values, c_values, message,
+                                           monkeypatch):
+        trials = []
+        monkeypatch.setattr(lab, "sample_h3",
+                            lambda *args: trials.append(args))
+        with pytest.raises(ValueError, match=message):
+            isolated_experiment(n_values, c_values, trials=5, seed=7)
+        assert not trials
 
     def test_record_fields(self):
-        (cell,) = isolated_experiment(8, (1.0,), trials=50, seed=7)
+        (cell,) = isolated_experiment((8,), (1.0,), trials=50, seed=7)
         assert set(cell.record()) == {
             "n", "c", "p", "trials", "mean_isolated", "expected", "z_score",
             "prob_at_least_one"}

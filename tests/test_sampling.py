@@ -199,6 +199,15 @@ class TestSampleCoupled:
             with pytest.raises(ValueError):
                 sample_coupled(n, 0.5, 2, derived_rng(0))
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+    def test_rejects_bad_p_before_any_draw(self, p):
+        gen = derived_rng(0)
+        state = gen.bit_generator.state
+        with pytest.raises(ValueError,
+                           match=r"p must lie in \[0, 1\], got " + str(p)):
+            sample_coupled(8, p, 2, gen)
+        assert gen.bit_generator.state == state
+
     def test_p_zero_all_empty(self):
         h, systems = sample_coupled(8, 0.0, 2, derived_rng(0))
         assert h.edge_list == ()
@@ -416,3 +425,7 @@ class TestTripleSystem:
         with pytest.raises(ValueError):
             TripleSystem(("a", "b"),
                          frozenset({((3, 5), "a")}))  # 5 outside X = 1..4
+
+    def test_rejects_repeated_slot(self):
+        with pytest.raises(ValueError, match="slots must be distinct"):
+            TripleSystem(("a", "a"), frozenset())
