@@ -267,7 +267,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help/--version
         return int(exc.code or 0)
-    detail = " ".join(f"{k}={v}" for k, v in vars(args).items() if k != "func")
+    # a list value is comma-joined, as the parser reads it
+    detail = " ".join(
+        f"{k}={','.join(map(str, v)) if isinstance(v, list) else v}"
+        for k, v in vars(args).items() if k != "func")
     print(f"looselab {__version__} | {detail}", file=sys.stderr)
     try:
         return args.func(args)

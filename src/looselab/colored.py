@@ -1,11 +1,11 @@
 """Edge-colored multigraphs on the link half of a loose cycle.
 
 The derived graph of a hypergraph instance lives on the link vertices
-1..2m and has an edge (x, x') of color y for every hypergraph edge
-{x, y, x'} whose middle y falls in the color universe 2m+1..4m.  A rainbow
-Hamilton cycle of the derived graph lifts directly to a loose Hamilton
-cycle of the hypergraph: cycle vertices become links, edge colors become
-middles.  The file formats here use the row helpers of ``hypergraph``.
+1..2m and has an edge (x, x') of color y, kept as the int triple
+(x, x', y), for every hypergraph edge {x, y, x'} whose middle y falls in
+the color universe 2m+1..4m.  A rainbow Hamilton cycle of the derived
+graph lifts directly to a loose Hamilton cycle of the hypergraph: cycle
+vertices become links, edge colors become middles.  The file formats here use the row helpers of ``hypergraph``.
 """
 
 from __future__ import annotations
@@ -18,67 +18,49 @@ from .hypergraph import FormatError, LooseCycle, Verdict, _read_rows, \
     _read_table, _write_rows
 
 
-@dataclass(frozen=True)
-class ColoredEdge:
-    """Undirected colored edge; endpoints are stored with u <= v.
-
-    Loops (u == v) are legal for the general multigraph type; builders
-    that derive edges from matchings never produce them.  Uncolored
-    graphs use color 0.
-    """
-
-    u: int
-    v: int
-    color: int = 0
-
-    def __post_init__(self):
-        u, v = int(self.u), int(self.v)
-        if u > v:
-            u, v = v, u
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "color", int(self.color))
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
-
 class ColoredMultigraph:
     """Immutable multigraph on vertices 1..num_vertices with colored edges.
 
     ``colors`` is the color universe (empty for uncolored graphs, in which
-    case every edge carries color 0).  Parallel edges are distinct entries
-    of ``edges`` with stable indices.  Per-vertex degree counts are cached
-    at construction; loops add 2 to a degree.
+    case every edge carries color 0).  ``edges`` takes any iterable of
+    ``(u, v, color)`` triples and keeps them, in input order, as a tuple
+    of int triples ``(min(u, v), max(u, v), color)``; parallel edges stay
+    distinct entries.  Loops (u == v) are legal, though builders that
+    derive edges from matchings never produce them.  Per-vertex degree
+    counts are cached at construction; loops add 2 to a degree.
     """
 
     __slots__ = ("num_vertices", "colors", "edges", "degrees", "_adjacency")
 
     def __init__(self, num_vertices: int, colors: Iterable[int],
-                 edges: Iterable[ColoredEdge]):
+                 edges: Iterable[tuple[int, int, int]]):
         num_vertices = int(num_vertices)
         if num_vertices < 1:
             raise ValueError("vertex count must be >= 1")
         universe = tuple(sorted({int(c) for c in colors}))
         if 0 in universe:
             raise ValueError("color 0 is reserved for uncolored edges")
-        edge_tuple = tuple(edges)
         uni = set(universe)
         degrees: Counter = Counter()
-        for e in edge_tuple:
-            if not 1 <= e.u <= num_vertices or not 1 <= e.v <= num_vertices:
+        canon = []
+        for u, v, c in edges:
+            u, v, c = int(u), int(v), int(c)
+            if u > v:
+                u, v = v, u
+            e = (u, v, c)
+            if not 1 <= u <= v <= num_vertices:
                 raise ValueError(f"edge {e} endpoint outside 1..{num_vertices}")
             if universe:
-                if e.color not in uni:
+                if c not in uni:
                     raise ValueError(f"edge {e} color outside the universe")
-            elif e.color != 0:
+            elif c != 0:
                 raise ValueError(f"edge {e} colored but the universe is empty")
-            degrees[e.u] += 1
-            degrees[e.v] += 1
+            degrees[u] += 1
+            degrees[v] += 1
+            canon.append(e)
         self.num_vertices = num_vertices
         self.colors = universe
-        self.edges = edge_tuple
+        self.edges = tuple(canon)
         self.degrees = {v: degrees.get(v, 0) for v in range(1, num_vertices + 1)}
         self._adjacency = None
 
@@ -92,9 +74,9 @@ class ColoredMultigraph:
         """
         if self._adjacency is None:
             by_pair: dict[tuple[int, int], set[int]] = {}
-            for e in self.edges:
-                if e.u != e.v:
-                    by_pair.setdefault(e.pair, set()).add(e.color)
+            for u, v, c in self.edges:
+                if u != v:
+                    by_pair.setdefault((u, v), set()).add(c)
             adj: dict[int, dict[int, tuple[int, ...]]] = {
                 v: {} for v in range(1, self.num_vertices + 1)}
             # in sorted pair order each vertex meets its smaller
@@ -177,8 +159,7 @@ def lift_to_loose(cert: RainbowCycleCert) -> LooseCycle:
 
 
 def write_colored(g: ColoredMultigraph, r: int, f) -> None:
-    _write_rows(f, [(g.num_vertices, r),
-                    *((e.u, e.v, e.color) for e in g.edges)])
+    _write_rows(f, [(g.num_vertices, r), *g.edges])
 
 
 def read_colored(f) -> tuple[ColoredMultigraph, int]:
@@ -195,9 +176,9 @@ def read_colored(f) -> tuple[ColoredMultigraph, int]:
             raise FormatError(
                 f"line {k}: color must lie in {lo}..{hi} (or 0 when "
                 f"the whole file is uncolored)")
-    edges = [ColoredEdge(*row) for _k, row in body]
-    if any(e.color == 0 for e in edges):
-        if any(e.color != 0 for e in edges):
+    edges = [row for _k, row in body]
+    if any(y == 0 for _u, _v, y in edges):
+        if any(y != 0 for _u, _v, y in edges):
             raise FormatError("file mixes colored and uncolored edges")
         return ColoredMultigraph(m2, (), edges), r
     return ColoredMultigraph(m2, range(lo, hi + 1), edges), r

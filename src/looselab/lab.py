@@ -40,8 +40,8 @@ HAMILTON_LIMIT = 12
 
 
 def probability_from_c(n: int, c: float) -> float:
-    if not c >= 0:
-        raise ValueError(f"c must be >= 0, got {c}")
+    if not 0 <= c < math.inf:
+        raise ValueError(f"c must be finite and >= 0, got {c}")
     return min(1.0, c * math.log(n) / (n * n))
 
 
@@ -123,6 +123,7 @@ class SweepCell:
     ci_high: float
     method: str
     seed: int
+    r: int
     mean_runtime: float  # seconds per trial; excluded from CSV/JSON
 
     def record(self) -> dict:
@@ -228,7 +229,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         cells.append(SweepCell(
             n=n, c=c, p=p, trials=spec.trials, successes=successes,
             freq=successes / spec.trials, ci_low=lo, ci_high=hi,
-            method=spec.method, seed=spec.seed,
+            method=spec.method, seed=spec.seed, r=spec.r,
             mean_runtime=sum(s for _, s in cell) / spec.trials))
     return SweepResult(tuple(cells))
 
@@ -384,7 +385,7 @@ def _model_stats(name: str, sampler, m2: int, degree: int, trials: int,
         g = sampler(gen)
         if any(d != degree for d in g.degrees.values()):
             all_regular = False
-        pairs = Counter(e.pair for e in g.edges)
+        pairs = Counter((u, v) for u, v, _c in g.edges)
         parallel.append(len(g.edges) - len(pairs))
         triangles.append(_triangle_count(g.adjacency))
         if ham_counted:

@@ -28,8 +28,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
-from .colored import (ColoredEdge, ColoredMultigraph, RainbowCycleCert,
-                      lift_to_loose)
+from .colored import ColoredMultigraph, RainbowCycleCert, lift_to_loose
 from .hypergraph import BudgetExhausted, Hypergraph3, LooseCycle, \
     verify_loose_hamilton
 from .sampling import TripleSystem, derived_rng, sample_coupled
@@ -52,12 +51,12 @@ def build_gstar(matchings: Sequence[Sequence[MatchTriple]],
     if len(matchings) != len(systems):
         raise ValueError(
             f"expected {len(systems)} matchings, got {len(matchings)}")
-    edges: list[ColoredEdge] = []
+    edges: list[tuple[int, int, int]] = []
     for j, (pm, ts) in enumerate(zip(matchings, systems)):
         verdict = verify_matching(ts, pm)
         if not verdict:
             raise ValueError(f"matching {j + 1}: {verdict.reason}")
-        edges.extend(ColoredEdge(x1, x2, y) for (x1, x2), (y, _copy) in pm)
+        edges.extend((x1, x2, y) for (x1, x2), (y, _copy) in pm)
     colors = {y for ts in systems for y, _copy in ts.slots}
     return ColoredMultigraph(2 * systems[0].m, colors, edges)
 

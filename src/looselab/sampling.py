@@ -21,7 +21,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .colored import ColoredEdge, ColoredMultigraph
+from .colored import ColoredMultigraph
 from .hypergraph import Hypergraph3
 
 Slot = Hashable
@@ -299,19 +299,16 @@ def sample_union_matchings(m2: int, r: int, gen: np.random.Generator, *,
     m = m2 // 2
     if colored:
         blocks = sample_copyset_partition(m, r, gen)
-    edges: list[ColoredEdge] = []
+    edges: list[tuple[int, int, int]] = []
     for j in range(2 * r):
         perm = (gen.permutation(m2) + 1).tolist()
         layer = [(perm[2 * i], perm[2 * i + 1]) for i in range(m)]
         if colored:
             block = blocks[j]
             order = gen.permutation(m).tolist()
-            edges.extend(
-                ColoredEdge(u, v, block[k][0])
-                for (u, v), k in zip(layer, order)
-            )
+            edges.extend((u, v, block[k][0]) for (u, v), k in zip(layer, order))
         else:
-            edges.extend(ColoredEdge(u, v, 0) for u, v in layer)
+            edges.extend((u, v, 0) for u, v in layer)
     colors = range(m2 + 1, 2 * m2 + 1) if colored else ()
     return ColoredMultigraph(m2, colors, edges)
 
@@ -333,9 +330,8 @@ def sample_pairing_regular(m2: int, d: int,
         b = pairing[1::2]
         if np.any(a == b):
             continue
-        us = np.minimum(a, b).tolist()
-        vs = np.maximum(a, b).tolist()
-        return ColoredMultigraph(m2, (), [ColoredEdge(u, v, 0) for u, v in zip(us, vs)])
+        return ColoredMultigraph(
+            m2, (), ((u, v, 0) for u, v in zip(a.tolist(), b.tolist())))
     raise RuntimeError(f"no loopless pairing found in {PAIRING_ATTEMPTS} attempts")
 
 

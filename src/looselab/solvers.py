@@ -176,7 +176,7 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *,
     adj = g.adjacency
     if any(not adj[v] for v in adj):
         return None
-    palette = {e.color for e in g.edges if e.u != e.v}
+    palette = {c for u, v, c in g.edges if u != v}
     if len(palette) < nv:
         return None
     # the colors the coverage prune checks: none unless there are exactly nv

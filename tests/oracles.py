@@ -93,8 +93,8 @@ def rainbow_hamilton_exists_naive(g) -> bool:
     if nv < 2:
         return False
     pc = {}
-    for e in g.edges:
-        pc.setdefault((e.u, e.v), set()).add(e.color)
+    for u, v, c in g.edges:
+        pc.setdefault((u, v), set()).add(c)
 
     def colors_on(u, v):
         return sorted(pc.get((min(u, v), max(u, v)), ()))
@@ -136,7 +136,7 @@ def rainbow_full_scan(g: ColoredMultigraph, *,
     adj = g.adjacency
     if any(not adj[v] for v in adj):
         return None
-    palette = {e.color for e in g.edges if e.u != e.v}
+    palette = {c for u, v, c in g.edges if u != v}
     if len(palette) < nv:
         return None
     # the colors the coverage prune checks: none unless there are exactly nv
@@ -245,7 +245,7 @@ def is_equitable(g: ColoredMultigraph, r: int) -> bool:
     Meaningful only for colored graphs; an empty universe is vacuously
     equitable.
     """
-    usage = Counter(e.color for e in g.edges)
+    usage = Counter(c for _u, _v, c in g.edges)
     return all(usage[c] == r for c in g.colors)
 
 

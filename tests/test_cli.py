@@ -347,10 +347,11 @@ def test_directory_out_refused_before_any_trial(argv, experiment, tmp_path,
     ["probe", "isolated", "--n", "8", "--trials", "1"],
 ], ids=["sample", "pipeline", "sweep", "probe-isolated"])
 def test_nan_coefficient_exits_two(argv, capsys):
-    assert run(*argv, "--c", "nan") == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error:" in captured.err and "Traceback" not in captured.err
+    for c in ("nan", "inf"):
+        assert run(*argv, "--c", c) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and "Traceback" not in captured.err
 
 
 def test_probe_out_matches_stdout(tmp_path, capsys):
@@ -363,8 +364,8 @@ def test_probe_out_matches_stdout(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["cont.json"]
 
 
-# one argv per leaf command, run in a directory holding h.txt, ts.txt,
-# g.txt, loose.txt and rainbow.txt
+# one argv per leaf command, and sweep again with list values, run in a
+# directory holding h.txt, ts.txt, g.txt, loose.txt and rainbow.txt
 LEAF_RUNS = {
     "sample-h3": ["sample", "--model", "h3", "--n", "8", "--c", "2"],
     "sample-gamma": ["sample", "--model", "gamma", "--m", "2"],
@@ -379,6 +380,8 @@ LEAF_RUNS = {
     "pipeline": ["pipeline", "--n", "8", "--p", "1.0", "--seed", "1"],
     "sweep": ["sweep", "--n", "8", "--c", "16", "--trials", "1",
               "--method", "pipeline", "--r", "2"],
+    "sweep-lists": ["sweep", "--n", "8,12", "--c", "2,4", "--trials", "1",
+                    "--format", "csv"],
     "probe-isolated": ["probe", "isolated", "--n", "8", "--c", "1",
                        "--trials", "2"],
     "probe-contiguity": ["probe", "contiguity", "--m2", "4", "--r", "1",
@@ -399,10 +402,14 @@ def test_banner_names_every_parsed_argument(argv, tmp_path, monkeypatch,
     assert run(*argv) == 0
     (banner,) = capsys.readouterr().err.splitlines()
     assert banner.startswith("looselab ")
+    tokens = banner.split(" | ", 1)[1].split(" ")
+    assert all(token.count("=") == 1 for token in tokens)
     parsed = vars(build_parser().parse_args(argv))
     del parsed["func"]
     for key, value in parsed.items():
-        assert f" {key}={value}" in banner
+        if isinstance(value, list):  # comma-joined, as the parser reads it
+            value = ",".join(map(str, value))
+        assert f"{key}={value}" in tokens
 
 
 def test_sweep_banner_tells_r_apart(capsys):

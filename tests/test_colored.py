@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from looselab import (
@@ -13,16 +14,16 @@ from looselab import (
     verify_rainbow_hamilton,
     write_colored,
 )
-from looselab.colored import ColoredEdge, RainbowCycleCert, \
-    read_rainbow_claim, write_rainbow_cert
+from looselab.colored import RainbowCycleCert, read_rainbow_claim, \
+    write_rainbow_cert
 
 from oracles import complete_hypergraph, is_equitable
 
 
 def square(colors=(5, 6, 7, 8)):
     # 4-cycle 1-2-3-4-1 with one color per step
-    edges = [ColoredEdge(1, 2, colors[0]), ColoredEdge(2, 3, colors[1]),
-             ColoredEdge(3, 4, colors[2]), ColoredEdge(1, 4, colors[3])]
+    edges = [(1, 2, colors[0]), (2, 3, colors[1]), (3, 4, colors[2]),
+             (1, 4, colors[3])]
     return ColoredMultigraph(4, (5, 6, 7, 8), edges)
 
 
@@ -30,37 +31,36 @@ class TestColoredMultigraph:
     def test_counts_cached(self):
         g = square()
         assert g.degrees == {1: 2, 2: 2, 3: 2, 4: 2}
-        assert Counter(e.color for e in g.edges) == {5: 1, 6: 1, 7: 1, 8: 1}
+        assert Counter(c for _u, _v, c in g.edges) == {5: 1, 6: 1, 7: 1, 8: 1}
 
     def test_counts_match_recount(self):
         g = square()
-        usage = Counter(e.color for e in g.edges)
+        usage = Counter(c for _u, _v, c in g.edges)
         degrees = Counter()
-        for e in g.edges:
-            degrees[e.u] += 1
-            degrees[e.v] += 1
+        for u, v, _c in g.edges:
+            degrees[u] += 1
+            degrees[v] += 1
         assert usage == Counter(g.colors)
         assert all(g.degrees[v] == degrees.get(v, 0) for v in range(1, 5))
 
     def test_rejects_color_outside_universe(self):
         with pytest.raises(ValueError):
-            ColoredMultigraph(2, (3,), [ColoredEdge(1, 2, 4)])
+            ColoredMultigraph(2, (3,), [(1, 2, 4)])
 
     def test_uncolored_graph(self):
-        g = ColoredMultigraph(3, (), [ColoredEdge(1, 2), ColoredEdge(2, 3)])
+        g = ColoredMultigraph(3, (), [(1, 2, 0), (2, 3, 0)])
         assert g.colors == ()
 
     def test_parallel_edges_kept_distinct(self):
-        g = ColoredMultigraph(2, (3, 4),
-                              [ColoredEdge(1, 2, 3), ColoredEdge(1, 2, 4)])
+        g = ColoredMultigraph(2, (3, 4), [(1, 2, 3), (1, 2, 4)])
         assert len(g.edges) == 2
         assert g.adjacency[1][2] == g.adjacency[2][1] == (3, 4)
 
     def test_adjacency_ascending_without_loops(self):
         g = ColoredMultigraph(
             4, (5, 6, 7),
-            [ColoredEdge(3, 4, 7), ColoredEdge(2, 2, 5), ColoredEdge(1, 3, 6),
-             ColoredEdge(2, 3, 5), ColoredEdge(1, 3, 5), ColoredEdge(1, 3, 6)])
+            [(3, 4, 7), (2, 2, 5), (1, 3, 6),
+             (2, 3, 5), (1, 3, 5), (1, 3, 6)])
         adj = g.adjacency
         assert list(adj) == [1, 2, 3, 4]
         assert list(adj[3].items()) == [(1, (5, 6)), (2, (5,)), (4, (7,))]
@@ -68,21 +68,26 @@ class TestColoredMultigraph:
         assert adj[1] == {3: (5, 6)} and adj[4] == {3: (7,)}
 
     def test_loop_allowed_in_type(self):
-        g = ColoredMultigraph(2, (), [ColoredEdge(1, 1)])
+        g = ColoredMultigraph(2, (), [(1, 1, 0)])
         assert g.degrees[1] == 2
+
+
+def test_edges_are_int_triples_low_end_first():
+    g = ColoredMultigraph(4, (5, 6), [(2, 1, 5), (np.int64(3), 4, 6)])
+    assert g.edges == ((1, 2, 5), (3, 4, 6))
+    assert all(type(x) is int for e in g.edges for x in e)
 
 
 class TestEquitable:
     def test_each_color_r_times(self):
         g = ColoredMultigraph(
             4, (5, 6),
-            [ColoredEdge(1, 2, 5), ColoredEdge(3, 4, 5),
-             ColoredEdge(1, 3, 6), ColoredEdge(2, 4, 6)])
+            [(1, 2, 5), (3, 4, 5), (1, 3, 6), (2, 4, 6)])
         assert is_equitable(g, 2)
         assert not is_equitable(g, 1)
 
     def test_missing_color_fails(self):
-        g = ColoredMultigraph(4, (5, 6), [ColoredEdge(1, 2, 5)])
+        g = ColoredMultigraph(4, (5, 6), [(1, 2, 5)])
         assert not is_equitable(g, 1)
 
 
@@ -94,8 +99,8 @@ class TestVerifyRainbow:
     def test_repeated_color_rejected(self):
         g = ColoredMultigraph(
             4, (5, 6, 7, 8),
-            [ColoredEdge(1, 2, 5), ColoredEdge(2, 3, 6),
-             ColoredEdge(3, 4, 5), ColoredEdge(1, 4, 8)])
+            [(1, 2, 5), (2, 3, 6),
+             (3, 4, 5), (1, 4, 8)])
         v = verify_rainbow_hamilton(
             g, RainbowCycleCert((1, 2, 3, 4), (5, 6, 5, 8)))
         assert not v
@@ -111,8 +116,8 @@ class TestVerifyRainbow:
         # the pair (3, 4) exists but never with color 6
         g = ColoredMultigraph(
             4, (5, 6, 7, 8),
-            [ColoredEdge(1, 2, 5), ColoredEdge(2, 3, 8),
-             ColoredEdge(3, 4, 7), ColoredEdge(3, 4, 8), ColoredEdge(1, 4, 6)])
+            [(1, 2, 5), (2, 3, 8),
+             (3, 4, 7), (3, 4, 8), (1, 4, 6)])
         v = verify_rainbow_hamilton(
             g, RainbowCycleCert((1, 2, 3, 4), (5, 8, 6, 7)))
         assert not v
@@ -122,8 +127,8 @@ class TestVerifyRainbow:
     def test_parallel_edge_any_match_accepts(self):
         g = ColoredMultigraph(
             4, (5, 6, 7, 8),
-            [ColoredEdge(1, 2, 5), ColoredEdge(1, 2, 6), ColoredEdge(2, 3, 6),
-             ColoredEdge(3, 4, 7), ColoredEdge(1, 4, 8)])
+            [(1, 2, 5), (1, 2, 6), (2, 3, 6),
+             (3, 4, 7), (1, 4, 8)])
         assert verify_rainbow_hamilton(
             g, RainbowCycleCert((1, 2, 3, 4), (5, 6, 7, 8)))
 
@@ -132,7 +137,7 @@ class TestVerifyRainbow:
             square(), RainbowCycleCert((1, 2, 3, 3), (5, 6, 7, 8)))
 
     def test_one_vertex_loop_rejected(self):
-        g = ColoredMultigraph(1, (5,), [ColoredEdge(1, 1, 5)])
+        g = ColoredMultigraph(1, (5,), [(1, 1, 5)])
         v = verify_rainbow_hamilton(g, RainbowCycleCert((1,), (5,)))
         assert not v
         assert v.reason == "cycle needs at least 2 vertices"
@@ -166,8 +171,7 @@ class TestColoredFormat:
         g2, r = read_colored(path)
         assert r == 1
         assert g2.num_vertices == 4
-        assert tuple(e.pair + (e.color,) for e in g2.edges) == \
-            tuple(e.pair + (e.color,) for e in g.edges)
+        assert g2.edges == g.edges
 
     def test_rejects_color_out_of_range(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -182,12 +186,12 @@ class TestColoredFormat:
             read_colored(path)
 
     def test_uncolored_round_trip(self, tmp_path):
-        g = ColoredMultigraph(4, (), [ColoredEdge(1, 2), ColoredEdge(3, 4)])
+        g = ColoredMultigraph(4, (), [(1, 2, 0), (3, 4, 0)])
         path = tmp_path / "g.txt"
         write_colored(g, 1, path)
         g2, _r = read_colored(path)
         assert g2.colors == ()
-        assert [e.pair for e in g2.edges] == [(1, 2), (3, 4)]
+        assert g2.edges == ((1, 2, 0), (3, 4, 0))
 
     def test_rejects_mixed_coloring(self, tmp_path):
         path = tmp_path / "bad.txt"

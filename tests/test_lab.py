@@ -208,14 +208,14 @@ class TestRunSweep:
         text = res.to_csv_text()
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER == \
-            "n,c,p,trials,successes,freq,ci_low,ci_high,method,seed"
+            "n,c,p,trials,successes,freq,ci_low,ci_high,method,seed,r"
         assert len(lines) == 1 + 2
         first = lines[1].split(",")
-        assert first[0] == "8" and first[9] == "3"
+        assert first[0] == "8" and first[9] == "3" and first[10] == "4"
         rows = json.loads(res.to_json_text())
         assert len(rows) == 2
         assert set(rows[0]) == {"n", "c", "p", "trials", "successes", "freq",
-                                "ci_low", "ci_high", "method", "seed"}
+                                "ci_low", "ci_high", "method", "seed", "r"}
 
     def test_cells_in_grid_order(self):
         spec = SweepSpec(n_values=(8, 12), c_values=(2.0, 4.0), trials=5,
@@ -306,8 +306,9 @@ class TestIsolatedExperiment:
     @pytest.mark.parametrize("n_values,c_values,message", [
         ((16, 2), (1.0,), "need n >= 3, got 2"),
         ((8, 16), (), "n and c grids must be non-empty"),
-        ((8, 16), (1.0, math.nan), "c must be >= 0, got nan"),
-    ], ids=["n", "empty-c", "nan-c"])
+        ((8, 16), (1.0, math.nan), "c must be finite and >= 0, got nan"),
+        ((8, 16), (1.0, math.inf), "c must be finite and >= 0, got inf"),
+    ], ids=["n", "empty-c", "nan-c", "inf-c"])
     def test_grid_refused_before_any_trial(self, n_values, c_values, message,
                                            monkeypatch):
         trials = []

@@ -34,8 +34,8 @@ class TestBuildGstar:
         m2 = (((1, 2), (4, 1)),)
         g = build_gstar([m1, m2], smallest_systems())
         assert len(g.edges) == 2
-        assert {e.pair for e in g.edges} == {(1, 2)}
-        assert {e.color for e in g.edges} == {3, 4}
+        assert {(u, v) for u, v, _c in g.edges} == {(1, 2)}
+        assert {c for _u, _v, c in g.edges} == {3, 4}
         assert is_equitable(g, 1)
 
     def test_pipeline_inputs_regular_and_equitable(self):
@@ -57,7 +57,7 @@ class TestBuildGstar:
         for pm in matchings:
             for (x1, x2), (y, _i) in pm:
                 want[(x1, x2, y)] += 1
-        got = Counter((e.u, e.v, e.color) for e in g.edges)
+        got = Counter(g.edges)
         assert got == want
 
     def test_rejects_inconsistent_inputs(self):

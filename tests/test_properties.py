@@ -22,8 +22,8 @@ from looselab import (
     write_colored,
     write_hypergraph,
 )
-from looselab.colored import ColoredEdge, RainbowCycleCert, \
-    read_rainbow_claim, write_rainbow_cert
+from looselab.colored import RainbowCycleCert, read_rainbow_claim, \
+    write_rainbow_cert
 from looselab.hypergraph import read_loose_cycle_claim
 from looselab.sampling import TripleSystem
 from looselab.solvers import verify_matching
@@ -74,7 +74,7 @@ def colored_graphs(draw):
         colors = ()
         color = st.just(0)
         size = 1  # an empty uncolored file reads back as colored
-    edges = draw(st.lists(st.builds(ColoredEdge, vertex, vertex, color),
+    edges = draw(st.lists(st.tuples(vertex, vertex, color),
                           min_size=size, max_size=12))
     return ColoredMultigraph(m2, colors, edges), r
 
@@ -175,7 +175,7 @@ class TestVerifiersRejectSingleEdits:
     def test_rainbow(self, cert, data):
         order, colors = list(cert[0]), list(cert[1])
         nv = len(order)
-        edges = [ColoredEdge(order[k], order[(k + 1) % nv], colors[k])
+        edges = [(order[k], order[(k + 1) % nv], colors[k])
                  for k in range(nv)]
         universe = range(nv + 1, 2 * nv + 1)
         assert verify_rainbow_hamilton(ColoredMultigraph(nv, universe, edges),
@@ -197,7 +197,7 @@ class TestVerifiersRejectSingleEdits:
         # the instance also holds every step the edited claim takes, so a
         # repeat is rejected as a repeat, not as a missing edge
         if edit in ("repeat vertex", "repeat color"):
-            edges += [ColoredEdge(order[k], order[(k + 1) % nv], colors[k])
+            edges += [(order[k], order[(k + 1) % nv], colors[k])
                       for k in range(nv) if order[k] != order[(k + 1) % nv]]
         g = ColoredMultigraph(nv, universe, edges)
         assert not verify_rainbow_hamilton(g, RainbowCycleCert(order, colors))

@@ -317,7 +317,7 @@ class TestUnionMatchings:
         seen = Counter()
         for _ in range(trials):
             g = sample_union_matchings(4, r, gen)
-            pairs = Counter(e.pair for e in g.edges)
+            pairs = Counter((u, v) for u, v, _c in g.edges)
             seen[len(g.edges) - len(pairs)] += 1
         for value, count in exact.items():
             prob = count / total
@@ -331,7 +331,7 @@ class TestPairingModel:
         for _ in range(50):
             g = sample_pairing_regular(8, 3, gen)
             assert all(d == 3 for d in g.degrees.values())
-            assert all(e.u != e.v for e in g.edges)
+            assert all(u != v for u, v, _c in g.edges)
 
     def test_d1_uniform_perfect_matching(self):
         trials = 6000
@@ -339,7 +339,7 @@ class TestPairingModel:
         seen = Counter()
         for _ in range(trials):
             g = sample_pairing_regular(4, 1, gen)
-            seen[tuple(sorted(e.pair for e in g.edges))] += 1
+            seen[tuple(sorted((u, v) for u, v, _c in g.edges))] += 1
         assert len(seen) == 3
         sigma = math.sqrt((1 / 3) * (2 / 3) / trials)
         for count in seen.values():
@@ -372,7 +372,7 @@ class TestPairingModel:
         hits = 0
         for _ in range(trials):
             g = sample_pairing_regular(4, 2, gen)
-            hits += len({e.pair for e in g.edges}) == 4
+            hits += len({(u, v) for u, v, _c in g.edges}) == 4
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(hits / trials - exact) <= 3 * sigma
 
@@ -395,7 +395,7 @@ class TestStreams:
 
     def test_every_sampler_reproduces_bit_for_bit(self):
         def edges(g):
-            return [(e.u, e.v, e.color) for e in g.edges]
+            return list(g.edges)
 
         a = sample_union_matchings(8, 2, derived_rng(17), colored=True)
         b = sample_union_matchings(8, 2, derived_rng(17), colored=True)

@@ -12,7 +12,6 @@ from looselab import (
     run_pipeline,
     verify_rainbow_hamilton,
 )
-from looselab.colored import ColoredEdge
 from looselab.lab import probability_from_c
 from looselab.sampling import TripleSystem, derived_rng, sample_coupled
 from looselab.solvers import verify_matching
@@ -143,15 +142,14 @@ class TestExactMatching:
 
 
 def rainbow_square_with_clutter():
-    edges = [ColoredEdge(1, 2, 5), ColoredEdge(2, 3, 6), ColoredEdge(3, 4, 7),
-             ColoredEdge(1, 4, 8)]
-    edges += [ColoredEdge(1, 3, 5), ColoredEdge(2, 4, 5), ColoredEdge(1, 2, 5)]
+    edges = [(1, 2, 5), (2, 3, 6), (3, 4, 7), (1, 4, 8)]
+    edges += [(1, 3, 5), (2, 4, 5), (1, 2, 5)]
     return ColoredMultigraph(4, (5, 6, 7, 8), edges)
 
 
 def rainbow_ring(nv):
     """The nv-cycle 1, 2, ..., nv with a distinct color on every edge."""
-    edges = [ColoredEdge(i, i % nv + 1, nv + i) for i in range(1, nv + 1)]
+    edges = [(i, i % nv + 1, nv + i) for i in range(1, nv + 1)]
     return ColoredMultigraph(nv, tuple(range(nv + 1, 2 * nv + 1)), edges)
 
 
@@ -173,7 +171,7 @@ def random_colored(rng, nv=4, max_edges=8, palette=(5, 6, 7, 8), loops=False):
     edges = []
     for _ in range(k):
         u, v = pairs[int(rng.integers(len(pairs)))]
-        edges.append(ColoredEdge(u, v, palette[int(rng.integers(len(palette)))]))
+        edges.append((u, v, palette[int(rng.integers(len(palette)))]))
     return ColoredMultigraph(nv, palette, edges)
 
 
@@ -185,14 +183,14 @@ class TestExactRainbow:
         assert verify_rainbow_hamilton(g, cert)
 
     def test_monochromatic_absent(self):
-        edges = [ColoredEdge(u, v, 5)
+        edges = [(u, v, 5)
                  for u, v in combinations(range(1, 5), 2)]
         g = ColoredMultigraph(4, (5, 6, 7, 8), edges)
         assert exact_rainbow_hamilton(g) is None
 
     def test_two_vertex_parallel_edges(self):
         g = ColoredMultigraph(2, (3, 4),
-                              [ColoredEdge(1, 2, 3), ColoredEdge(1, 2, 4)])
+                              [(1, 2, 3), (1, 2, 4)])
         cert = exact_rainbow_hamilton(g)
         assert cert is not None
         assert verify_rainbow_hamilton(g, cert)
@@ -217,8 +215,8 @@ class TestExactRainbow:
     def test_spare_color_may_stay_unused(self):
         # the 5-ring is the only Hamilton cycle and leaves the chord's
         # color unused, so the coverage prune must not fire on 6 colors
-        edges = [ColoredEdge(i, i % 5 + 1, 5 + i) for i in range(1, 6)]
-        g = ColoredMultigraph(5, range(6, 12), edges + [ColoredEdge(1, 3, 11)])
+        edges = [(i, i % 5 + 1, 5 + i) for i in range(1, 6)]
+        g = ColoredMultigraph(5, range(6, 12), edges + [(1, 3, 11)])
         cert = exact_rainbow_hamilton(g)
         assert cert is not None and 11 not in cert.colors
         assert verify_rainbow_hamilton(g, cert)
