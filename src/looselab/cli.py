@@ -3,7 +3,8 @@
 After parsing, and before the command runs, ``main`` prints one stderr
 banner, ``looselab <version> | name=value ...``, naming every parsed
 argument, so each output can be reproduced from its header.  Refusals of
-bad parameters are left to the library calls the commands make.
+bad parameters are left to the library calls the commands make, except
+``sample``'s refusal of ``--p``/``--c`` for a model other than h3.
 
 Exit codes: 0 on success / verified-true / witness found, 1 on
 verified-false, witness proven absent, or a search left undecided by its
@@ -60,6 +61,9 @@ def _output(out):
 
 
 def _cmd_sample(args) -> int:
+    for flag in ("p", "c"):
+        if args.model != "h3" and getattr(args, flag) is not None:
+            raise FormatError(f"--{flag} applies only to --model h3")
     gen = derived_rng(args.seed)
     with _output(args.out) as out:
         if args.model == "h3":

@@ -15,7 +15,7 @@ import math
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class FormatError(ValueError):
@@ -49,11 +49,11 @@ class Hypergraph3:
 
     Edges are one strictly ascending tuple of sorted triples (``edge_list``,
     giving each edge a stable id); ``e in h`` binary-searches it.  The
-    constructor rejects duplicate triples; samplers bypass it through
-    ``_from_sorted``, checked by ``test_sampling.py::TestSortedEdgeList``.
+    constructor validates; samplers are trusted, via ``_from_sorted`` or
+    ``_deferred`` (built on first read), as ``TestSortedEdgeList`` checks.
     """
 
-    __slots__ = ("n", "edge_list")
+    __slots__ = ("n", "_edges", "_build")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         n = int(n)
@@ -66,21 +66,36 @@ class Hypergraph3:
         if canon and (canon[0][0] < 1 or max(e[2] for e in canon) > n):
             raise ValueError("edge vertex outside 1..n")
         self.n = n
-        self.edge_list: tuple[Triple, ...] = tuple(canon)
+        self._edges: tuple[Triple, ...] = tuple(canon)
+        self._build = None
 
     @classmethod
     def _from_sorted(cls, n: int, edge_list: Sequence[Triple]) -> "Hypergraph3":
         # Trusted fast path for samplers: edges already sorted ascending,
         # distinct, canonical, and within range.
         self = cls.__new__(cls)
-        self.n = n
-        self.edge_list = tuple(edge_list)
+        self.n, self._edges, self._build = n, tuple(edge_list), None
         return self
 
+    @classmethod
+    def _deferred(cls, n: int, build: Callable) -> "Hypergraph3":
+        # As _from_sorted, but the edges are what build() returns; it is
+        # called once, on the first read of edge_list.
+        self = cls.__new__(cls)
+        self.n, self._build = n, build
+        return self
+
+    @property
+    def edge_list(self) -> tuple[Triple, ...]:
+        if self._build is not None:
+            self._edges = tuple(self._build())
+            self._build = None
+        return self._edges
+
     def __contains__(self, e) -> bool:
-        e = tuple(e)
-        i = bisect_left(self.edge_list, e)
-        return i < len(self.edge_list) and self.edge_list[i] == e
+        e, edges = tuple(e), self.edge_list
+        i = bisect_left(edges, e)
+        return i < len(edges) and edges[i] == e
 
     def __eq__(self, other) -> bool:
         return (

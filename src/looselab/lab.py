@@ -18,7 +18,6 @@ import statistics
 import tempfile
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from statistics import NormalDist
@@ -218,6 +217,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     if procs == 1:
         rows = list(map(_trial, tasks))
     else:
+        # imported here: a process that never forks does not load the pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=procs) as pool:
             rows = list(pool.map(_trial, tasks,
                                  chunksize=math.ceil(spec.trials / procs)))

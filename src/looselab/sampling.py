@@ -22,7 +22,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from .colored import ColoredMultigraph
-from .hypergraph import Hypergraph3
+from .hypergraph import Hypergraph3, Triple
 
 Slot = Hashable
 
@@ -183,6 +183,7 @@ class TripleSystem:
 
     ``present`` holds the included triples ((x, x'), slot), 1 <= x < x' <= 2m;
     a perfect matching is m of them, disjoint, covering X and the slots.
+    The constructor validates all of it; ``sample_gamma``'s draws are trusted.
     """
 
     slots: tuple[Slot, ...]
@@ -204,6 +205,14 @@ class TripleSystem:
             if slot not in sset:
                 raise ValueError(f"slot {slot!r} outside the slot set")
 
+    @classmethod
+    def _from_draw(cls, slots: tuple, present: frozenset) -> "TripleSystem":
+        # Trusted fast path for sample_gamma: slots distinct and non-empty,
+        # every pair ordered in 1..2m, every slot one of ``slots``.
+        self = cls.__new__(cls)
+        self.__dict__.update(slots=slots, present=present)
+        return self
+
     @property
     def m(self) -> int:
         return len(self.slots)
@@ -217,9 +226,13 @@ def sample_gamma(slots: Sequence[Slot], p1: float,
     if not 0.0 <= p1 <= 1.0:
         raise ValueError(f"p1 must lie in [0, 1], got {p1}")
     ns = len(slots)
+    if not ns:
+        raise ValueError("need at least one slot")
+    if len(set(slots)) != ns:
+        raise ValueError("slots must be distinct")
     pos = _included_positions(gen, math.comb(2 * ns, 2) * ns, p1)
     u, v = unrank_pairs(2 * ns, pos // ns)
-    return TripleSystem(slots, frozenset(zip(
+    return TripleSystem._from_draw(slots, frozenset(zip(
         zip(u.tolist(), v.tolist()), [slots[k] for k in (pos % ns).tolist()])))
 
 
@@ -244,38 +257,44 @@ def sample_coupled(n: int, p: float, r: int, gen: np.random.Generator
       system OR an independent top-up coin at q = 1-(1-p1)^r succeeds,
       for a total presence probability 1-(1-p1)^r * (1-q) = p;
     * every triple of any other shape is placed independently at p.
+
+    All draws are made here; the hypergraph is assembled from them on the
+    first read of its ``edge_list``, which draws nothing.
     """
     if n % 4 or n < 8:
         raise ValueError(f"need n divisible by 4 and >= 8, got {n}")
     params = split_probability(p, r)
-    m = n // 4
-    two_m = 2 * m
+    two_m = n // 2
+    systems = tuple(sample_gamma(blk, params.p1, gen)
+                    for blk in sample_copyset_partition(n // 4, r, gen))
+    # top-up coins over base triples, ranked pair-major then by color
+    topup = _included_positions(gen, math.comb(two_m, 2) * two_m, params.q)
+    # every other shape at rate p, drawn over all of C(n,3) as sample_h3 does
+    rest = _included_positions(gen, math.comb(n, 3), p)
+    return Hypergraph3._deferred(n, functools.partial(
+        _coupled_edges, n, systems, topup, rest)), systems
+
+
+def _coupled_edges(n: int, systems: tuple[TripleSystem, ...],
+                   topup: np.ndarray, rest: np.ndarray) -> list[Triple]:
+    """Sorted distinct edges of ``sample_coupled``'s hypergraph on 1..n."""
+    two_m = n // 2
     # triple a < b < c is the key (a*base + b)*base + c, so keys sort as
     # triples do
     base = n + 1
-
-    systems = tuple(sample_gamma(blk, params.p1, gen)
-                    for blk in sample_copyset_partition(m, r, gen))
     keys = [np.array([(x1 * base + x2) * base + y for ts in systems
                       for (x1, x2), (y, _copy) in ts.present], dtype=np.int64)]
-
-    # top-up coins over base triples, ranked pair-major then by color
-    pos = _included_positions(gen, math.comb(two_m, 2) * two_m, params.q)
-    u, v = unrank_pairs(two_m, pos // two_m)
-    keys.append((u * base + v) * base + two_m + 1 + pos % two_m)
-
-    # every other shape at rate p: all of C(n,3) drawn as sample_h3 does,
-    # less the coupled shape x < x' <= 2m < y
-    pos = _included_positions(gen, math.comb(n, 3), p)
-    a, b, c = unrank_triples(n, pos)
+    u, v = unrank_pairs(two_m, topup // two_m)
+    keys.append((u * base + v) * base + two_m + 1 + topup % two_m)
+    # drop the coupled shape x < x' <= 2m < y from the backdrop
+    a, b, c = unrank_triples(n, rest)
     keys.append(((a * base + b) * base + c)[~((b <= two_m) & (two_m < c))])
 
     keys = np.sort(np.concatenate([[-1], *keys]))  # -1 sorts below every key
     keys = keys[1:][keys[1:] != keys[:-1]]
     ab, c = np.divmod(keys, base)
     a, b = np.divmod(ab, base)
-    edges = list(zip(a.tolist(), b.tolist(), c.tolist()))
-    return Hypergraph3._from_sorted(n, edges), systems
+    return list(zip(a.tolist(), b.tolist(), c.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,28 @@ class TestSampleCommand:
         assert "error: need at least one slot" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--p", "0.5"), ("--c", "inf"),
+                                             ("--c", "nan")])
+    @pytest.mark.parametrize("model, args", [
+        ("gamma", ("--m", "2")),
+        ("union", ("--m2", "4", "--r", "1")),
+        ("pairing", ("--m2", "8", "--d", "3")),
+    ])
+    def test_p_or_c_refused_for_other_models(self, model, args, flag, value,
+                                             tmp_path, monkeypatch, capsys):
+        def no_draw(seed):
+            raise AssertionError("drew before refusing")
+
+        monkeypatch.setattr("looselab.cli.derived_rng", no_draw)
+        out = tmp_path / "x.txt"
+        assert run("sample", "--model", model, *args, flag, value,
+                   "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} applies only to --model h3" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestSolveCommand:
     def test_matching_not_found_exits_one(self, tmp_path):

@@ -2,6 +2,9 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,7 +182,8 @@ class TestRunSweep:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(lab, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            Recorder)
         one = SweepSpec(n_values=(8,), c_values=(16.0,), trials=1, seed=1)
         six = SweepSpec(n_values=(8,), c_values=(2.0, 16.0), trials=3,
                         seed=1)
@@ -187,6 +191,17 @@ class TestRunSweep:
             run_sweep(one).to_csv_text()
         run_sweep(six, workers=64)
         assert sizes == [6]
+
+    def test_import_loads_no_process_pool(self):
+        # only a sweep run over several workers imports concurrent.futures
+        src = str(Path(lab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", "import looselab, sys; "
+             "print('concurrent.futures' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out == "False\n"
 
     def test_pipeline_matching_has_no_size_cap(self):
         # m = 260/4 = 65 triple-system slots: decided, not refused mid-sweep

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from collections import Counter
 from itertools import combinations
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from looselab import (
     Hypergraph3,
     probability_from_c,
+    run_pipeline,
     sample_copyset_partition,
     sample_coupled,
     sample_gamma,
@@ -16,8 +19,10 @@ from looselab import (
     sample_pairing_regular,
     sample_union_matchings,
 )
+from looselab import sampling
 from looselab.sampling import (
     TripleSystem,
+    _coupled_edges as coupled_edges,
     derived_rng,
     split_probability,
     unrank_pairs,
@@ -183,6 +188,20 @@ class TestSampleGamma:
         # refused before any draw: the stream is where a fresh one starts
         assert gen.integers(1 << 62) == derived_rng(0).integers(1 << 62)
 
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_trusted_build_passes_the_checks(self, m):
+        # sample_gamma skips the constructor's per-triple checks; its
+        # draws must pass them all the same
+        for slots in (range(2 * m + 1, 3 * m + 1),
+                      [(y, 1) for y in range(m, 0, -1)]):
+            for p1 in (0.2, 1.0):
+                ts = sample_gamma(slots, p1, derived_rng(m))
+                assert ts == TripleSystem(ts.slots, ts.present)
+
+    def test_rejects_repeated_slots(self):
+        with pytest.raises(ValueError, match="slots must be distinct"):
+            sample_gamma(("a", "b", "a"), 0.5, derived_rng(0))
+
     def test_fixed_triple_marginal(self):
         p1, trials = 0.1, 100_000
         gen = derived_rng(8)
@@ -249,11 +268,60 @@ class TestSampleCoupled:
                    for x, y in zip(a[1], b[1]))
 
 
+class TestDeferredAssembly:
+    """``sample_coupled`` makes every draw eagerly and assembles its
+    hypergraph from them on the first read of ``edge_list``."""
+
+    def test_reading_the_edges_draws_nothing(self):
+        gen = derived_rng(4)
+        h, _systems = sample_coupled(16, 0.3, 4, gen)
+        state = gen.bit_generator.state
+        assert h.edge_list
+        assert gen.bit_generator.state == state
+
+    @pytest.mark.parametrize("n", [8, 16, 40, 64])
+    @pytest.mark.parametrize("r", [1, 4])
+    def test_unread_equals_the_checked_build(self, n, r):
+        p = probability_from_c(n, 64)
+        for seed in range(3):
+            h, _systems = sample_coupled(n, p, r, derived_rng(seed))
+            again, _systems = sample_coupled(n, p, r, derived_rng(seed))
+            assert Hypergraph3(n, again.edge_list) == h
+
+    @pytest.mark.parametrize("clone", [
+        pytest.param(lambda h: pickle.loads(pickle.dumps(h)), id="pickle"),
+        pytest.param(copy.deepcopy, id="deepcopy"),
+    ])
+    def test_unread_copies(self, clone):
+        h, _systems = sample_coupled(16, 0.3, 4, derived_rng(5))
+        twin = clone(h)
+        assert twin == h and twin.n == 16 and hash(twin) == hash(h)
+
+    def test_assembled_only_when_read(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return coupled_edges(*args)
+
+        monkeypatch.setattr(sampling, "_coupled_edges", counted)
+        rep = run_pipeline(16, probability_from_c(16, 16), 4, seed=0,
+                           keep_instance=True)
+        assert rep.failed_stage == "matching" and calls == []
+        rep.hypergraph.edge_list
+        assert len(calls) == 1
+        calls.clear()
+        rep = run_pipeline(8, 1.0, 1, seed=0, keep_instance=True)
+        assert rep.success and len(calls) == 1
+        rep.hypergraph.edge_list
+        assert len(calls) == 1
+
+
 class TestSortedEdgeList:
     """The samplers build their hypergraphs through the trusted
-    ``Hypergraph3._from_sorted``; membership is a binary search, so each
-    edge list must be what the checking constructor makes of it: sorted
-    triples, strictly ascending, inside 1..n."""
+    ``Hypergraph3._from_sorted`` or ``_deferred``; membership is a binary
+    search, so each edge list must be what the checking constructor makes
+    of it: sorted triples, strictly ascending, inside 1..n."""
 
     CASES = pytest.mark.parametrize("n, p", [
         pytest.param(8, 0.0, id="n8-p0"),
