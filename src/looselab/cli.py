@@ -89,7 +89,7 @@ def _cmd_solve_matching(args) -> int:
     if pm is None:
         print("no perfect matching found")
         return 1
-    _write_rows(sys.stdout, ((x1, x2, slot) for (x1, x2), slot in pm))
+    _write_rows(sys.stdout, pm)
     return 0
 
 

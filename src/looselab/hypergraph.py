@@ -71,8 +71,8 @@ class Hypergraph3:
 
     @classmethod
     def _from_sorted(cls, n: int, edge_list: Sequence[Triple]) -> "Hypergraph3":
-        # Trusted fast path for samplers: edges already sorted ascending,
-        # distinct, canonical, and within range.
+        # Trusted fast path for samplers and checked files: edges already
+        # sorted ascending, distinct, canonical, and within range.
         self = cls.__new__(cls)
         self.n, self._edges, self._build = n, tuple(edge_list), None
         return self
@@ -127,10 +127,6 @@ class LooseCycle:
         object.__setattr__(self, "links", tuple(int(v) for v in self.links))
         object.__setattr__(self, "middles",
                            tuple(int(v) for v in self.middles))
-
-    @property
-    def n(self) -> int:
-        return 2 * len(self.links)
 
     def windows(self) -> tuple[Triple, ...]:
         """The s edges {x_i, y_i, x_(i+1)} traced by the cycle."""
@@ -361,7 +357,7 @@ def read_hypergraph(f) -> Hypergraph3:
         if t in seen:
             raise FormatError(f"line {k}: duplicate triple {t}")
         seen.add(t)
-    return Hypergraph3(n, seen)
+    return Hypergraph3._from_sorted(n, sorted(seen))
 
 
 def read_loose_cycle_claim(f) -> LooseCycle:

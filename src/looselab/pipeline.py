@@ -1,7 +1,7 @@
 """End-to-end reduction: coupled sample -> 2r perfect matchings -> colored
 derived graph -> rainbow Hamilton cycle -> loose Hamilton cycle.
 
-Each matched triple ((x, x'), (y, i)) becomes a derived-graph edge (x, x')
+Each matched triple (x, x', (y, i)) becomes a derived-graph edge (x, x')
 of color y, so the union of the 2r matchings is 2r-regular and equitable
 with parameter r by construction.  ``build_gstar`` checks each matching
 against its system with ``verify_matching`` before using it.  A rainbow
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 from .colored import ColoredMultigraph, RainbowCycleCert, lift_to_loose
@@ -44,7 +44,7 @@ def build_gstar(matchings: Sequence[Sequence[MatchTriple]],
 
     Matching j must pass ``verify_matching`` against system j, so it uses
     only present triples and consumes exactly system j's slots (copy-set
-    block j); each triple ((x, x'), (y, i)) becomes the edge (x, x') of
+    block j); each triple (x, x', (y, i)) becomes the edge (x, x') of
     color y.  The result has 2rm edges, is 2r-regular, and uses every
     base color exactly r times.
     """
@@ -56,7 +56,7 @@ def build_gstar(matchings: Sequence[Sequence[MatchTriple]],
         verdict = verify_matching(ts, pm)
         if not verdict:
             raise ValueError(f"matching {j + 1}: {verdict.reason}")
-        edges.extend((x1, x2, y) for (x1, x2), (y, _copy) in pm)
+        edges.extend((x1, x2, y) for x1, x2, (y, _copy) in pm)
     colors = {y for ts in systems for y, _copy in ts.slots}
     return ColoredMultigraph(2 * systems[0].m, colors, edges)
 
@@ -89,13 +89,8 @@ class PipelineReport:
     gstar: Optional[ColoredMultigraph] = None
 
     def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)
-             if f.name not in ("hypergraph", "gstar")}
-        for key in ("rainbow_cert", "loose_cycle"):
-            if d[key] is not None:
-                d[key] = asdict(d[key])
-        d["stage_seconds"] = dict(self.stage_seconds)
-        d["stage_steps"] = dict(self.stage_steps)
+        d = asdict(replace(self, hypergraph=None, gstar=None))
+        del d["hypergraph"], d["gstar"]
         return d
 
     def to_json(self) -> str:

@@ -181,9 +181,10 @@ def sample_copyset_partition(m: int, r: int, gen: np.random.Generator
 class TripleSystem:
     """Random triple system over pairs of X = 1..2m times m >= 1 slots.
 
-    ``present`` holds the included triples ((x, x'), slot), 1 <= x < x' <= 2m;
+    ``present`` holds the included triples (x, x', slot), 1 <= x < x' <= 2m;
     a perfect matching is m of them, disjoint, covering X and the slots.
-    The constructor validates all of it; ``sample_gamma``'s draws are trusted.
+    The constructor validates all of it; sampled and file-read systems are
+    trusted, and with slots 2m+1..3m a system is its hypergraph's edges.
     """
 
     slots: tuple[Slot, ...]
@@ -199,7 +200,7 @@ class TripleSystem:
         if len(sset) != len(slots):
             raise ValueError("slots must be distinct")
         xset = set(range(1, 2 * len(slots) + 1))
-        for (x1, x2), slot in self.present:
+        for x1, x2, slot in self.present:
             if not (x1 in xset and x2 in xset and x1 < x2):
                 raise ValueError(f"pair ({x1}, {x2}) is not ordered in 1..{len(xset)}")
             if slot not in sset:
@@ -207,8 +208,8 @@ class TripleSystem:
 
     @classmethod
     def _from_draw(cls, slots: tuple, present: frozenset) -> "TripleSystem":
-        # Trusted fast path for sample_gamma: slots distinct and non-empty,
-        # every pair ordered in 1..2m, every slot one of ``slots``.
+        # Trusted path for sample_gamma and the file bridge: slots distinct
+        # and non-empty, each pair ordered in 1..2m, each slot in ``slots``.
         self = cls.__new__(cls)
         self.__dict__.update(slots=slots, present=present)
         return self
@@ -233,7 +234,7 @@ def sample_gamma(slots: Sequence[Slot], p1: float,
     pos = _included_positions(gen, math.comb(2 * ns, 2) * ns, p1)
     u, v = unrank_pairs(2 * ns, pos // ns)
     return TripleSystem._from_draw(slots, frozenset(zip(
-        zip(u.tolist(), v.tolist()), [slots[k] for k in (pos % ns).tolist()])))
+        u.tolist(), v.tolist(), [slots[k] for k in (pos % ns).tolist()])))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +284,7 @@ def _coupled_edges(n: int, systems: tuple[TripleSystem, ...],
     # triples do
     base = n + 1
     keys = [np.array([(x1 * base + x2) * base + y for ts in systems
-                      for (x1, x2), (y, _copy) in ts.present], dtype=np.int64)]
+                      for x1, x2, (y, _copy) in ts.present], dtype=np.int64)]
     u, v = unrank_pairs(two_m, topup // two_m)
     keys.append((u * base + v) * base + two_m + 1 + topup % two_m)
     # drop the coupled shape x < x' <= 2m < y from the backdrop
@@ -367,19 +368,17 @@ def sample_pairing_regular(m2: int, d: int,
 def triple_system_from_hypergraph(h: Hypergraph3) -> TripleSystem:
     if h.n % 3:
         raise ValueError(f"vertex count must be 3m (got {h.n})")
-    m = h.n // 3
-    two_m = 2 * m
-    present = set()
+    two_m = 2 * (h.n // 3)
     for a, b, c in h.edge_list:
         if not b <= two_m < c:
             raise ValueError(f"edge {(a, b, c)} is not (pair, slot)-shaped")
-        present.add(((a, b), c))
-    return TripleSystem(tuple(range(two_m + 1, h.n + 1)), frozenset(present))
+    # a valid hypergraph's edges of this shape pass every TripleSystem check
+    return TripleSystem._from_draw(tuple(range(two_m + 1, h.n + 1)),
+                                   frozenset(h.edge_list))
 
 
 def hypergraph_from_triple_system(ts: TripleSystem) -> Hypergraph3:
     m = ts.m
     if ts.slots != tuple(range(2 * m + 1, 3 * m + 1)):
         raise ValueError("system must use integer slots 2m+1..3m")
-    edges = sorted((x1, x2, slot) for (x1, x2), slot in ts.present)
-    return Hypergraph3._from_sorted(3 * m, edges)
+    return Hypergraph3._from_sorted(3 * m, sorted(ts.present))

@@ -1,20 +1,20 @@
 """Combinatorial engines: perfect matchings of triple systems and rainbow
 Hamilton cycles of colored multigraphs.
 
-A matching is a tuple of ``((x, x'), slot)`` triples sorted by pair, and
-``verify_matching`` is its one validity check.  One complete search per
+A matching is a sorted tuple of flat ``(x, x', slot)`` triples, x < x',
+and ``verify_matching`` is its one validity check.  One complete search per
 problem, seed-free unless handed a generator for the column relabelling.
 Each returns a witness that passes its verifier, or ``None`` only when it
 has proven that no witness exists; the test suite checks both against
 unpruned enumeration oracles at small sizes.
 Neither has a size cap: the matching engine runs to a decision on any
 input, and the rainbow engine spends at most a node budget and raises
-``BudgetExhausted`` when the search is undecided.  Neither undoes a
-move: the matching engine recurses with its search state as int bit
-masks passed by value, and a matching row carries the triple it adds.
-The rainbow engine loops over an explicit stack, so its depth is not
-bounded by the recursion limit; a move copies the per-vertex state it
-changes, and a node re-checks only the vertices that move changed.  Its
+``BudgetExhausted`` when the search is undecided.  Both loop over an
+explicit stack, so their depth is not bounded by the recursion limit,
+and neither undoes a move.  A matching frame holds its live rows and the
+int bit mask of its open columns, and a row carries the triple it adds.
+A rainbow move copies the per-vertex state it changes, and a node
+re-checks only the vertices that move changed.  The rainbow engine's
 prunes never reorder its branches, so a prune only lowers the node count
 and keeps the first certificate.
 """
@@ -29,7 +29,7 @@ from .colored import ColoredMultigraph, RainbowCycleCert
 from .hypergraph import BudgetExhausted, Verdict
 from .sampling import Slot, TripleSystem
 
-MatchTriple = tuple[tuple[int, int], Slot]
+MatchTriple = tuple[int, int, Slot]
 
 # Search nodes exact_rainbow_hamilton may expand before giving up: about
 # 46x the most any of 1000 seeded pipeline graphs at n=40, p=0.9 needed
@@ -48,7 +48,7 @@ def verify_matching(ts: TripleSystem, matching) -> Verdict:
     for i, t in enumerate(triples):
         if t not in ts.present:
             return Verdict(False, "triple not present in the system", index=i + 1)
-        (x1, x2), slot = t
+        x1, x2, slot = t
         used_x += [x1, x2]
         used_slots.append(slot)
     if sorted(used_x) != list(range(1, 2 * ts.m + 1)):
@@ -71,14 +71,14 @@ def exact_matching(ts: TripleSystem, *, gen=None, stats: Optional[dict] = None
     Rows are present triples; columns are the 2m X-vertices and the m
     slots.  The most constrained column is branched first, ties broken by
     lowest column, and its rows are tried in (lower X column, higher X
-    column, slot column) order.  Returns a matching, its triples sorted by
-    pair, iff one exists, for any m: there is no size cap and no node
-    budget.  ``stats["nodes"]`` accumulates the search nodes expanded.
+    column, slot column) order.  Returns a matching, its triples sorted,
+    iff one exists, for any m: there is no size cap, no node budget and
+    no recursion.  ``stats["nodes"]`` accumulates the search nodes expanded.
 
     A row is its three columns in that order, their mask and its triple;
-    rows differ in their columns, so sorting never compares triples.  A
-    node receives the live rows, sorted, and the mask of open columns; a
-    chosen row passes down the live rows disjoint from it.
+    rows differ in columns and a matching's triples in pairs, so no sort
+    compares slots.  A node has the live rows, sorted, and the mask of
+    open columns; a chosen row passes down the live rows disjoint from it.
 
     Without ``gen``, X-vertex x is column x - 1 and slot j column 2m + j.
     A fixed numbering would hand every saturated system the same witness
@@ -94,40 +94,50 @@ def exact_matching(ts: TripleSystem, *, gen=None, stats: Optional[dict] = None
     scol = {s: two_m + c for s, c in zip(ts.slots, sperm)}
     rows = []
     for t in ts.present:
-        (x1, x2), slot = t
+        x1, x2, slot = t
         a, b, s = xcol[x1], xcol[x2], scol[slot]
         if a > b:
             a, b = b, a
         rows.append((a, b, s, 1 << a | 1 << b | 1 << s, t))
     rows.sort()
     ncols = two_m + m
-    chosen: list[MatchTriple] = []
-
-    def solve(live: list, open_cols: int) -> bool:
+    # a frame: [live rows, open columns, branch column, its untried rows,
+    # the triple being tried]; an edgeless system expands no node
+    stack: list[list] = []
+    live, open_cols, nodes = rows, (1 << ncols) - 1, 0
+    try:
+        while rows:
+            nodes += 1
+            if not open_cols:
+                return tuple(sorted(frame[4] for frame in stack))
+            counts = [0] * ncols
+            for a, b, s, _, _ in live:
+                counts[a] += 1
+                counts[b] += 1
+                counts[s] += 1
+            fewest, col = min((counts[c], c) for c in range(ncols)
+                              if open_cols >> c & 1)
+            if fewest:
+                stack.append([live, open_cols, col, iter(live), None])
+            # step to the next row of the deepest frame that covers its column
+            while stack:
+                frame = stack[-1]
+                live, open_cols, col, untried, _ = frame
+                for a, b, s, mask, t in untried:
+                    if col == a or col == b or col == s:
+                        break
+                else:
+                    stack.pop()
+                    continue
+                break
+            else:
+                return None
+            frame[4] = t
+            live = [r for r in live if not r[3] & mask]
+            open_cols &= ~mask
+    finally:
         if stats is not None:
-            stats["nodes"] = stats.get("nodes", 0) + 1
-        if not open_cols:
-            return True
-        counts = [0] * ncols
-        for a, b, s, _, _ in live:
-            counts[a] += 1
-            counts[b] += 1
-            counts[s] += 1
-        fewest, col = min((counts[c], c) for c in range(ncols)
-                          if open_cols >> c & 1)
-        if not fewest:
-            return False
-        for a, b, s, mask, t in live:
-            if col == a or col == b or col == s:
-                chosen.append(t)
-                if solve([r for r in live if not r[3] & mask],
-                         open_cols & ~mask):
-                    return True
-                chosen.pop()
-        return False
-
-    if rows and solve(rows, (1 << ncols) - 1):
-        return tuple(sorted(chosen, key=lambda t: t[0]))
+            stats["nodes"] = stats.get("nodes", 0) + nodes
     return None
 
 

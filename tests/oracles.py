@@ -56,7 +56,7 @@ def perfect_matching_exists_naive(ts: TripleSystem) -> bool:
     for pairing in _pair_partitions(range(1, 2 * m + 1)):
         for slot_order in permutations(ts.slots):
             if all(
-                ((min(a, b), max(a, b)), slot_order[i]) in ts.present
+                (min(a, b), max(a, b), slot_order[i]) in ts.present
                 for i, (a, b) in enumerate(pairing)
             ):
                 return True
@@ -76,15 +76,15 @@ def relabelled_matching(ts: TripleSystem, gen):
     xmap = {x: xperm[x - 1] + 1 for x in range(1, 2 * m + 1)}
     smap = {ts.slots[i]: ts.slots[sperm[i]] for i in range(m)}
     relabelled = TripleSystem(ts.slots, frozenset(
-        (tuple(sorted((xmap[x1], xmap[x2]))), smap[s])
-        for (x1, x2), s in ts.present))
+        (*sorted((xmap[x1], xmap[x2])), smap[s])
+        for x1, x2, s in ts.present))
     pm = exact_matching(relabelled)
     if pm is None:
         return None
     inv_x = {v: k for k, v in xmap.items()}
     inv_s = {v: k for k, v in smap.items()}
-    return tuple(sorted((tuple(sorted((inv_x[x1], inv_x[x2]))), inv_s[s])
-                        for (x1, x2), s in pm))
+    return tuple(sorted((*sorted((inv_x[x1], inv_x[x2])), inv_s[s])
+                        for x1, x2, s in pm))
 
 
 def rainbow_hamilton_exists_naive(g) -> bool:
@@ -235,7 +235,7 @@ def complete_triple_system(slots) -> TripleSystem:
     """Every (pair, slot) triple over X = 1..2m present."""
     slots = tuple(slots)
     return TripleSystem(slots, frozenset(
-        (pair, s) for pair in combinations(range(1, 2 * len(slots) + 1), 2)
+        (*pair, s) for pair in combinations(range(1, 2 * len(slots) + 1), 2)
         for s in slots))
 
 

@@ -103,8 +103,8 @@ def test_criterion_3_coupling_exactness():
     gen = derived_rng(1003)
     coupled_triple = (1, 2, 9)   # two link vertices, one color vertex
     other_triple = (2, 3, 4)     # entirely inside the link half
-    copy_a = ((1, 2), (9, 1))    # two disjoint copy-triples
-    copy_b = ((3, 4), (10, 1))
+    copy_a = (1, 2, (9, 1))      # two disjoint copy-triples
+    copy_b = (3, 4, (10, 1))
     hits_coupled = hits_other = hits_a = hits_b = hits_joint = 0
     for _ in range(trials):
         h, systems = sample_coupled(n, p, r, gen)

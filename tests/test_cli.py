@@ -155,6 +155,18 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert "1 2 5" in out and "3 4 6" in out
 
+    def test_matching_beyond_the_recursion_limit(self, tmp_path, capsys):
+        # 1000 planted triples are 1000 choices deep, at Python's default
+        # recursion limit
+        m = 1000
+        inst = tmp_path / "ts.txt"
+        inst.write_text(f"{3 * m} {m}\n" + "".join(
+            f"{2 * k + 1} {2 * k + 2} {2 * m + k + 1}\n" for k in range(m)))
+        assert run("solve", "matching", "--in", str(inst)) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows == [f"{2 * k + 1} {2 * k + 2} {2 * m + k + 1}"
+                        for k in range(m)]
+
     def test_rainbow_solve(self, tmp_path, capsys):
         inst = tmp_path / "g.txt"
         inst.write_text("4 1\n1 2 5\n2 3 6\n3 4 7\n1 4 8\n")

@@ -26,6 +26,12 @@ def sha(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
+def nested(present) -> list:
+    """A system's sorted triples in the ((x, x'), slot) shape the digests
+    were pinned in; sorting the flat (x, x', slot) rows gives that order."""
+    return [((a, b), s) for a, b, s in sorted(present)]
+
+
 # (n, "p" or "c", value) at r=4 -> digests of seeds 0, 1, 2
 COUPLED_PINS = {
     (8, "p", 1.0): ["ff0672d4c5603d97", "57d6e92ca9fb827e", "730f4b1cce06bb98"],
@@ -55,7 +61,7 @@ def test_coupled_samples_pinned(n, kind, value):
         gen = derived_rng(seed)
         h, systems = sample_coupled(n, p, 4, gen)
         digests.append(sha((h.n, h.edge_list,
-                            [(ts.slots, sorted(ts.present)) for ts in systems],
+                            [(ts.slots, nested(ts.present)) for ts in systems],
                             int(gen.integers(1 << 62)))))
     assert digests == COUPLED_PINS[n, kind, value]
 
@@ -66,7 +72,7 @@ def test_gamma_samples_pinned(slots, p1):
     for seed in range(3):
         gen = derived_rng(seed)
         ts = sample_gamma(slots, p1, gen)
-        digests.append(sha((ts.slots, sorted(ts.present),
+        digests.append(sha((ts.slots, nested(ts.present),
                             int(gen.integers(1 << 62)))))
     assert digests == GAMMA_PINS[slots, p1]
 
@@ -88,7 +94,7 @@ def search_systems(n, p, seed):
 def digest(searches) -> str:
     witnesses = [None if pm is None else
                  [((int(a), int(b)), (int(y), int(i)))
-                  for (a, b), (y, i) in pm]
+                  for a, b, (y, i) in pm]
                  for pm, _ in searches]
     return sha(witnesses)
 

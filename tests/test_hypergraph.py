@@ -240,6 +240,15 @@ class TestFileFormat:
         write_hypergraph(h, path)
         assert read_hypergraph(path) == h
 
+    def test_lines_in_any_order(self, tmp_path):
+        # each line is checked, then the edges are sorted into edge_list
+        path = tmp_path / "h.txt"
+        path.write_text("5 3\n2 4 5\n1 2 3\n1 4 5\n")
+        h = read_hypergraph(path)
+        assert h.edge_list == ((1, 2, 3), (1, 4, 5), (2, 4, 5))
+        assert h == Hypergraph3(5, [(2, 4, 5), (1, 2, 3), (1, 4, 5)])
+        assert (1, 4, 5) in h and (1, 2, 4) not in h
+
     def test_rejects_unsorted_triple(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("4 1\n3 2 1\n")

@@ -22,7 +22,7 @@ from oracles import is_equitable, rainbow_hamilton_exists_naive
 
 def smallest_systems():
     # r=1, m=1: copy-set blocks ((3, 1),) and ((4, 1),), each system full
-    return [TripleSystem((slot,), frozenset({((1, 2), slot)}))
+    return [TripleSystem((slot,), frozenset({(1, 2, slot)}))
             for slot in ((3, 1), (4, 1))]
 
 
@@ -30,8 +30,8 @@ class TestBuildGstar:
     def test_two_parallel_edges_smallest_case(self):
         # r=1, m=1: two matchings over X={1,2} give two parallel edges
         # with the two distinct colors
-        m1 = (((1, 2), (3, 1)),)
-        m2 = (((1, 2), (4, 1)),)
+        m1 = ((1, 2, (3, 1)),)
+        m2 = ((1, 2, (4, 1)),)
         g = build_gstar([m1, m2], smallest_systems())
         assert len(g.edges) == 2
         assert {(u, v) for u, v, _c in g.edges} == {(1, 2)}
@@ -55,14 +55,14 @@ class TestBuildGstar:
         g = build_gstar(matchings, systems)
         want = Counter()
         for pm in matchings:
-            for (x1, x2), (y, _i) in pm:
+            for x1, x2, (y, _i) in pm:
                 want[(x1, x2, y)] += 1
         got = Counter(g.edges)
         assert got == want
 
     def test_rejects_inconsistent_inputs(self):
         systems = smallest_systems()
-        wrong_slot = (((1, 2), (4, 1)),)
+        wrong_slot = ((1, 2, (4, 1)),)
         with pytest.raises(ValueError, match="matching 1: triple not present"):
             build_gstar([wrong_slot, wrong_slot], systems)
         with pytest.raises(ValueError, match="expected 2 matchings"):
@@ -73,7 +73,7 @@ class TestBuildGstar:
         systems = smallest_systems()
         systems[0] = TripleSystem(((3, 1),), frozenset())
         with pytest.raises(ValueError, match="matching 1: triple not present"):
-            build_gstar([(((1, 2), (3, 1)),), (((1, 2), (4, 1)),)], systems)
+            build_gstar([((1, 2, (3, 1)),), ((1, 2, (4, 1)),)], systems)
 
 
 class TestRunPipeline:
@@ -178,7 +178,7 @@ class TestRunPipeline:
         # p = 0 no system contains any of its triples
         def outside(ts, *, gen=None, stats=None):
             pairs = [(1, 2)] + [(x, x + 1) for x in range(3, 2 * ts.m, 2)]
-            return tuple(zip(pairs, ts.slots))
+            return tuple((a, b, s) for (a, b), s in zip(pairs, ts.slots))
 
         monkeypatch.setattr(pipeline, "exact_matching", outside)
         with pytest.raises(ValueError, match="matching 1: triple not present"):

@@ -144,7 +144,7 @@ class TestVerifiersRejectSingleEdits:
     @settings(max_examples=80, deadline=None)
     @given(loose_cycles(), st.data())
     def test_loose(self, cycle, data):
-        h = Hypergraph3(cycle.n, cycle.windows())
+        h = Hypergraph3(2 * len(cycle.links), cycle.windows())
         links, middles = list(cycle.links), list(cycle.middles)
         assert verify_loose_hamilton(h, LooseCycle(links, middles))
         s = len(links)
@@ -164,7 +164,7 @@ class TestVerifiersRejectSingleEdits:
             (links if data.draw(st.booleans()) else middles).append(links[i])
         else:
             missing = cycle.windows()[i]
-            h = Hypergraph3(cycle.n, [t for t in h.edge_list if t != missing])
+            h = Hypergraph3(h.n, [t for t in h.edge_list if t != missing])
         assert not verify_loose_hamilton(h, LooseCycle(links, middles))
 
     @settings(max_examples=80, deadline=None)
@@ -210,7 +210,7 @@ class TestVerifiersRejectSingleEdits:
     def test_matching(self, drawn, data):
         perm, slots = drawn
         m = len(slots)
-        triples = [(tuple(sorted(perm[2 * k:2 * k + 2])), slots[k])
+        triples = [(*sorted(perm[2 * k:2 * k + 2]), slots[k])
                    for k in range(m)]
         assert verify_matching(TripleSystem(slots, frozenset(triples)),
                                triples)
@@ -219,12 +219,12 @@ class TestVerifiersRejectSingleEdits:
         edit = data.draw(st.sampled_from(
             ["repeat vertex", "repeat slot", "drop", "append",
              "absent triple"]))
-        (a, b), slot = triples[i]
-        (c, _d), other_slot = triples[j]
+        a, b, slot = triples[i]
+        c, _d, other_slot = triples[j]
         if edit == "repeat vertex":
-            triples[i] = (tuple(sorted((c, b))), slot)
+            triples[i] = (*sorted((c, b)), slot)
         elif edit == "repeat slot":
-            triples[i] = ((a, b), other_slot)
+            triples[i] = (a, b, other_slot)
         elif edit == "drop":
             del triples[i]
         elif edit == "append":

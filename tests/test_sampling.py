@@ -19,12 +19,14 @@ from looselab import (
     sample_pairing_regular,
     sample_union_matchings,
 )
-from looselab import sampling
+from looselab import read_hypergraph, sampling, write_hypergraph
 from looselab.sampling import (
     TripleSystem,
     _coupled_edges as coupled_edges,
     derived_rng,
+    hypergraph_from_triple_system,
     split_probability,
+    triple_system_from_hypergraph,
     unrank_pairs,
     unrank_triples,
 )
@@ -205,7 +207,7 @@ class TestSampleGamma:
     def test_fixed_triple_marginal(self):
         p1, trials = 0.1, 100_000
         gen = derived_rng(8)
-        target = ((1, 3), "b")
+        target = (1, 3, "b")
         hits = sum(target in sample_gamma(("a", "b"), p1, gen).present
                    for _ in range(trials))
         sigma = math.sqrt(p1 * (1 - p1) / trials)
@@ -245,7 +247,7 @@ class TestSampleCoupled:
         for _ in range(50):
             h, systems = sample_coupled(16, 0.4, 4, gen)
             for ts in systems:
-                for (x1, x2), (y, _i) in ts.present:
+                for x1, x2, (y, _i) in ts.present:
                     assert (x1, x2, y) in h
 
     def test_marginals_both_shapes(self):
@@ -486,14 +488,40 @@ class TestTripleSystem:
     def test_validation(self):
         with pytest.raises(ValueError):
             TripleSystem(("a", "b"),
-                         frozenset({((2, 1), "a")}))  # unordered pair
+                         frozenset({(2, 1, "a")}))  # unordered pair
         with pytest.raises(ValueError):
             TripleSystem(("a", "b"),
-                         frozenset({((1, 2), "z")}))  # unknown slot
+                         frozenset({(1, 2, "z")}))  # unknown slot
         with pytest.raises(ValueError):
             TripleSystem(("a", "b"),
-                         frozenset({((3, 5), "a")}))  # 5 outside X = 1..4
+                         frozenset({(3, 5, "a")}))  # 5 outside X = 1..4
 
     def test_rejects_repeated_slot(self):
         with pytest.raises(ValueError, match="slots must be distinct"):
             TripleSystem(("a", "a"), frozenset())
+
+
+class TestFileBridge:
+    """A triple system with slots 2m+1..3m is its hypergraph's edge set."""
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 12])
+    def test_round_trip_through_gamma_files(self, m, tmp_path):
+        path = tmp_path / "ts.txt"
+        for seed in range(3):
+            for p1 in (0.0, 0.3, 1.0):
+                ts = sample_gamma(range(2 * m + 1, 3 * m + 1), p1,
+                                  derived_rng(seed))
+                write_hypergraph(hypergraph_from_triple_system(ts), path)
+                h = read_hypergraph(path)
+                back = triple_system_from_hypergraph(h)
+                assert back == ts == TripleSystem(back.slots, back.present)
+                assert hypergraph_from_triple_system(back) == h
+
+    def test_rejects_what_is_not_a_system(self):
+        with pytest.raises(ValueError, match="vertex count must be 3m"):
+            triple_system_from_hypergraph(Hypergraph3(8))
+        for edge in [(1, 2, 3), (1, 5, 6), (4, 5, 6)]:
+            with pytest.raises(ValueError, match="not \\(pair, slot\\)"):
+                triple_system_from_hypergraph(Hypergraph3(6, [edge]))
+        with pytest.raises(ValueError, match="integer slots 2m\\+1..3m"):
+            hypergraph_from_triple_system(complete_triple_system("ab"))

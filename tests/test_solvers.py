@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from itertools import combinations
 
@@ -22,7 +23,7 @@ from oracles import (complete_triple_system, perfect_matching_exists_naive,
 
 XS4 = (1, 2, 3, 4)
 SLOTS2 = ("a", "b")
-ALL_TRIPLES_M2 = [((x1, x2), s)
+ALL_TRIPLES_M2 = [(x1, x2, s)
                   for x1, x2 in combinations(XS4, 2) for s in SLOTS2]
 
 
@@ -31,7 +32,7 @@ def system_m2(present):
 
 
 def random_system(rng, xs, slots, density):
-    pool = [((x1, x2), s)
+    pool = [(x1, x2, s)
             for x1, x2 in combinations(xs, 2) for s in slots]
     mask = rng.random(len(pool)) < density
     return TripleSystem(tuple(slots),
@@ -40,13 +41,13 @@ def random_system(rng, xs, slots, density):
 
 class TestExactMatching:
     def test_simple_instance(self):
-        ts = system_m2([((1, 2), "a"), ((3, 4), "b")])
+        ts = system_m2([(1, 2, "a"), (3, 4, "b")])
         pm = exact_matching(ts)
         assert pm is not None
-        assert set(pm) == {((1, 2), "a"), ((3, 4), "b")}
+        assert set(pm) == {(1, 2, "a"), (3, 4, "b")}
 
     def test_uncoverable_vertex(self):
-        ts = system_m2([((1, 2), "a"), ((1, 3), "b")])
+        ts = system_m2([(1, 2, "a"), (1, 3, "b")])
         assert exact_matching(ts) is None
 
     def test_exhaustive_m2_space_agrees_with_naive(self):
@@ -76,7 +77,7 @@ class TestExactMatching:
         rng = derived_rng(3)
         for _ in range(80):
             ts = random_system(rng, range(1, 7), ("a", "b", "c"), 0.2)
-            pool = [((x1, x2), s) for x1, x2 in combinations(range(1, 7), 2)
+            pool = [(x1, x2, s) for x1, x2 in combinations(range(1, 7), 2)
                     for s in ("a", "b", "c")]
             extra = {pool[i] for i in
                      rng.choice(len(pool), size=6, replace=False).tolist()}
@@ -90,17 +91,53 @@ class TestExactMatching:
         m = 70
         xs = tuple(range(1, 2 * m + 1))
         slots = tuple(range(1000, 1000 + m))
-        planted = {((2 * k + 1, 2 * k + 2), slots[k]) for k in range(m)}
+        planted = {(2 * k + 1, 2 * k + 2, slots[k]) for k in range(m)}
         rng = derived_rng(4)
         decoys = set()
         for _ in range(3 * m):
             x1, x2 = sorted(rng.choice(xs, size=2, replace=False).tolist())
-            decoys.add(((x1, x2), slots[int(rng.integers(m))]))
+            decoys.add((x1, x2, slots[int(rng.integers(m))]))
         ts = TripleSystem(slots, frozenset(planted | decoys))
         pm = exact_matching(ts)
         assert pm is not None
         assert verify_matching(ts, pm)
         assert exact_matching(TripleSystem(slots, frozenset())) is None
+
+    def test_depth_beyond_the_recursion_limit(self):
+        # a planted matching of 1200 triples is 1200 choices deep, beyond
+        # Python's default recursion limit of 1000, so the search must not
+        # recurse; an edgeless system still expands no node
+        m = 1200
+        slots = tuple(range(2 * m + 1, 3 * m + 1))
+        ts = TripleSystem(slots, frozenset(
+            (2 * k + 1, 2 * k + 2, slots[k]) for k in range(m)))
+        stats = {}
+        pm = exact_matching(ts, stats=stats)
+        assert verify_matching(ts, pm)
+        assert stats["nodes"] == m + 1
+        stats = {}
+        assert exact_matching(TripleSystem(slots, frozenset()),
+                              stats=stats) is None
+        assert stats == {"nodes": 0}
+
+    def test_leaves_no_cyclic_garbage(self):
+        # a search's state is freed by reference counting when it returns,
+        # found, absent or failing at the root alike
+        systems = [ts for seed in range(4) for ts in
+                   sample_coupled(28, 0.9, 4, derived_rng(seed))[1]]
+        systems += sample_coupled(40, probability_from_c(40, 16), 4,
+                                  derived_rng(0))[1]
+        gens = [derived_rng(k) for k in range(len(systems))]
+        gc.collect()
+        gc.disable()
+        try:
+            outcomes = {exact_matching(ts, gen=g, stats={}) is None
+                        for ts, g in zip(systems, gens)}
+            outcomes |= {exact_matching(ts) is None for ts in systems}
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert outcomes == {True, False}
 
     def test_seed_free_deterministic(self):
         ts = complete_triple_system(("a", "b", "c", "d"))
