@@ -5,7 +5,8 @@ The derived graph of a hypergraph instance lives on the link vertices
 (x, x', y), for every hypergraph edge {x, y, x'} whose middle y falls in
 the color universe 2m+1..4m.  A rainbow Hamilton cycle of the derived
 graph lifts directly to a loose Hamilton cycle of the hypergraph: cycle
-vertices become links, edge colors become middles.  The file formats here use the row helpers of ``hypergraph``.
+vertices become links, edge colors become middles.  The file formats
+here use the row helpers of ``hypergraph``.
 """
 
 from __future__ import annotations
@@ -128,9 +129,11 @@ def verify_rainbow_hamilton(g: ColoredMultigraph,
         return Verdict(False, f"expected {nv} colors, got {len(colors)}")
     if set(order) != set(range(1, nv + 1)):
         return Verdict(False, f"order is not a permutation of 1..{nv}")
+    seen: set[int] = set()
     for i, c in enumerate(colors):
-        if c in colors[:i]:
+        if c in seen:
             return Verdict(False, "repeated color", index=i + 1)
+        seen.add(c)
     adj = g.adjacency
     for i in range(nv):
         if colors[i] not in adj[order[i]].get(order[(i + 1) % nv], ()):

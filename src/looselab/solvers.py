@@ -10,19 +10,19 @@ unpruned enumeration oracles at small sizes.
 Neither has a size cap: the matching engine runs to a decision on any
 input, and the rainbow engine spends at most a node budget and raises
 ``BudgetExhausted`` when the search is undecided.  Both loop over an
-explicit stack, so their depth is not bounded by the recursion limit,
-and neither undoes a move.  A matching frame holds its live rows and the
-int bit mask of its open columns, and a row carries the triple it adds.
-A rainbow move copies the per-vertex state it changes, and a node
-re-checks only the vertices that move changed.  The rainbow engine's
-prunes never reorder its branches, so a prune only lowers the node count
-and keeps the first certificate.
+explicit stack, so their depth is not bounded by the recursion limit, and
+both branch on the most constrained choice: a column of the exact cover,
+or the color or vertex with the fewest usable edges.  A frame holds what
+is still live at its node, rows or edges, and a child filters its
+parent's list.  A matching row carries the triple it adds, and a matching
+frame the int bit mask of its open columns; the rainbow search undoes the
+vertex degrees and path endpoints its chosen edges set.  Its prunes only cut
+subtrees that hold no cycle, so a prune lowers the node count and keeps
+the first certificate.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
 from typing import Optional
 
 from .colored import ColoredMultigraph, RainbowCycleCert
@@ -32,8 +32,8 @@ from .sampling import Slot, TripleSystem
 MatchTriple = tuple[int, int, Slot]
 
 # Search nodes exact_rainbow_hamilton may expand before giving up: about
-# 46x the most any of 1000 seeded pipeline graphs at n=40, p=0.9 needed
-# (21,569, at seed 316).
+# 257x the most any of 1000 seeded pipeline graphs at n=40, p=0.9 needed
+# (3,889, at seed 156).  Spending all of it takes about 30 s at n=96.
 DEFAULT_RAINBOW_BUDGET = 1_000_000
 
 
@@ -142,8 +142,25 @@ def exact_matching(ts: TripleSystem, *, gen=None, stats: Optional[dict] = None
 
 
 # ---------------------------------------------------------------------------
-# exact rainbow Hamilton cycle: pruned backtracking over (vertex, color)
+# exact rainbow Hamilton cycle: choose edges, the scarcest constraint first
 # ---------------------------------------------------------------------------
+
+
+def _cert(chosen: list) -> RainbowCycleCert:
+    """Walk a rainbow Hamilton cycle, given as its edges, from vertex 1."""
+    at: dict[int, list] = {}
+    for e in chosen:
+        at.setdefault(e[0], []).append(e)
+        at.setdefault(e[1], []).append(e)
+    order, colors = [], []
+    v, e = 1, at[1][0]
+    for _ in chosen:
+        order.append(v)
+        colors.append(e[2])
+        v = e[0] + e[1] - v
+        first, second = at[v]
+        e = second if first == e else first
+    return RainbowCycleCert(tuple(order), tuple(colors))
 
 
 def exact_rainbow_hamilton(g: ColoredMultigraph, *,
@@ -156,159 +173,102 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *,
     raises ``BudgetExhausted`` when deciding would take more than
     ``budget`` search nodes, and ``ValueError`` when ``budget`` is below 1.
 
-    Backtracks over (next vertex, edge color) extensions from vertex 1,
-    neighbours ascending and then their colors ascending, with the cycle's
-    direction canonicalized (second vertex below the last).  Prunes on
-    used colors, on unvisited vertices left with fewer than two usable
-    distinct colors (or, above 2 vertices, fewer than two usable
-    neighbors), on usable-edge connectivity of the region still to be
-    traversed, and, when the graph has exactly nv colors off its loops,
-    on color coverage: a rainbow Hamilton cycle then uses every color,
-    so each unused one must lie on a usable edge at an unvisited vertex.
-    An edge is usable when its color is unused and both its ends are
-    allowed: unvisited, the current vertex, or vertex 1.
+    A rainbow Hamilton cycle takes one edge of each of nv colors and two
+    edges at each vertex, so the search chooses edges, the scarcest
+    constraint first.  The edges are the distinct ``(u, w, c)`` of ``g``
+    off its loops, sorted.  An edge is usable when its color is unused,
+    its endpoints have fewer than two chosen edges each, and it does not
+    join the two endpoints of one chosen path, unless it is the cycle's
+    last edge.
+    A node is dead when a vertex has fewer distinct usable neighbours
+    than ``min(edges it still needs, nv - 1)``, or when the graph has
+    exactly nv colors off its loops (so a cycle uses all of them) and an
+    unused color has no usable edge.  Otherwise it branches over the
+    usable edges, in order, of the color (only in that exact-palette
+    case) or vertex with the fewest, ties to colors and then the lowest;
+    each branch excludes the ones before it, so the search is complete.
 
-    Visited vertices and used colors are masks (bit v, bit c).  Two lists
-    indexed by vertex hold the rest of a node's state: ``fm[x]``, the
-    colors of x's edges to allowed vertices (0 once x is visited), and
-    ``un[x]``, x's neighbours joined by a pair with an unused color.  A
-    move copies the lists it changes, so nothing is undone, and a node
-    re-checks only the unvisited vertices the move could change: the
-    neighbours of the vertex left and the ends of the new color's pairs.
-    The search is a loop over an explicit stack of frames, so its depth
-    is not bounded by the recursion limit.
+    A frame holds the edges usable at its node, and a child filters its
+    parent's list.  Chosen edges set ``deg``, the vertex degrees, and
+    ``end``, where ``end[v]`` is the other endpoint of the chosen path
+    with endpoint v; both are undone on backtracking.  The search is a
+    loop over an explicit stack, so its depth is not bounded by the
+    recursion limit.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     nv = g.num_vertices
-    if nv < 2:
+    edges = sorted({e for e in g.edges if e[0] != e[1]})
+    ncolors = len({c for _, _, c in edges})
+    if ncolors < nv:
         return None
-    adj = g.adjacency
-    if any(not adj[v] for v in adj):
-        return None
-    palette = {c for u, v, c in g.edges if u != v}
-    if len(palette) < nv:
-        return None
-    # the colors the coverage prune checks: none unless there are exactly nv
-    must_cover = sum(1 << c for c in palette) if len(palette) == nv else 0
-    min_nbrs = 2 if nv > 2 else 0
-    start, start_bit = 1, 1 << 1
-    everyone = (1 << (nv + 1)) - 2  # bits 1..nv
-    fm, un = [0] * (nv + 1), [0] * (nv + 1)
-    holders: list = [None] * (nv + 1)  # v: {c: v's neighbours by c}
-    moves: list = [None] * (nv + 1)  # v: flat (w, bit w, c, bit c) moves
-    pairs: dict[int, list] = {}  # c: [(a, bit a, b, bit b, colors of ab)]
-    ends: dict[int, int] = {}  # c: the ends of its pairs
-    for v, row in adj.items():
-        held: dict[int, int] = {}
-        flat: list[int] = []
-        for w, cs in row.items():
-            wbit, cmask = 1 << w, 0
-            for c in cs:
-                cmask |= 1 << c
-                flat += (w, wbit, c, 1 << c)
-                held[c] = held.get(c, 0) | wbit
-            fm[v] |= cmask
-            un[v] |= wbit
-            if v < w:
-                for c in cs:
-                    pairs.setdefault(c, []).append((v, 1 << v, w, wbit, cmask))
-                    ends[c] = ends.get(c, 0) | 1 << v | wbit
-        holders[v] = held
-        moves[v] = tuple(flat)
-    nbr_mask = un[:]
-    fm[start] = 0
-
-    def viable(ubit: int, visited: int, used: int, fm: list, un: list,
-               changed: int) -> bool:
-        allowed = (everyone & ~visited) | ubit | start_bit
-        while changed:
-            b = changed & -changed
-            changed ^= b
-            x = b.bit_length() - 1
-            free = fm[x] & ~used
-            if not free & (free - 1) or \
-                    (un[x] & allowed).bit_count() < min_nbrs:
-                return False
-        # every edge left to traverse meets an unvisited vertex
-        if must_cover and must_cover & ~used & ~reduce(or_, fm):
-            return False
-        # the rest of the cycle must connect u to start through the
-        # unvisited region using usable edges
-        frontier, unseen = ubit, allowed & ~ubit
-        while frontier and unseen:
-            b = frontier & -frontier
-            frontier ^= b
-            new = un[b.bit_length() - 1] & unseen
-            unseen ^= new
-            frontier |= new
-        return not unseen
-
-    path = [start]
-    colors_seq: list[int] = []
-    # a frame: [visited, used, fm of u's children, un, moves of u, index
-    # of u's next move, u's neighbours] for each vertex u on the path
+    cover = ncolors == nv
+    # the distinct usable neighbours a vertex of degree 0, 1, 2 needs;
+    # vertex 0 does not exist, and degree 2 keeps it out of every test
+    needs = (min(2, nv - 1), 1, 0)
+    deg = [2] + [0] * nv
+    end = list(range(nv + 1))
+    used: set[int] = set()
+    # a frame: [edges usable at its node, the edges it branches over,
+    # index of its next branch, endpoints of the path its branch made]
     stack: list[list] = []
-    u, ubit, visited, used = start, start_bit, start_bit, 0
-    changed = everyone & ~start_bit  # the root checks every vertex
-    nodes = 0
+    live, nodes = edges, 0
     try:
         while True:
             if nodes >= budget:
                 raise BudgetExhausted(
                     f"rainbow search undecided after {budget} nodes")
             nodes += 1
-            if len(path) == nv:
-                if not (nv > 2 and path[1] > path[-1]):
-                    for c in adj[u].get(start, ()):
-                        if not used >> c & 1:
-                            return RainbowCycleCert(tuple(path),
-                                                    (*colors_seq, c))
-            elif viable(ubit, visited, used, fm, un, changed):
-                if u != start:  # u leaves the allowed set
-                    allowed = (everyone & ~visited) | start_bit
-                    fm = fm[:]
-                    for x, cs in adj[u].items():
-                        f = fm[x]
-                        if f:  # x is unvisited
-                            held = holders[x]
-                            for c in cs:
-                                if not held[c] & allowed:
-                                    f &= ~(1 << c)
-                            fm[x] = f
-                stack.append([visited, used, fm, un, moves[u], 0,
-                              nbr_mask[u]])
-            # step to the next move of the deepest frame that has one
+            if len(stack) == nv:
+                return _cert([f[1][f[2] - 1] for f in stack])
+            count = [0] * (nv + 1)
+            nbrs = [0] * (nv + 1)
+            per_color: dict[int, int] = {}
+            pu = pw = 0
+            for u, w, c in live:
+                count[u] += 1
+                count[w] += 1
+                if u != pu or w != pw:  # parallel edges are adjacent
+                    nbrs[u] += 1
+                    nbrs[w] += 1
+                    pu, pw = u, w
+                per_color[c] = per_color.get(c, 0) + 1
+            if not (cover and len(per_color) < nv - len(stack) or any(
+                    n < needs[d] for n, d in zip(nbrs, deg))):
+                scarce = [(k, 1, v) for v, k in enumerate(count)
+                          if deg[v] < 2]
+                if cover:
+                    scarce += [(k, 0, c) for c, k in per_color.items()]
+                _, kind, x = min(scarce)
+                branch = [e for e in live if e[2] == x] if kind == 0 else \
+                    [e for e in live if e[0] == x or e[1] == x]
+                stack.append([live, branch, 0, 0, 0])
+            # step to the next branch of the deepest frame that has one
             while stack:
                 frame = stack[-1]
-                visited, used, _, _, mv, i, _ = frame
-                for i in range(i, len(mv), 4):
-                    if not (visited & mv[i + 1] or used & mv[i + 3]):
-                        break
-                else:
-                    stack.pop()
-                    continue
-                break
+                live, branch, i, a, b = frame
+                if i:  # undo the branch tried last and exclude it
+                    u, w, c = e = branch[i - 1]
+                    deg[u] -= 1
+                    deg[w] -= 1
+                    end[a], end[b] = u, w
+                    used.discard(c)
+                    live.remove(e)
+                if i < len(branch):
+                    break
+                stack.pop()
             else:
                 return None
-            frame[5] = i + 4
-            u, ubit, c, cbit = mv[i:i + 4]
-            depth = len(stack)
-            del path[depth:], colors_seq[depth - 1:]
-            path.append(u)
-            colors_seq.append(c)
-            visited |= ubit
-            used |= cbit
-            fm = frame[2][:]
-            fm[u] = 0
-            un = frame[3]
-            for a, abit, b, bbit, cmask in pairs[c]:
-                if not cmask & ~used:  # ab has no unused color left
-                    if un is frame[3]:
-                        un = un[:]
-                    un[a] &= ~bbit
-                    un[b] &= ~abit
-            changed = (frame[6] | ends[c]) & ~visited
+            u, w, c = branch[i]
+            a, b = end[u], end[w]
+            end[a], end[b] = b, a
+            deg[u] += 1
+            deg[w] += 1
+            used.add(c)
+            frame[2:] = i + 1, a, b
+            last = len(stack) == nv - 1
+            live = [e for e in live if e[2] not in used and deg[e[0]] < 2
+                    and deg[e[1]] < 2 and (last or end[e[0]] != e[1])]
     finally:
         if stats is not None:
             stats["nodes"] = stats.get("nodes", 0) + nodes

@@ -5,9 +5,10 @@ Every oracle is deliberately naive: plain permutation scans with no
 pruning and no shared code with the engines under test.  There are two
 exceptions.  ``relabelled_matching`` pins how the matching engine reads
 a generator by rebuilding the relabelled system that engine's column
-numbering stands in for.  ``rainbow_full_scan`` is the rainbow engine's
-earlier, non-incremental form, kept as the reference its node counts
-must match.
+numbering stands in for.  ``rainbow_full_scan`` is a pruned path-growing
+search, an earlier form of the rainbow engine, kept as a reference for
+its decisions: the two branch differently, so their certificates and
+node counts differ.
 """
 
 from collections import Counter
@@ -121,12 +122,11 @@ def rainbow_full_scan(g: ColoredMultigraph, *,
                       budget: int = DEFAULT_RAINBOW_BUDGET,
                       stats: Optional[dict] = None
                       ) -> Optional[RainbowCycleCert]:
-    """The rainbow engine as it was before its state became incremental:
-    the same branch order and prunes, computed by rescanning every
-    unvisited vertex's neighbourhood at every node, in a recursion.
+    """A rainbow search that grows a path from vertex 1 over (next vertex,
+    edge color) extensions, in a recursion, and prunes by rescanning every
+    unvisited vertex's neighbourhood at every node.
 
-    ``exact_rainbow_hamilton`` must return the same cert, raise
-    ``BudgetExhausted`` on the same budgets and count the same nodes.
+    ``exact_rainbow_hamilton`` must find a cert exactly when this does.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")

@@ -106,6 +106,12 @@ class TestVerifyRainbow:
         assert not v
         assert v.reason == "repeated color"
         assert v.index == 3
+        # a repeat far from its first use is found, at the later step
+        v = verify_rainbow_hamilton(
+            g, RainbowCycleCert((1, 2, 3, 4), (5, 6, 7, 5)))
+        assert not v
+        assert v.reason == "repeated color"
+        assert v.index == 4
 
     def test_right_endpoints_wrong_color_rejected(self):
         v = verify_rainbow_hamilton(

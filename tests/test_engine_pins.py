@@ -1,15 +1,16 @@
 """The samplers' and exact engines' outputs on fixed seeded inputs, pinned.
 
-Each engine's first witness and node count follow from its branch order
-alone, so a rewrite that keeps the order reproduces every value here and
-one that drifts from it fails.  The inputs are the pipeline's own: seed
-s's coupled triple systems (r=4), each searched with the trial's
-generator as ``run_pipeline`` does and again without one, and the derived
-graph G* their generator-drawn matchings build.  Matchings are pinned by a
-digest of their repr; node counts and rainbow certificates literally.
-The samplers that feed them are pinned first, by a digest of each draw
-and of the generator's next value, so a rewrite must make the same
-generator calls and return the same objects.
+Each engine's first witness follows from its branch order alone, and its
+node count from that order and its prunes, so a rewrite that keeps both
+reproduces every value here and one that drifts from either fails.  The
+inputs are the pipeline's own: seed s's coupled triple systems (r=4),
+each searched with the trial's generator as ``run_pipeline`` does and
+again without one, and the derived graph G* their generator-drawn
+matchings build.  Matchings are pinned by a digest of their repr; node
+counts and rainbow certificates literally.  The samplers that feed them
+are pinned first, by a digest of each draw and of the generator's next
+value, so a rewrite must make the same generator calls and return the
+same objects.
 """
 
 import hashlib
@@ -105,37 +106,37 @@ GSTAR_PINS = {
     (28, 0): (
         [8, 8, 8, 9, 9, 10, 8, 8], [8, 8, 8, 8, 8, 8, 9, 8],
         "fe5482bffe76187d", "e9aec6f0869c24c6",
-        (1, 2, 3, 6, 12, 14, 9, 4, 7, 13, 11, 10, 5, 8),
-        (15, 28, 20, 18, 19, 24, 22, 25, 26, 23, 17, 21, 27, 16),
-        189),
+        (1, 2, 9, 14, 12, 6, 3, 5, 10, 11, 13, 7, 4, 8),
+        (15, 18, 24, 19, 27, 20, 22, 21, 17, 28, 26, 25, 23, 16),
+        43),
     (28, 1): (
         [8, 10, 8, 8, 9, 8, 8, 8], [10, 8, 13, 8, 8, 11, 8, 8],
         "92ca57e7aa71e4c2", "b62b18aee32fb70c",
-        (1, 6, 2, 8, 14, 10, 9, 12, 3, 13, 5, 4, 11, 7),
-        (21, 18, 23, 25, 17, 26, 24, 22, 19, 16, 20, 28, 15, 27),
-        481),
+        (1, 7, 6, 9, 13, 5, 14, 10, 8, 3, 12, 2, 4, 11),
+        (16, 26, 24, 18, 15, 23, 17, 25, 27, 22, 20, 19, 28, 21),
+        52),
     (28, 2): (
         [8, 8, 8, 8, 8, 8, 8, 9], [8, 8, 8, 8, 14, 8, 8, 14],
         "941a05ba2019bd7a", "f7ff2d9a1c453f57",
-        (1, 2, 3, 9, 8, 6, 7, 10, 4, 5, 13, 12, 11, 14),
-        (23, 17, 16, 28, 26, 22, 25, 20, 19, 24, 27, 15, 21, 18),
-        203),
+        (1, 3, 13, 12, 7, 6, 14, 2, 10, 9, 5, 11, 8, 4),
+        (16, 23, 27, 24, 28, 20, 18, 15, 19, 21, 26, 17, 25, 22),
+        31),
     (40, 0): (
         [11, 11, 12, 12, 11, 12, 12, 12], [12, 11, 11, 13, 12, 11, 11, 12],
         "25bf4a36dd4ec433", "d167d2368dc5e105",
-        (1, 12, 3, 5, 4, 9, 7, 15, 6, 16,
-         8, 20, 19, 13, 2, 11, 10, 17, 14, 18),
-        (34, 22, 29, 30, 23, 31, 21, 32, 36, 26,
-         33, 37, 24, 39, 35, 28, 38, 27, 25, 40),
-        715),
+        (1, 18, 14, 10, 11, 16, 20, 8, 3, 12,
+         5, 6, 2, 17, 4, 9, 7, 19, 13, 15),
+        (21, 25, 33, 28, 32, 35, 39, 36, 22, 38,
+         26, 30, 29, 34, 23, 31, 27, 24, 37, 40),
+        1170),
     (40, 1): (
         [11, 11, 11, 12, 11, 11, 11, 11], [11, 16, 11, 11, 12, 11, 13, 11],
         "04223d50cb9430e6", "85bf89bccb93a9ac",
-        (1, 10, 2, 3, 12, 13, 20, 4, 15, 5,
-         11, 7, 6, 16, 9, 18, 8, 19, 14, 17),
-        (27, 29, 37, 22, 33, 36, 28, 21, 39, 25,
-         34, 30, 35, 32, 23, 40, 38, 31, 24, 26),
-        352),
+        (1, 10, 7, 6, 5, 19, 17, 12, 2, 20,
+         8, 18, 9, 13, 3, 14, 16, 15, 4, 11),
+        (27, 29, 34, 36, 32, 23, 26, 38, 37, 22,
+         40, 24, 25, 33, 35, 39, 30, 21, 31, 28),
+        751),
 }
 
 # (n, c, seed), where matchings backtrack: (nodes with gen, nodes without,

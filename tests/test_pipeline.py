@@ -111,6 +111,14 @@ class TestRunPipeline:
         assert successes[8] == 100
         assert successes[16] >= 1
 
+    def test_n64_dense_succeeds_within_the_default_budget(self):
+        # n=64 at p=0.9: every seed gets through matching, and the rainbow
+        # search decides each G* (32 vertices) well inside its budget
+        for seed in range(10):
+            rep = run_pipeline(64, 0.9, 4, seed=seed, keep_instance=True)
+            assert rep.success, (seed, rep.failed_stage)
+            assert verify_loose_hamilton(rep.hypergraph, rep.loose_cycle)
+
     def test_r2_rainbow_answers_match_enumeration(self):
         # at r=2 and threshold-scale p most G* that reach the rainbow stage
         # have no rainbow Hamilton cycle; each ABSENT is checked here

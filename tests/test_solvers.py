@@ -190,14 +190,16 @@ def rainbow_ring(nv):
     return ColoredMultigraph(nv, tuple(range(nv + 1, 2 * nv + 1)), edges)
 
 
-def rainbow_search(engine, g, budget):
-    """An engine's (cert, None, or "undecided"; nodes counted) on g."""
-    stats = {}
+def rainbow_decision(engine, g, budget=10 ** 6):
+    """An engine's "found" (its cert verified), None or "undecided" on g."""
     try:
-        got = engine(g, budget=budget, stats=stats)
+        cert = engine(g, budget=budget)
     except BudgetExhausted:
-        got = "undecided"
-    return got, stats.get("nodes")
+        return "undecided"
+    if cert is None:
+        return None
+    assert verify_rainbow_hamilton(g, cert), (cert, g.edges)
+    return "found"
 
 
 def random_colored(rng, nv=4, max_edges=8, palette=(5, 6, 7, 8), loops=False):
@@ -226,11 +228,21 @@ class TestExactRainbow:
         assert exact_rainbow_hamilton(g) is None
 
     def test_two_vertex_parallel_edges(self):
+        # each vertex has one distinct neighbour, which is all nv - 1 = 1
+        # allows, and the second edge closes the one chosen path
         g = ColoredMultigraph(2, (3, 4),
                               [(1, 2, 3), (1, 2, 4)])
         cert = exact_rainbow_hamilton(g)
         assert cert is not None
         assert verify_rainbow_hamilton(g, cert)
+
+    def test_two_rainbow_triangles_absent(self):
+        # six edges of six colors give every vertex two edges, but they
+        # close two triangles, not a 6-cycle
+        edges = [(1, 2, 7), (2, 3, 8), (1, 3, 9),
+                 (4, 5, 10), (5, 6, 11), (4, 6, 12)]
+        g = ColoredMultigraph(6, range(7, 13), edges)
+        assert exact_rainbow_hamilton(g) is None
 
     def test_matches_naive_oracle(self):
         # on 6 vertices the color-coverage prune is on when exactly 6
@@ -245,7 +257,8 @@ class TestExactRainbow:
             for _ in range(200):
                 g = random_colored(rng, nv, max_edges, palette, loops)
                 exists = rainbow_hamilton_exists_naive(g)
-                assert (exact_rainbow_hamilton(g) is not None) == exists, g.edges
+                got = rainbow_decision(exact_rainbow_hamilton, g)
+                assert got == ("found" if exists else None), g.edges
                 found += exists
             assert 0 < found < 200
 
@@ -276,7 +289,8 @@ class TestExactRainbow:
         cert = exact_rainbow_hamilton(g, stats=stats)
         assert cert is not None
         assert verify_rainbow_hamilton(g, cert)
-        assert stats["nodes"] == 1100
+        # one node per edge chosen, and the node that finds the cycle
+        assert stats["nodes"] == 1101
 
     def test_budget_bounds_a_large_search(self):
         # the 130-vertex G* of run_pipeline(260, c=600, r=4, seed=0), an
@@ -292,36 +306,31 @@ class TestExactRainbow:
         assert stats["nodes"] == 5000
 
     def test_agrees_with_full_scan_reference(self):
-        # the incremental state must give exactly what a rescan of every
-        # vertex at every node gives: the same cert, the same budget
-        # exhaustion and the same node count.  Loops and pairs with several
-        # colors, which pipeline graphs rarely have, are where an update
-        # could drift, so most inputs are small random graphs with both
+        # the edge-choosing search must decide what the path-growing
+        # reference decides, and a small budget may leave it undecided but
+        # never change its answer.  Loops, spare colors and pairs with
+        # several colors, which pipeline graphs rarely have, are where the
+        # usable-edge rules could go wrong, so most inputs are small random
+        # graphs with all three
         rng = derived_rng(6)
-        graphs = []
+        outcomes = Counter()
         for k in range(2000):
             nv = 2 + k % 7
             palette = tuple(range(nv + 1, 2 * nv + 1 + k // 7 % 2))
-            graphs.append(random_colored(rng, nv, 8 * nv, palette, loops=True))
-        budgets = (10 ** 6, 3)
-        outcomes = Counter()
-        for g in graphs:
-            for budget in budgets:
-                got = rainbow_search(exact_rainbow_hamilton, g, budget)
-                assert got == rainbow_search(rainbow_full_scan, g, budget), \
-                    (budget, g.edges)
-                outcomes[budget, got[0] if got[0] in (None, "undecided")
-                         else "found"] += 1
-        assert min(outcomes[b, kind] for b in budgets
-                   for kind in (None, "found")) > 50
-        assert outcomes[3, "undecided"] > 50
+            g = random_colored(rng, nv, 8 * nv, palette, loops=True)
+            got = rainbow_decision(exact_rainbow_hamilton, g)
+            assert got == rainbow_decision(rainbow_full_scan, g), g.edges
+            small = rainbow_decision(exact_rainbow_hamilton, g, 3)
+            assert small in (got, "undecided"), g.edges
+            outcomes[got] += 1
+            outcomes["undecided at 3"] += small == "undecided"
+        assert min(outcomes[None], outcomes["found"]) > 50
+        assert outcomes["undecided at 3"] > 50
         for n, seeds in ((28, 12), (40, 4)):
             for seed in range(seeds):
                 g = run_pipeline(n, 0.9, 4, seed, keep_instance=True).gstar
-                for budget in (10 ** 6, 100):
-                    assert rainbow_search(exact_rainbow_hamilton, g, budget) \
-                        == rainbow_search(rainbow_full_scan, g, budget), \
-                        (n, seed, budget)
+                assert rainbow_decision(exact_rainbow_hamilton, g) \
+                    == rainbow_decision(rainbow_full_scan, g), (n, seed)
 
     def test_budget_exhausted_is_not_absence(self):
         g = rainbow_square_with_clutter()
