@@ -218,7 +218,8 @@ def exact_loose_hamilton(h: Hypergraph3, *,
     Branches on the next link and middle simultaneously, anchored at the
     smallest link vertex, and returns the first cycle the search reaches.
     Intended for n up to ``cap`` (default ``LOOSE_CAP``); larger inputs
-    raise SizeCapExceeded.
+    raise SizeCapExceeded.  The search is a loop over an explicit stack
+    with one frame per link, and the cycle is read off the frames.
     """
     _check_searchable(h, cap)
     n = h.n
@@ -240,30 +241,6 @@ def exact_loose_hamilton(h: Hypergraph3, *,
     bit = [0] + [1 << (v - 1) for v in range(1, n + 1)]
     full = (1 << n) - 1
 
-    def dfs(u: int, used: int, links: list[int], mids: list[int],
-            v0: int) -> Optional[LooseCycle]:
-        if len(links) == s:
-            rest = full & ~used
-            y = rest.bit_length()  # the single remaining vertex
-            a, b, c = sorted((u, y, v0))
-            if (a, b, c) in h:
-                return LooseCycle(tuple(links), tuple(mids) + (y,))
-            return None
-        for y, w in cand[u]:
-            if w <= v0:
-                continue
-            byw = bit[y] | bit[w]
-            if used & byw:
-                continue
-            links.append(w)
-            mids.append(y)
-            found = dfs(w, used | byw, links, mids, v0)
-            links.pop()
-            mids.pop()
-            if found is not None:
-                return found
-        return None
-
     # v0 is the smallest link; every vertex below it is forced to be a
     # middle, which needs an edge with both flanks >= v0.
     lowmid = n + 1
@@ -272,9 +249,26 @@ def exact_loose_hamilton(h: Hypergraph3, *,
             lowmid = min(lowmid, midcap[v0 - 1])
         if lowmid < v0:
             break
-        found = dfs(v0, bit[v0], [v0], [], v0)
-        if found is not None:
-            return found
+        # a frame: [link, used vertices, its untried (middle, next link)
+        # pairs, the middle taken]; the s-th link closes the cycle
+        stack = [[v0, bit[v0], iter(cand[v0]), 0]]
+        while stack:
+            frame = stack[-1]
+            u, used, untried, _ = frame
+            if len(stack) == s:
+                y = (full & ~used).bit_length()  # the one vertex left
+                if tuple(sorted((u, y, v0))) in h:
+                    return LooseCycle([f[0] for f in stack],
+                                      [f[3] for f in stack[:-1]] + [y])
+                stack.pop()
+                continue
+            for y, w in untried:
+                if w > v0 and not used & (bit[y] | bit[w]):
+                    frame[3] = y
+                    stack.append([w, used | bit[y] | bit[w], iter(cand[w]), 0])
+                    break
+            else:
+                stack.pop()
     return None
 
 

@@ -23,18 +23,20 @@ from dataclasses import asdict, dataclass, fields
 from statistics import NormalDist
 from typing import ClassVar, Optional, Sequence
 
+from .colored import ColoredMultigraph
 from .hypergraph import LOOSE_CAP, exact_loose_hamilton, expected_isolated, \
     isolated_vertices
 from .pipeline import _run_pipeline_stream
 from .sampling import derived_rng, sample_h3, sample_pairing_regular, \
     sample_union_matchings
+from .solvers import exact_rainbow_hamilton
 
 DEFAULT_N_VALUES = (8, 12, 16)
 DEFAULT_C_VALUES = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 DEFAULT_TRIALS = 200
 DEFAULT_SEED = 20260809
 
-# contiguity_probe decides Hamiltonicity only for m2 up to this
+# contiguity_probe asks the rainbow engine about Hamiltonicity up to this m2
 HAMILTON_LIMIT = 12
 
 
@@ -351,29 +353,6 @@ def _triangle_count(adj: dict[int, dict[int, tuple[int, ...]]]) -> int:
     return count
 
 
-def _hamilton_cycle_exists(adj: dict[int, dict[int, tuple[int, ...]]]) -> bool:
-    # callers settle two vertices by edge multiplicity, so nv >= 4 here
-    nv = len(adj)
-    start = 1
-    path = [start]
-    seen = {start}
-
-    def dfs(u: int) -> bool:
-        if len(path) == nv:
-            return start in adj[u]
-        for w in adj[u]:  # ascending
-            if w not in seen:
-                seen.add(w)
-                path.append(w)
-                if dfs(w):
-                    return True
-                seen.discard(w)
-                path.pop()
-        return False
-
-    return dfs(start)
-
-
 def _model_stats(name: str, sampler, m2: int, degree: int, trials: int,
                  seed: int, model_index: int) -> ModelStats:
     parallel = []
@@ -390,11 +369,10 @@ def _model_stats(name: str, sampler, m2: int, degree: int, trials: int,
         parallel.append(len(g.edges) - len(pairs))
         triangles.append(_triangle_count(g.adjacency))
         if ham_counted:
-            if m2 == 2:
-                ham = pairs.get((1, 2), 0) >= 2
-            else:
-                ham = _hamilton_cycle_exists(g.adjacency)
-            ham_hits += 1 if ham else 0
+            edges = [(u, v, c) for c, (u, v) in enumerate(
+                (uv for uv, k in pairs.items() for _ in range(min(k, 2))), 1)]
+            colored = ColoredMultigraph(m2, range(1, len(edges) + 1), edges)
+            ham_hits += exact_rainbow_hamilton(colored) is not None
     return ModelStats(
         model=name, trials=trials, degree=degree, all_regular=all_regular,
         parallel_mean=sum(parallel) / trials,
@@ -409,7 +387,12 @@ def contiguity_probe(m2: int, r: int, trials: int,
                      seed: int) -> ContiguityReport:
     """Sample both 2r-regular models and emit side-by-side distribution
     summaries (parallel-edge excess, skeleton triangles, and Hamiltonicity
-    frequency when m2 is at most ``HAMILTON_LIMIT``, else None)."""
+    frequency when m2 is at most ``HAMILTON_LIMIT``, else None).
+
+    ``exact_rainbow_hamilton`` decides Hamiltonicity on the skeleton: one
+    edge per adjacent pair, two for a parallel pair (the 2-vertex cycle),
+    every edge its own color, so every Hamilton cycle is rainbow.
+    ``BudgetExhausted`` propagates, never counted as "not Hamiltonian"."""
     if m2 < 2 or m2 % 2:
         raise ValueError(f"m2 must be even and >= 2, got {m2}")
     if trials < 1:

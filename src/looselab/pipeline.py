@@ -46,8 +46,10 @@ def build_gstar(matchings: Sequence[Sequence[MatchTriple]],
     only present triples and consumes exactly system j's slots (copy-set
     block j); each triple (x, x', (y, i)) becomes the edge (x, x') of
     color y.  The result has 2rm edges, is 2r-regular, and uses every
-    base color exactly r times.
+    base color exactly r times.  An empty input is refused.
     """
+    if not systems:
+        raise ValueError("no triple systems given, so G* has no vertices")
     if len(matchings) != len(systems):
         raise ValueError(
             f"expected {len(systems)} matchings, got {len(matchings)}")

@@ -88,6 +88,21 @@ def relabelled_matching(ts: TripleSystem, gen):
                         for x1, x2, s in pm))
 
 
+def hamilton_exists_naive(g: ColoredMultigraph) -> bool:
+    """Fix vertex 1 and try every order of the rest, colors ignored; on two
+    vertices the cycle is two parallel edges."""
+    nv = g.num_vertices
+    pairs = Counter((u, v) for u, v, _c in g.edges if u != v)
+    if nv < 3:
+        return pairs[1, 2] >= 2
+    for rest in permutations(range(2, nv + 1)):
+        order = (1,) + rest + (1,)
+        if all((min(a, b), max(a, b)) in pairs
+               for a, b in zip(order, order[1:])):
+            return True
+    return False
+
+
 def rainbow_hamilton_exists_naive(g) -> bool:
     """Try every vertex order and every per-step color assignment."""
     nv = g.num_vertices

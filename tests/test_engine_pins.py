@@ -10,15 +10,17 @@ matchings build.  Matchings are pinned by a digest of their repr; node
 counts and rainbow certificates literally.  The samplers that feed them
 are pinned first, by a digest of each draw and of the generator's next
 value, so a rewrite must make the same generator calls and return the
-same objects.
+same objects.  The exact loose oracle's cycles on seeded ``sample_h3``
+draws are pinned literally, links and middles, so a rewrite of its
+search must keep its branch order.
 """
 
 import hashlib
 
 import pytest
 
-from looselab import BudgetExhausted, build_gstar, exact_matching, \
-    exact_rainbow_hamilton
+from looselab import BudgetExhausted, build_gstar, exact_loose_hamilton, \
+    exact_matching, exact_rainbow_hamilton, sample_h3
 from looselab.lab import probability_from_c
 from looselab.sampling import derived_rng, sample_coupled, sample_gamma
 
@@ -176,3 +178,36 @@ def test_pipeline_gstar_pinned(n, seed):
 def test_backtracking_matchings_pinned(n, c, seed):
     _, drawn, plain = search_systems(n, probability_from_c(n, c), seed)
     assert matching_pin(drawn, plain) == MATCHING_PINS[n, c, seed]
+
+
+# (n, c) -> the (links, middles) exact_loose_hamilton returns, or None, on
+# sample_h3(n, probability_from_c(n, c)) for seeds 0, 1, 2
+LOOSE_PINS = {
+    (8, 2): [None, None, None],
+    (8, 4): [None, None, ((1, 2, 6, 3), (5, 7, 8, 4))],
+    (8, 16): [((1, 4, 3, 5), (2, 6, 7, 8)), ((1, 3, 5, 8), (2, 4, 6, 7)),
+              ((1, 3, 7, 5), (2, 4, 6, 8))],
+    (12, 2): [None, None, None],
+    (12, 4): [None, None, None],
+    (12, 16): [((1, 5, 9, 12, 6, 4), (2, 3, 10, 11, 7, 8)),
+               ((1, 6, 4, 5, 7, 9), (2, 12, 3, 8, 11, 10)),
+               ((1, 3, 5, 7, 8, 10), (2, 4, 6, 9, 11, 12))],
+    (16, 2): [None, None, None],
+    # seed 1's cycle has smallest link 3: vertices 1 and 2 are middles
+    (16, 4): [None,
+              ((3, 14, 8, 9, 4, 10, 5, 11), (1, 2, 12, 16, 15, 13, 6, 7)),
+              ((1, 2, 15, 14, 13, 12, 6, 16), (5, 3, 4, 9, 7, 8, 10, 11))],
+    (16, 16): [((1, 6, 12, 15, 5, 13, 14, 9), (2, 3, 4, 8, 10, 7, 16, 11)),
+               ((1, 8, 9, 10, 7, 13, 14, 16), (2, 3, 4, 5, 6, 12, 15, 11)),
+               ((1, 3, 12, 9, 8, 10, 13, 14), (2, 5, 4, 6, 16, 7, 11, 15))],
+}
+
+
+@pytest.mark.parametrize("n, c", sorted(LOOSE_PINS))
+def test_loose_cycles_pinned(n, c):
+    found = []
+    for seed in range(3):
+        h = sample_h3(n, probability_from_c(n, c), derived_rng(seed))
+        cycle = exact_loose_hamilton(h)
+        found.append(None if cycle is None else (cycle.links, cycle.middles))
+    assert found == LOOSE_PINS[n, c]

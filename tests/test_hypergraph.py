@@ -1,3 +1,4 @@
+import gc
 import math
 from itertools import product
 
@@ -17,6 +18,7 @@ from looselab import (
 )
 from looselab.hypergraph import SizeCapExceeded, expected_isolated, \
     isolated_vertices, read_loose_cycle_claim, triple
+from looselab.lab import probability_from_c
 from looselab.sampling import derived_rng
 
 from oracles import complete_hypergraph, loose_hamilton_exists_naive, \
@@ -182,6 +184,22 @@ class TestExactSearch:
             h = random_hypergraph_instance(rng, 6, 6)
             assert (exact_loose_hamilton(h) is not None) == \
                 loose_hamilton_exists_naive(h)
+
+    def test_leaves_no_cyclic_garbage(self):
+        # a search's state is freed by reference counting when it returns,
+        # found, absent or refused early for an isolated vertex alike
+        hs = [sample_h3(16, probability_from_c(16, 4), derived_rng(seed))
+              for seed in range(100)]
+        hs.append(Hypergraph3(6, [(1, 2, 3), (1, 4, 5), (2, 4, 5)]))
+        gc.collect()
+        gc.disable()
+        try:
+            outcomes = [exact_loose_hamilton(h) is None for h in hs]
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert set(outcomes[:-1]) == {True, False} and outcomes[-1]
+        assert isolated_vertices(hs[-1]) == {6}
 
     def test_monotone_under_added_edges(self):
         from itertools import combinations

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -20,7 +21,10 @@ from looselab import (
 )
 from looselab import lab
 from looselab.lab import CSV_HEADER, atomic_output, wilson_interval
-from looselab.sampling import derived_rng
+from looselab.sampling import derived_rng, sample_pairing_regular, \
+    sample_union_matchings
+
+from oracles import hamilton_exists_naive
 
 
 class TestWilson:
@@ -375,6 +379,31 @@ class TestContiguityProbe:
     def test_rejects_trials_below_one(self, trials):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             contiguity_probe(8, 4, trials=trials, seed=10)
+
+    @pytest.mark.parametrize("m2", [2, 4, 6, 8])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_hamilton_freq_matches_naive_scan(self, m2, r):
+        # redraw each model's graphs from the probe's own streams and decide
+        # them by permutation scan
+        trials, seed = 60, 11
+        report = contiguity_probe(m2, r, trials=trials, seed=seed)
+        samplers = (lambda gen: sample_union_matchings(m2, r, gen),
+                    lambda gen: sample_pairing_regular(m2, 2 * r, gen))
+        freqs = [sum(hamilton_exists_naive(sampler(derived_rng(seed, k, t)))
+                     for t in range(trials)) / trials
+                 for k, sampler in enumerate(samplers)]
+        assert freqs == [report.union.hamilton_freq,
+                         report.pairing.hamilton_freq]
+
+    def test_leaves_no_cyclic_garbage(self):
+        gc.collect()
+        gc.disable()
+        try:
+            report = contiguity_probe(8, 4, trials=50, seed=1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert report.union.hamilton_freq is not None
 
     def test_hamilton_skipped_above_limit(self):
         report = contiguity_probe(16, 1, trials=5, seed=10)

@@ -68,6 +68,10 @@ class TestBuildGstar:
         with pytest.raises(ValueError, match="expected 2 matchings"):
             build_gstar([wrong_slot], systems)
 
+    def test_rejects_empty_input(self):
+        with pytest.raises(ValueError, match="no triple systems"):
+            build_gstar([], [])
+
     def test_rejects_matching_missing_from_its_system(self):
         # partitions X and uses block 1's slot, but system 1 lacks the triple
         systems = smallest_systems()
