@@ -2,16 +2,15 @@
 
 The derived graph of a hypergraph instance lives on the link vertices
 1..2m and has an edge (x, x') of color y, kept as the int triple
-(x, x', y), for every hypergraph edge {x, y, x'} whose middle y falls in
-the color universe 2m+1..4m.  A rainbow Hamilton cycle of the derived
-graph lifts directly to a loose Hamilton cycle of the hypergraph: cycle
-vertices become links, edge colors become middles.  The file formats
-here use the row helpers of ``hypergraph``.
+(x, x', y), for every hypergraph edge {x, y, x'} whose middle y lies in
+2m+1..4m.  A rainbow Hamilton cycle of the derived graph lifts directly
+to a loose Hamilton cycle of the hypergraph: cycle vertices become
+links, edge colors become middles.  The file formats here use the row
+helpers of ``hypergraph``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -22,27 +21,22 @@ from .hypergraph import FormatError, LooseCycle, Verdict, _read_rows, \
 class ColoredMultigraph:
     """Immutable multigraph on vertices 1..num_vertices with colored edges.
 
-    ``colors`` is the color universe (empty for uncolored graphs, in which
-    case every edge carries color 0).  ``edges`` takes any iterable of
-    ``(u, v, color)`` triples and keeps them, in input order, as a tuple
-    of int triples ``(min(u, v), max(u, v), color)``; parallel edges stay
-    distinct entries.  Loops (u == v) are legal, though builders that
-    derive edges from matchings never produce them.  Per-vertex degree
-    counts are cached at construction; loops add 2 to a degree.
+    ``edges`` takes any iterable of ``(u, v, color)`` triples and keeps
+    them, in input order, as a tuple of int triples
+    ``(min(u, v), max(u, v), color)``; parallel edges stay distinct
+    entries.  Colors are plain ints: the graph keeps no color universe,
+    and color 0 marks an uncolored edge only by the convention of the
+    samplers and the file format.  Loops (u == v) are legal, though
+    builders that derive edges from matchings never produce them.
     """
 
-    __slots__ = ("num_vertices", "colors", "edges", "degrees", "_adjacency")
+    __slots__ = ("num_vertices", "edges")
 
-    def __init__(self, num_vertices: int, colors: Iterable[int],
+    def __init__(self, num_vertices: int,
                  edges: Iterable[tuple[int, int, int]]):
         num_vertices = int(num_vertices)
         if num_vertices < 1:
             raise ValueError("vertex count must be >= 1")
-        universe = tuple(sorted({int(c) for c in colors}))
-        if 0 in universe:
-            raise ValueError("color 0 is reserved for uncolored edges")
-        uni = set(universe)
-        degrees: Counter = Counter()
         canon = []
         for u, v, c in edges:
             u, v, c = int(u), int(v), int(c)
@@ -51,46 +45,22 @@ class ColoredMultigraph:
             e = (u, v, c)
             if not 1 <= u <= v <= num_vertices:
                 raise ValueError(f"edge {e} endpoint outside 1..{num_vertices}")
-            if universe:
-                if c not in uni:
-                    raise ValueError(f"edge {e} color outside the universe")
-            elif c != 0:
-                raise ValueError(f"edge {e} colored but the universe is empty")
-            degrees[u] += 1
-            degrees[v] += 1
             canon.append(e)
         self.num_vertices = num_vertices
-        self.colors = universe
         self.edges = tuple(canon)
-        self.degrees = {v: degrees.get(v, 0) for v in range(1, num_vertices + 1)}
-        self._adjacency = None
 
     @property
-    def adjacency(self) -> dict[int, dict[int, tuple[int, ...]]]:
-        """v -> {w: sorted distinct colors of the edges vw}, built on first use.
-
-        Vertices and each vertex's neighbours come in ascending order;
-        loops are left out, since no cycle through two or more vertices
-        can use one.
-        """
-        if self._adjacency is None:
-            by_pair: dict[tuple[int, int], set[int]] = {}
-            for u, v, c in self.edges:
-                if u != v:
-                    by_pair.setdefault((u, v), set()).add(c)
-            adj: dict[int, dict[int, tuple[int, ...]]] = {
-                v: {} for v in range(1, self.num_vertices + 1)}
-            # in sorted pair order each vertex meets its smaller
-            # neighbours (as the pair's second element) before its larger
-            for (u, v), cs in sorted(by_pair.items()):
-                adj[u][v] = adj[v][u] = tuple(sorted(cs))
-            self._adjacency = adj
-        return self._adjacency
+    def degrees(self) -> dict[int, int]:
+        """v -> degree of every vertex, counted on each read; loops add 2."""
+        degrees = dict.fromkeys(range(1, self.num_vertices + 1), 0)
+        for u, v, _c in self.edges:
+            degrees[u] += 1
+            degrees[v] += 1
+        return degrees
 
     def __repr__(self) -> str:
-        kind = f"{len(self.colors)} colors" if self.colors else "uncolored"
         return (f"ColoredMultigraph(vertices={self.num_vertices}, "
-                f"edges={len(self.edges)}, {kind})")
+                f"edges={len(self.edges)})")
 
 
 @dataclass(frozen=True)
@@ -134,9 +104,10 @@ def verify_rainbow_hamilton(g: ColoredMultigraph,
         if c in seen:
             return Verdict(False, "repeated color", index=i + 1)
         seen.add(c)
-    adj = g.adjacency
+    edges = set(g.edges)
     for i in range(nv):
-        if colors[i] not in adj[order[i]].get(order[(i + 1) % nv], ()):
+        u, w = order[i], order[(i + 1) % nv]
+        if (min(u, w), max(u, w), colors[i]) not in edges:
             return Verdict(False, "missing edge", index=i + 1)
     return Verdict(True)
 
@@ -157,8 +128,8 @@ def lift_to_loose(cert: RainbowCycleCert) -> LooseCycle:
 # text format: header "2m r", then one line "u v y" per edge
 # ---------------------------------------------------------------------------
 #
-# The file color universe is fixed to 2m+1..4m (the lift convention); the
-# header's r records the equitability parameter the writer intended.
+# File colors lie in 2m+1..4m (the lift convention), or are all 0 for an
+# uncolored graph; the header's r is the equitability parameter intended.
 
 
 def write_colored(g: ColoredMultigraph, r: int, f) -> None:
@@ -179,12 +150,10 @@ def read_colored(f) -> tuple[ColoredMultigraph, int]:
             raise FormatError(
                 f"line {k}: color must lie in {lo}..{hi} (or 0 when "
                 f"the whole file is uncolored)")
-    edges = [row for _k, row in body]
-    if any(y == 0 for _u, _v, y in edges):
-        if any(y != 0 for _u, _v, y in edges):
-            raise FormatError("file mixes colored and uncolored edges")
-        return ColoredMultigraph(m2, (), edges), r
-    return ColoredMultigraph(m2, range(lo, hi + 1), edges), r
+    colors = {y for _k, (_u, _v, y) in body}
+    if 0 in colors and len(colors) > 1:
+        raise FormatError("file mixes colored and uncolored edges")
+    return ColoredMultigraph(m2, [row for _k, row in body]), r
 
 
 def write_rainbow_cert(cert: RainbowCycleCert, f) -> None:

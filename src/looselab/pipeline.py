@@ -59,8 +59,7 @@ def build_gstar(matchings: Sequence[Sequence[MatchTriple]],
         if not verdict:
             raise ValueError(f"matching {j + 1}: {verdict.reason}")
         edges.extend((x1, x2, y) for x1, x2, (y, _copy) in pm)
-    colors = {y for ts in systems for y, _copy in ts.slots}
-    return ColoredMultigraph(2 * systems[0].m, colors, edges)
+    return ColoredMultigraph(2 * systems[0].m, edges)
 
 
 @dataclass

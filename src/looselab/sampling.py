@@ -329,8 +329,7 @@ def sample_union_matchings(m2: int, r: int, gen: np.random.Generator, *,
             edges.extend((u, v, block[k][0]) for (u, v), k in zip(layer, order))
         else:
             edges.extend((u, v, 0) for u, v in layer)
-    colors = range(m2 + 1, 2 * m2 + 1) if colored else ()
-    return ColoredMultigraph(m2, colors, edges)
+    return ColoredMultigraph(m2, edges)
 
 
 def sample_pairing_regular(m2: int, d: int,
@@ -351,7 +350,7 @@ def sample_pairing_regular(m2: int, d: int,
         if np.any(a == b):
             continue
         return ColoredMultigraph(
-            m2, (), ((u, v, 0) for u, v in zip(a.tolist(), b.tolist())))
+            m2, ((u, v, 0) for u, v in zip(a.tolist(), b.tolist())))
     raise RuntimeError(f"no loopless pairing found in {PAIRING_ATTEMPTS} attempts")
 
 

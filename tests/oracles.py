@@ -148,7 +148,16 @@ def rainbow_full_scan(g: ColoredMultigraph, *,
     nv = g.num_vertices
     if nv < 2:
         return None
-    adj = g.adjacency
+    # v -> {w: sorted distinct colors of the edges vw}, ascending, loops
+    # left out
+    by_pair: dict[tuple[int, int], set[int]] = {}
+    for u, v, c in g.edges:
+        if u != v:
+            by_pair.setdefault((u, v), set()).add(c)
+    adj: dict[int, dict[int, tuple[int, ...]]] = {
+        v: {} for v in range(1, nv + 1)}
+    for (u, v), cs in sorted(by_pair.items()):
+        adj[u][v] = adj[v][u] = tuple(sorted(cs))
     if any(not adj[v] for v in adj):
         return None
     palette = {c for u, v, c in g.edges if u != v}
@@ -254,14 +263,10 @@ def complete_triple_system(slots) -> TripleSystem:
         for s in slots))
 
 
-def is_equitable(g: ColoredMultigraph, r: int) -> bool:
-    """True iff every color of the universe is used exactly r times.
-
-    Meaningful only for colored graphs; an empty universe is vacuously
-    equitable.
-    """
+def is_equitable(g: ColoredMultigraph, r: int, colors) -> bool:
+    """True iff the edges use exactly the given colors, each r times."""
     usage = Counter(c for _u, _v, c in g.edges)
-    return all(usage[c] == r for c in g.colors)
+    return usage == Counter(dict.fromkeys(colors, r))
 
 
 def write_loose_cycle(cycle: LooseCycle, f) -> None:

@@ -150,7 +150,7 @@ def test_criterion_4_structural_invariants():
         two_m = n // 2
         if len(g.edges) != 4 * two_m or \
                 any(d != 8 for d in g.degrees.values()) or \
-                not is_equitable(g, 4):
+                not is_equitable(g, 4, range(two_m + 1, 2 * two_m + 1)):
             bad += 1
 
     gen = derived_rng(1004)

@@ -3,8 +3,10 @@ import json
 import math
 import os
 import stat
+import statistics
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -394,6 +396,27 @@ class TestContiguityProbe:
                  for k, sampler in enumerate(samplers)]
         assert freqs == [report.union.hamilton_freq,
                          report.pairing.hamilton_freq]
+
+    @pytest.mark.parametrize("m2", [4, 6, 8, 10])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_triangle_stats_match_brute_force(self, m2, r):
+        # redraw each model's graphs from the probe's own streams and count
+        # the skeleton's triangles over every vertex triple
+        trials, seed = 60, 12
+        report = contiguity_probe(m2, r, trials=trials, seed=seed)
+        samplers = (lambda gen: sample_union_matchings(m2, r, gen),
+                    lambda gen: sample_pairing_regular(m2, 2 * r, gen))
+        for k, (sampler, stats) in enumerate(
+                zip(samplers, (report.union, report.pairing))):
+            counts = []
+            for t in range(trials):
+                g = sampler(derived_rng(seed, k, t))
+                adjacent = {(u, v) for u, v, _c in g.edges if u != v}
+                counts.append(sum(
+                    {(a, b), (a, c), (b, c)} <= adjacent
+                    for a, b, c in combinations(range(1, m2 + 1), 3)))
+            assert (stats.triangle_mean, stats.triangle_std) == \
+                (sum(counts) / trials, statistics.pstdev(counts))
 
     def test_leaves_no_cyclic_garbage(self):
         gc.collect()

@@ -36,7 +36,7 @@ class TestBuildGstar:
         assert len(g.edges) == 2
         assert {(u, v) for u, v, _c in g.edges} == {(1, 2)}
         assert {c for _u, _v, c in g.edges} == {3, 4}
-        assert is_equitable(g, 1)
+        assert is_equitable(g, 1, (3, 4))
 
     def test_pipeline_inputs_regular_and_equitable(self):
         gen = derived_rng(0)
@@ -46,7 +46,7 @@ class TestBuildGstar:
             g = build_gstar(matchings, systems)
             assert len(g.edges) == 2 * 4 * 4
             assert all(d == 8 for d in g.degrees.values())
-            assert is_equitable(g, 4)
+            assert is_equitable(g, 4, range(9, 17))
 
     def test_edge_multiset_is_projection_of_triples(self):
         gen = derived_rng(1)

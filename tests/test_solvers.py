@@ -181,13 +181,13 @@ class TestExactMatching:
 def rainbow_square_with_clutter():
     edges = [(1, 2, 5), (2, 3, 6), (3, 4, 7), (1, 4, 8)]
     edges += [(1, 3, 5), (2, 4, 5), (1, 2, 5)]
-    return ColoredMultigraph(4, (5, 6, 7, 8), edges)
+    return ColoredMultigraph(4, edges)
 
 
 def rainbow_ring(nv):
     """The nv-cycle 1, 2, ..., nv with a distinct color on every edge."""
     edges = [(i, i % nv + 1, nv + i) for i in range(1, nv + 1)]
-    return ColoredMultigraph(nv, tuple(range(nv + 1, 2 * nv + 1)), edges)
+    return ColoredMultigraph(nv, edges)
 
 
 def rainbow_decision(engine, g, budget=10 ** 6):
@@ -211,7 +211,7 @@ def random_colored(rng, nv=4, max_edges=8, palette=(5, 6, 7, 8), loops=False):
     for _ in range(k):
         u, v = pairs[int(rng.integers(len(pairs)))]
         edges.append((u, v, palette[int(rng.integers(len(palette)))]))
-    return ColoredMultigraph(nv, palette, edges)
+    return ColoredMultigraph(nv, edges)
 
 
 class TestExactRainbow:
@@ -224,14 +224,13 @@ class TestExactRainbow:
     def test_monochromatic_absent(self):
         edges = [(u, v, 5)
                  for u, v in combinations(range(1, 5), 2)]
-        g = ColoredMultigraph(4, (5, 6, 7, 8), edges)
+        g = ColoredMultigraph(4, edges)
         assert exact_rainbow_hamilton(g) is None
 
     def test_two_vertex_parallel_edges(self):
         # each vertex has one distinct neighbour, which is all nv - 1 = 1
         # allows, and the second edge closes the one chosen path
-        g = ColoredMultigraph(2, (3, 4),
-                              [(1, 2, 3), (1, 2, 4)])
+        g = ColoredMultigraph(2, [(1, 2, 3), (1, 2, 4)])
         cert = exact_rainbow_hamilton(g)
         assert cert is not None
         assert verify_rainbow_hamilton(g, cert)
@@ -241,7 +240,7 @@ class TestExactRainbow:
         # close two triangles, not a 6-cycle
         edges = [(1, 2, 7), (2, 3, 8), (1, 3, 9),
                  (4, 5, 10), (5, 6, 11), (4, 6, 12)]
-        g = ColoredMultigraph(6, range(7, 13), edges)
+        g = ColoredMultigraph(6, edges)
         assert exact_rainbow_hamilton(g) is None
 
     def test_matches_naive_oracle(self):
@@ -266,7 +265,7 @@ class TestExactRainbow:
         # the 5-ring is the only Hamilton cycle and leaves the chord's
         # color unused, so the coverage prune must not fire on 6 colors
         edges = [(i, i % 5 + 1, 5 + i) for i in range(1, 6)]
-        g = ColoredMultigraph(5, range(6, 12), edges + [(1, 3, 11)])
+        g = ColoredMultigraph(5, edges + [(1, 3, 11)])
         cert = exact_rainbow_hamilton(g)
         assert cert is not None and 11 not in cert.colors
         assert verify_rainbow_hamilton(g, cert)
@@ -279,7 +278,7 @@ class TestExactRainbow:
         cert = exact_rainbow_hamilton(g)
         assert cert is not None
         assert verify_rainbow_hamilton(g, cert)
-        assert exact_rainbow_hamilton(ColoredMultigraph(nv, (), [])) is None
+        assert exact_rainbow_hamilton(ColoredMultigraph(nv, [])) is None
 
     def test_depth_beyond_the_recursion_limit(self):
         # a path of 1100 vertices is deeper than Python's default
@@ -348,7 +347,7 @@ class TestExactRainbow:
             exact_rainbow_hamilton(rainbow_square_with_clutter(), budget=budget)
         # refused before any other check, even on a graph decided at once
         with pytest.raises(ValueError, match="budget must be >= 1"):
-            exact_rainbow_hamilton(ColoredMultigraph(1, (), []), budget=budget)
+            exact_rainbow_hamilton(ColoredMultigraph(1, []), budget=budget)
 
     def test_seed_free_deterministic(self):
         g = rainbow_square_with_clutter()
