@@ -22,10 +22,6 @@ class FormatError(ValueError):
     """Malformed instance or certificate file."""
 
 
-class SizeCapExceeded(ValueError):
-    """An exact engine was asked to search beyond its configured cap."""
-
-
 class BudgetExhausted(RuntimeError):
     """A complete search spent its node budget without deciding."""
 
@@ -202,27 +198,21 @@ def expected_isolated(n: int, p: float) -> float:
     return n * (1.0 - p) ** math.comb(n - 1, 2)
 
 
-def _check_searchable(h: Hypergraph3, cap: int) -> None:
-    if h.n % 2:
-        raise ValueError(f"loose Hamilton cycles need even n, got n={h.n}")
-    if h.n < 4:
-        raise ValueError(f"loose Hamilton cycles need n >= 4, got n={h.n}")
-    if h.n > cap:
-        raise SizeCapExceeded(f"n={h.n} exceeds the exact-search cap {cap}")
-
-
 def exact_loose_hamilton(h: Hypergraph3, *,
                          cap: int = LOOSE_CAP) -> Optional[LooseCycle]:
     """Complete search for a loose Hamilton cycle; None iff none exists.
 
     Branches on the next link and middle simultaneously, anchored at the
     smallest link vertex, and returns the first cycle the search reaches.
-    Intended for n up to ``cap`` (default ``LOOSE_CAP``); larger inputs
-    raise SizeCapExceeded.  The search is a loop over an explicit stack
-    with one frame per link, and the cycle is read off the frames.
+    Raises ValueError, before reading an edge, for n odd, below 4 or above
+    ``cap``.  The search is a loop over an explicit stack with one frame
+    per link, and the cycle is read off the frames.
     """
-    _check_searchable(h, cap)
     n = h.n
+    if n < 4 or n % 2:
+        raise ValueError(f"loose Hamilton cycles need even n >= 4, got n={n}")
+    if n > cap:
+        raise ValueError(f"n={n} exceeds the exact-search cap {cap}")
     s = n // 2
     if len(h.edge_list) < s or isolated_vertices(h):
         return None

@@ -334,14 +334,14 @@ def sample_union_matchings(m2: int, r: int, gen: np.random.Generator, *,
 
 def sample_pairing_regular(m2: int, d: int,
                            gen: np.random.Generator) -> ColoredMultigraph:
-    """Configuration-model d-regular multigraph on 1..m2, uncolored.
+    """Configuration-model d-regular multigraph on 1..m2, m2 even, uncolored.
 
     Half-edges are paired by a uniform shuffle; any pairing containing a
     loop is rejected wholesale and redrawn, so the output is uniform over
     loopless pairings.  Parallel edges are retained.
     """
-    if m2 < 2 or d < 1 or (m2 * d) % 2:
-        raise ValueError(f"infeasible degree sequence: m2={m2}, d={d}")
+    if m2 < 2 or m2 % 2 or d < 1:
+        raise ValueError(f"need even m2 >= 2 and d >= 1, got m2={m2}, d={d}")
     stubs = np.repeat(np.arange(1, m2 + 1, dtype=np.int64), d)
     for _ in range(PAIRING_ATTEMPTS):
         pairing = gen.permutation(stubs)

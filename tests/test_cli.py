@@ -106,6 +106,17 @@ class TestSampleCommand:
         assert all(c == 0 for _u, _v, c in g.edges)
         assert all(d == 3 for d in g.degrees.values())
 
+    def test_pairing_with_odd_m2_exits_two(self, tmp_path, capsys):
+        # the coloured-file format needs an even vertex count, so the
+        # sampler refuses what solve and verify could not read back
+        out = tmp_path / "p.txt"
+        assert run("sample", "--model", "pairing", "--m2", "3", "--d", "2",
+                   "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert "error: need even m2 >= 2" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
     def test_gamma_file_solvable(self, tmp_path):
         out = tmp_path / "ts.txt"
         assert run("sample", "--model", "gamma", "--m", "3", "--p1", "1.0",

@@ -16,7 +16,7 @@ from looselab import (
     verify_loose_hamilton,
     write_hypergraph,
 )
-from looselab.hypergraph import SizeCapExceeded, expected_isolated, \
+from looselab.hypergraph import LOOSE_CAP, expected_isolated, \
     isolated_vertices, read_loose_cycle_claim, triple
 from looselab.lab import probability_from_c
 from looselab.sampling import derived_rng
@@ -165,10 +165,27 @@ class TestExactSearch:
         assert exact_loose_hamilton(h) is None
 
     def test_cap_enforced(self):
-        with pytest.raises(SizeCapExceeded):
+        with pytest.raises(ValueError,
+                           match="n=20 exceeds the exact-search cap 16"):
             exact_loose_hamilton(Hypergraph3(20), cap=16)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need even n >= 4, got n=7"):
             exact_loose_hamilton(Hypergraph3(7))
+
+    @pytest.mark.parametrize("n", [2, 5, 7, 20])
+    def test_refuses_before_reading_an_edge(self, n):
+        # a bad n in the verifier's words, n above the cap in the cap's
+        def build():
+            raise AssertionError("edges read before refusing")
+
+        with pytest.raises(ValueError) as searched:
+            exact_loose_hamilton(Hypergraph3._deferred(n, build))
+        if n > LOOSE_CAP:
+            words = f"n={n} exceeds the exact-search cap {LOOSE_CAP}"
+        else:
+            with pytest.raises(ValueError) as verified:
+                verify_loose_hamilton(Hypergraph3(n), LooseCycle((), ()))
+            words = str(verified.value)
+        assert str(searched.value) == words
 
     def test_returned_cycles_always_verify(self):
         rng = derived_rng(23)

@@ -451,6 +451,14 @@ class TestPairingModel:
         with pytest.raises(ValueError):
             sample_pairing_regular(1, 2, derived_rng(0))
 
+    @pytest.mark.parametrize("m2, d", [(3, 2), (5, 4)])
+    def test_rejects_odd_vertex_count_before_drawing(self, m2, d):
+        gen = derived_rng(0)
+        state = gen.bit_generator.state
+        with pytest.raises(ValueError, match="even m2"):
+            sample_pairing_regular(m2, d, gen)
+        assert gen.bit_generator.state == state
+
 
 class TestStreams:
     def test_derived_streams_differ_by_index(self):
