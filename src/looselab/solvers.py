@@ -3,22 +3,14 @@ Hamilton cycles of colored multigraphs.
 
 A matching is a sorted tuple of flat ``(x, x', slot)`` triples, x < x',
 and ``verify_matching`` is its one validity check.  One complete search per
-problem, seed-free unless handed a generator for the column relabelling.
-Each returns a witness that passes its verifier, or ``None`` only when it
-has proven that no witness exists; the test suite checks both against
-unpruned enumeration oracles at small sizes.
-Neither has a size cap: the matching engine runs to a decision on any
-input, and the rainbow engine spends at most a node budget and raises
-``BudgetExhausted`` when the search is undecided.  Both loop over an
-explicit stack, so their depth is not bounded by the recursion limit, and
-both branch on the most constrained choice: a column of the exact cover,
-or the color or vertex with the fewest usable edges.  A frame holds what
-is still live at its node, rows or edges, and a child filters its
-parent's list.  A matching row carries the triple it adds, and a matching
-frame the int bit mask of its open columns; the rainbow search undoes the
-vertex degrees and path endpoints its chosen edges set.  Its prunes only cut
-subtrees that hold no cycle, so a prune lowers the node count and keeps
-the first certificate.
+problem returns a witness that passes its verifier, or ``None`` only when
+it has proven that none exists; the tests check both against unpruned
+enumeration oracles at small sizes.  Neither search has a size cap or
+recurses, both branch on the most constrained choice, and their prunes
+cut only subtrees without a witness, so they keep the first one.  Both
+number their items, triples or edges, as the bits of an int: each column,
+vertex and color has the int mask of its items, a frame holds its live
+items as one int, and a count is the bit count of an intersection.
 """
 
 from __future__ import annotations
@@ -33,7 +25,7 @@ MatchTriple = tuple[int, int, Slot]
 
 # Search nodes exact_rainbow_hamilton may expand before giving up: about
 # 257x the most any of 1000 seeded pipeline graphs at n=40, p=0.9 needed
-# (3,889, at seed 156).  Spending all of it takes about 30 s at n=96.
+# (3,889, at seed 156).  Spending it all takes about 12 s at n=96, p=0.9.
 DEFAULT_RAINBOW_BUDGET = 1_000_000
 
 
@@ -43,18 +35,14 @@ def verify_matching(ts: TripleSystem, matching) -> Verdict:
     triples = tuple(matching)
     if len(triples) != ts.m:
         return Verdict(False, f"expected {ts.m} triples, got {len(triples)}")
-    used_x: list[int] = []
-    used_slots = []
     for i, t in enumerate(triples):
         if t not in ts.present:
             return Verdict(False, "triple not present in the system", index=i + 1)
-        x1, x2, slot = t
-        used_x += [x1, x2]
-        used_slots.append(slot)
-    if sorted(used_x) != list(range(1, 2 * ts.m + 1)):
+    xs = sorted(x for x1, x2, _ in triples for x in (x1, x2))
+    if xs != list(range(1, 2 * ts.m + 1)):
         return Verdict(False, "pairs do not partition X")
     # m slots used and m distinct slots: equal sets mean each used once
-    if set(used_slots) != set(ts.slots):
+    if {slot for _, _, slot in triples} != set(ts.slots):
         return Verdict(False, "slots are not each used exactly once")
     return Verdict(True)
 
@@ -72,13 +60,12 @@ def exact_matching(ts: TripleSystem, *, gen=None, stats: Optional[dict] = None
     slots.  The most constrained column is branched first, ties broken by
     lowest column, and its rows are tried in (lower X column, higher X
     column, slot column) order.  Returns a matching, its triples sorted,
-    iff one exists, for any m: there is no size cap, no node budget and
-    no recursion.  ``stats["nodes"]`` accumulates the search nodes expanded.
+    iff one exists; ``stats["nodes"]`` accumulates the nodes expanded.
 
-    A row is its three columns in that order, their mask and its triple;
-    rows differ in columns and a matching's triples in pairs, so no sort
-    compares slots.  A node has the live rows, sorted, and the mask of
-    open columns; a chosen row passes down the live rows disjoint from it.
+    Row k is bit k of an int and ``at[c]`` the mask of column c's rows.  A
+    node holds its live rows as one int, and a chosen row clears its three
+    columns' masks from them.  Rows are numbered in the system's iteration
+    order, which reaches no output: a column's rows are sorted when chosen.
 
     Without ``gen``, X-vertex x is column x - 1 and slot j column 2m + j.
     A fixed numbering would hand every saturated system the same witness
@@ -92,49 +79,51 @@ def exact_matching(ts: TripleSystem, *, gen=None, stats: Optional[dict] = None
     sperm = range(m) if gen is None else gen.permutation(m).tolist()
     xcol = [None, *xperm]  # X starts at 1
     scol = {s: two_m + c for s, c in zip(ts.slots, sperm)}
-    rows = []
-    for t in ts.present:
-        x1, x2, slot = t
-        a, b, s = xcol[x1], xcol[x2], scol[slot]
-        if a > b:
-            a, b = b, a
-        rows.append((a, b, s, 1 << a | 1 << b | 1 << s, t))
-    rows.sort()
-    ncols = two_m + m
-    # a frame: [live rows, open columns, branch column, its untried rows,
+    triples = list(ts.present)
+    at = [0] * (two_m + m)
+    for k, (x1, x2, slot) in enumerate(triples):
+        bit = 1 << k
+        at[xcol[x1]] |= bit
+        at[xcol[x2]] |= bit
+        at[scol[slot]] |= bit
+    # a frame: [live rows, open columns, its untried rows in branch order,
     # the triple being tried]; an edgeless system expands no node
     stack: list[list] = []
-    live, open_cols, nodes = rows, (1 << ncols) - 1, 0
+    live, open_cols, nodes = (1 << len(triples)) - 1, list(range(len(at))), 0
     try:
-        while rows:
+        while triples:
             nodes += 1
             if not open_cols:
-                return tuple(sorted(frame[4] for frame in stack))
-            counts = [0] * ncols
-            for a, b, s, _, _ in live:
-                counts[a] += 1
-                counts[b] += 1
-                counts[s] += 1
-            fewest, col = min((counts[c], c) for c in range(ncols)
-                              if open_cols >> c & 1)
-            if fewest:
-                stack.append([live, open_cols, col, iter(live), None])
-            # step to the next row of the deepest frame that covers its column
-            while stack:
-                frame = stack[-1]
-                live, open_cols, col, untried, _ = frame
-                for a, b, s, mask, t in untried:
-                    if col == a or col == b or col == s:
+                return tuple(sorted(frame[3] for frame in stack))
+            fewest, col = len(triples) + 1, 0
+            for c in open_cols:
+                k = (live & at[c]).bit_count()
+                if k < fewest:
+                    fewest, col = k, c
+                    if not k:
                         break
-                else:
-                    stack.pop()
-                    continue
-                break
-            else:
+            if fewest:
+                branch = []
+                rows = live & at[col]
+                while rows:
+                    x1, x2, slot = t = triples[(rows & -rows).bit_length() - 1]
+                    rows &= rows - 1
+                    a, b = xcol[x1], xcol[x2]
+                    branch.append((a, b, scol[slot], t) if a < b
+                                  else (b, a, scol[slot], t))
+                branch.sort()
+                stack.append([live, open_cols, iter(branch), None])
+            # step to the next row of the deepest frame that has one
+            while stack and (row := next(stack[-1][2], None)) is None:
+                stack.pop()
+            if not stack:
                 return None
-            frame[4] = t
-            live = [r for r in live if not r[3] & mask]
-            open_cols &= ~mask
+            frame = stack[-1]
+            a, b, s, frame[3] = row
+            live = frame[0] & ~(at[a] | at[b] | at[s])
+            open_cols = frame[1].copy()
+            for c in (a, b, s):
+                open_cols.remove(c)
     finally:
         if stats is not None:
             stats["nodes"] = stats.get("nodes", 0) + nodes
@@ -188,31 +177,34 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *,
     case) or vertex with the fewest, ties to colors and then the lowest;
     each branch excludes the ones before it, so the search is complete.
 
-    A frame holds the edges usable at its node, and a child filters its
-    parent's list.  Chosen edges set ``deg``, the vertex degrees, and
-    ``end``, where ``end[v]`` is the other endpoint of the chosen path
-    with endpoint v; both are undone on backtracking.  The search is a
-    loop over an explicit stack, so its depth is not bounded by the
-    recursion limit.
+    Edge k is bit k of an int; ``at[v]`` and ``of[c]`` mask vertex v's and
+    color c's edges.  A frame holds its usable edges as one int.  A chosen
+    edge's child drops its color, any end it brings to degree 2 and, but
+    for the last edge, the edges that would close its path; a tried edge
+    leaves its frame.  ``deg`` holds the degrees and ``end[v]`` the other
+    end of the chosen path ending at v; both are undone on backtracking.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     nv = g.num_vertices
     edges = sorted({e for e in g.edges if e[0] != e[1]})
-    ncolors = len({c for _, _, c in edges})
-    if ncolors < nv:
+    at = [0] * (nv + 1)
+    of: dict[int, int] = {}
+    for k, (u, w, c) in enumerate(edges):
+        bit = 1 << k
+        at[u] |= bit
+        at[w] |= bit
+        of[c] = of.get(c, 0) | bit
+    if len(of) < nv:
         return None
-    cover = ncolors == nv
-    # the distinct usable neighbours a vertex of degree 0, 1, 2 needs;
-    # vertex 0 does not exist, and degree 2 keeps it out of every test
-    needs = (min(2, nv - 1), 1, 0)
-    deg = [2] + [0] * nv
+    # the unused colors a cycle must each use: all if exactly nv, else none
+    cover = sorted(of) if len(of) == nv else []
+    deg = [0] * (nv + 1)
     end = list(range(nv + 1))
-    used: set[int] = set()
-    # a frame: [edges usable at its node, the edges it branches over,
-    # index of its next branch, endpoints of the path its branch made]
+    # a frame: [edges usable at its node, its untried branch edges, the
+    # edge being tried, endpoints of the path that edge made, its cover]
     stack: list[list] = []
-    live, nodes = edges, 0
+    live, nodes = (1 << len(edges)) - 1, 0
     try:
         while True:
             if nodes >= budget:
@@ -220,55 +212,62 @@ def exact_rainbow_hamilton(g: ColoredMultigraph, *,
                     f"rainbow search undecided after {budget} nodes")
             nodes += 1
             if len(stack) == nv:
-                return _cert([f[1][f[2] - 1] for f in stack])
-            count = [0] * (nv + 1)
-            nbrs = [0] * (nv + 1)
-            per_color: dict[int, int] = {}
-            pu = pw = 0
-            for u, w, c in live:
-                count[u] += 1
-                count[w] += 1
-                if u != pu or w != pw:  # parallel edges are adjacent
-                    nbrs[u] += 1
-                    nbrs[w] += 1
-                    pu, pw = u, w
-                per_color[c] = per_color.get(c, 0) + 1
-            if not (cover and len(per_color) < nv - len(stack) or any(
-                    n < needs[d] for n, d in zip(nbrs, deg))):
-                scarce = [(k, 1, v) for v, k in enumerate(count)
-                          if deg[v] < 2]
-                if cover:
-                    scarce += [(k, 0, c) for c, k in per_color.items()]
-                _, kind, x = min(scarce)
-                branch = [e for e in live if e[2] == x] if kind == 0 else \
-                    [e for e in live if e[0] == x or e[1] == x]
-                stack.append([live, branch, 0, 0, 0])
+                return _cert([edges[f[2]] for f in stack])
+            fewest, mask = len(edges) + 1, 0
+            for c in cover:
+                mine = live & of[c]
+                if not mine:
+                    break
+                k = mine.bit_count()
+                if k < fewest:
+                    fewest, mask = k, mine
+            else:
+                for v in range(1, nv + 1):
+                    if deg[v] == 2:
+                        continue
+                    mine = live & at[v]
+                    if not mine:
+                        break
+                    if deg[v] == 0 and nv > 2:
+                        u, w, _ = edges[(mine & -mine).bit_length() - 1]
+                        if not mine & ~at[u + w - v]:
+                            break
+                    k = mine.bit_count()
+                    if k < fewest:
+                        fewest, mask = k, mine
+                else:
+                    stack.append([live, mask, -1, 0, 0, cover])
             # step to the next branch of the deepest frame that has one
             while stack:
                 frame = stack[-1]
-                live, branch, i, a, b = frame
-                if i:  # undo the branch tried last and exclude it
-                    u, w, c = e = branch[i - 1]
+                live, rest, k, a, b, cover = frame
+                if k >= 0:  # undo the branch tried last and exclude it
+                    u, w, _ = edges[k]
                     deg[u] -= 1
                     deg[w] -= 1
                     end[a], end[b] = u, w
-                    used.discard(c)
-                    live.remove(e)
-                if i < len(branch):
+                    live &= ~(1 << k)
+                    frame[0] = live
+                if rest:
                     break
                 stack.pop()
             else:
                 return None
-            u, w, c = branch[i]
+            k = (rest & -rest).bit_length() - 1
+            u, w, c = edges[k]
             a, b = end[u], end[w]
             end[a], end[b] = b, a
             deg[u] += 1
             deg[w] += 1
-            used.add(c)
-            frame[2:] = i + 1, a, b
-            last = len(stack) == nv - 1
-            live = [e for e in live if e[2] not in used and deg[e[0]] < 2
-                    and deg[e[1]] < 2 and (last or end[e[0]] != e[1])]
+            frame[1:5] = rest & (rest - 1), k, a, b
+            live &= ~of[c]
+            cover = [x for x in cover if x != c]
+            if deg[u] == 2:
+                live &= ~at[u]
+            if deg[w] == 2:
+                live &= ~at[w]
+            if len(stack) < nv - 1:
+                live &= ~(at[a] & at[b])
     finally:
         if stats is not None:
             stats["nodes"] = stats.get("nodes", 0) + nodes

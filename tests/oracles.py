@@ -2,13 +2,17 @@
 helpers no library code calls.
 
 Every oracle is deliberately naive: plain permutation scans with no
-pruning and no shared code with the engines under test.  There are two
+pruning and no shared code with the engines under test.  There are four
 exceptions.  ``relabelled_matching`` pins how the matching engine reads
 a generator by rebuilding the relabelled system that engine's column
 numbering stands in for.  ``rainbow_full_scan`` is a pruned path-growing
 search, an earlier form of the rainbow engine, kept as a reference for
 its decisions: the two branch differently, so their certificates and
-node counts differ.
+node counts differ.  ``matching_list_filter`` and ``rainbow_list_filter``
+run the two engines' searches over filtered lists in place of int
+bitsets, as references for every output: witness, node count and the
+budget at which the search gives up; the rainbow one walks its cert with
+the engine's own ``_cert``.
 """
 
 from collections import Counter
@@ -20,7 +24,7 @@ from looselab import BudgetExhausted, ColoredMultigraph, Hypergraph3, \
 from looselab.colored import RainbowCycleCert
 from looselab.hypergraph import _write_rows
 from looselab.sampling import TripleSystem
-from looselab.solvers import DEFAULT_RAINBOW_BUDGET
+from looselab.solvers import DEFAULT_RAINBOW_BUDGET, _cert
 
 
 def loose_hamilton_exists_naive(h: Hypergraph3) -> bool:
@@ -240,6 +244,159 @@ def rainbow_full_scan(g: ColoredMultigraph, *,
         if stats is not None:
             stats["nodes"] = stats.get("nodes", 0) + nodes
     return result
+
+
+def matching_list_filter(ts: TripleSystem, *, gen=None,
+                         stats: Optional[dict] = None):
+    """The search of ``exact_matching`` over lists: each node recounts its
+    live rows, held as a sorted list of ``(a, b, s, mask, triple)``, and a
+    child filters its parent's list.
+
+    The two must return the same matching, expand the same nodes and
+    draw the same permutations from ``gen``.
+    """
+    m, two_m = ts.m, 2 * ts.m
+    xperm = range(two_m) if gen is None else gen.permutation(two_m).tolist()
+    sperm = range(m) if gen is None else gen.permutation(m).tolist()
+    xcol = [None, *xperm]  # X starts at 1
+    scol = {s: two_m + c for s, c in zip(ts.slots, sperm)}
+    rows = []
+    for t in ts.present:
+        x1, x2, slot = t
+        a, b, s = xcol[x1], xcol[x2], scol[slot]
+        if a > b:
+            a, b = b, a
+        rows.append((a, b, s, 1 << a | 1 << b | 1 << s, t))
+    rows.sort()
+    ncols = two_m + m
+    # a frame: [live rows, open columns, branch column, its untried rows,
+    # the triple being tried]; an edgeless system expands no node
+    stack: list[list] = []
+    live, open_cols, nodes = rows, (1 << ncols) - 1, 0
+    try:
+        while rows:
+            nodes += 1
+            if not open_cols:
+                return tuple(sorted(frame[4] for frame in stack))
+            counts = [0] * ncols
+            for a, b, s, _, _ in live:
+                counts[a] += 1
+                counts[b] += 1
+                counts[s] += 1
+            fewest, col = min((counts[c], c) for c in range(ncols)
+                              if open_cols >> c & 1)
+            if fewest:
+                stack.append([live, open_cols, col, iter(live), None])
+            # step to the next row of the deepest frame that covers its column
+            while stack:
+                frame = stack[-1]
+                live, open_cols, col, untried, _ = frame
+                for a, b, s, mask, t in untried:
+                    if col == a or col == b or col == s:
+                        break
+                else:
+                    stack.pop()
+                    continue
+                break
+            else:
+                return None
+            frame[4] = t
+            live = [r for r in live if not r[3] & mask]
+            open_cols &= ~mask
+    finally:
+        if stats is not None:
+            stats["nodes"] = stats.get("nodes", 0) + nodes
+    return None
+
+
+def rainbow_list_filter(g: ColoredMultigraph, *,
+                        budget: int = DEFAULT_RAINBOW_BUDGET,
+                        stats: Optional[dict] = None
+                        ) -> Optional[RainbowCycleCert]:
+    """The search of ``exact_rainbow_hamilton`` over lists: each node
+    recounts its usable edges, held as a sorted list, and a child filters
+    its parent's list.
+
+    The two must return the same cert or ``None``, expand the same nodes,
+    and raise ``BudgetExhausted`` at the same budgets.
+    """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    nv = g.num_vertices
+    edges = sorted({e for e in g.edges if e[0] != e[1]})
+    ncolors = len({c for _, _, c in edges})
+    if ncolors < nv:
+        return None
+    cover = ncolors == nv
+    # the distinct usable neighbours a vertex of degree 0, 1, 2 needs;
+    # vertex 0 does not exist, and degree 2 keeps it out of every test
+    needs = (min(2, nv - 1), 1, 0)
+    deg = [2] + [0] * nv
+    end = list(range(nv + 1))
+    used: set[int] = set()
+    # a frame: [edges usable at its node, the edges it branches over,
+    # index of its next branch, endpoints of the path its branch made]
+    stack: list[list] = []
+    live, nodes = edges, 0
+    try:
+        while True:
+            if nodes >= budget:
+                raise BudgetExhausted(
+                    f"rainbow search undecided after {budget} nodes")
+            nodes += 1
+            if len(stack) == nv:
+                return _cert([f[1][f[2] - 1] for f in stack])
+            count = [0] * (nv + 1)
+            nbrs = [0] * (nv + 1)
+            per_color: dict[int, int] = {}
+            pu = pw = 0
+            for u, w, c in live:
+                count[u] += 1
+                count[w] += 1
+                if u != pu or w != pw:  # parallel edges are adjacent
+                    nbrs[u] += 1
+                    nbrs[w] += 1
+                    pu, pw = u, w
+                per_color[c] = per_color.get(c, 0) + 1
+            if not (cover and len(per_color) < nv - len(stack) or any(
+                    n < needs[d] for n, d in zip(nbrs, deg))):
+                scarce = [(k, 1, v) for v, k in enumerate(count)
+                          if deg[v] < 2]
+                if cover:
+                    scarce += [(k, 0, c) for c, k in per_color.items()]
+                _, kind, x = min(scarce)
+                branch = [e for e in live if e[2] == x] if kind == 0 else \
+                    [e for e in live if e[0] == x or e[1] == x]
+                stack.append([live, branch, 0, 0, 0])
+            # step to the next branch of the deepest frame that has one
+            while stack:
+                frame = stack[-1]
+                live, branch, i, a, b = frame
+                if i:  # undo the branch tried last and exclude it
+                    u, w, c = e = branch[i - 1]
+                    deg[u] -= 1
+                    deg[w] -= 1
+                    end[a], end[b] = u, w
+                    used.discard(c)
+                    live.remove(e)
+                if i < len(branch):
+                    break
+                stack.pop()
+            else:
+                return None
+            u, w, c = branch[i]
+            a, b = end[u], end[w]
+            end[a], end[b] = b, a
+            deg[u] += 1
+            deg[w] += 1
+            used.add(c)
+            frame[2:] = i + 1, a, b
+            last = len(stack) == nv - 1
+            live = [e for e in live if e[2] not in used and deg[e[0]] < 2
+                    and deg[e[1]] < 2 and (last or end[e[0]] != e[1])]
+    finally:
+        if stats is not None:
+            stats["nodes"] = stats.get("nodes", 0) + nodes
 
 
 def random_hypergraph_instance(rng, n: int, max_edges: int) -> Hypergraph3:
