@@ -223,39 +223,25 @@ def exact_loose_hamilton(h: Hypergraph3, *,
         cand[b] += ((a, c), (c, a))
         cand[c] += ((a, b), (b, a))
 
-    # midcap[v]: largest lower bound on the two flanking links of any edge
-    # through v; v can serve as a middle only while the minimum link is at
-    # most this value.
-    midcap = {v: max(min(y, w) for y, w in cand[v]) for v in range(1, n + 1)}
-
-    bit = [0] + [1 << (v - 1) for v in range(1, n + 1)]
-    full = (1 << n) - 1
-
-    # v0 is the smallest link; every vertex below it is forced to be a
-    # middle, which needs an edge with both flanks >= v0.
-    lowmid = n + 1
+    full = (1 << n + 1) - 2  # vertex v is bit v
     for v0 in range(1, s + 2):
-        if v0 > 1:
-            lowmid = min(lowmid, midcap[v0 - 1])
-        if lowmid < v0:
-            break
         # a frame: [link, used vertices, its untried (middle, next link)
         # pairs, the middle taken]; the s-th link closes the cycle
-        stack = [[v0, bit[v0], iter(cand[v0]), 0]]
+        stack = [[v0, 1 << v0, iter(cand[v0]), 0]]
         while stack:
             frame = stack[-1]
             u, used, untried, _ = frame
             if len(stack) == s:
-                y = (full & ~used).bit_length()  # the one vertex left
+                y = (full & ~used).bit_length() - 1  # the one vertex left
                 if tuple(sorted((u, y, v0))) in h:
                     return LooseCycle([f[0] for f in stack],
                                       [f[3] for f in stack[:-1]] + [y])
                 stack.pop()
                 continue
             for y, w in untried:
-                if w > v0 and not used & (bit[y] | bit[w]):
+                if w > v0 and not used >> y & 1 and not used >> w & 1:
                     frame[3] = y
-                    stack.append([w, used | bit[y] | bit[w], iter(cand[w]), 0])
+                    stack.append([w, used | 1 << y | 1 << w, iter(cand[w]), 0])
                     break
             else:
                 stack.pop()

@@ -83,26 +83,23 @@ def split_probability(p: float, r: int) -> SplitParams:
 
 
 def _included_positions(gen: np.random.Generator, count: int, prob: float) -> np.ndarray:
-    """Ascending positions of an iid Bernoulli(prob) process over range(count)."""
+    """Ascending positions of an iid Bernoulli(prob) process over range(count).
+
+    Each geometric gap is clipped at count + 1: a gap that long already
+    leaves the range, and the clip keeps the running sum inside int64
+    however small prob is.
+    """
     if count <= 0 or prob <= 0.0:
         return np.empty(0, dtype=np.int64)
     if prob >= 1.0:
         return np.arange(count, dtype=np.int64)
-    chunks = []
-    pos = -1
     mean = count * prob
-    size = int(mean + 6.0 * math.sqrt(mean) + 16.0)
-    while True:
-        gaps = gen.geometric(prob, size=size)
-        pts = pos + np.cumsum(gaps)
-        cut = int(np.searchsorted(pts, count))
-        if cut < len(pts):
-            chunks.append(pts[:cut])
-            break
-        chunks.append(pts)
-        pos = int(pts[-1])
-        size = 32
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    gaps = gen.geometric(prob, size=int(mean + 6.0 * math.sqrt(mean) + 16.0))
+    np.minimum(gaps, count + 1, out=gaps)
+    while gaps.sum() <= count:  # the last position, sum - 1, is below count
+        gaps = np.append(gaps, np.minimum(gen.geometric(prob, size=32), count + 1))
+    pts = gaps.cumsum() - 1
+    return pts[:pts.searchsorted(count)]
 
 
 @functools.cache

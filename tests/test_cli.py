@@ -219,6 +219,10 @@ class TestPipelineCommand:
         assert run("pipeline", "--n", "8", "--p", "0.0", "--r", "4",
                    "--seed", "1") == 1
 
+    def test_tiny_p_fails_at_matching(self, capsys):
+        assert main(["pipeline", "--n", "8", "--p", "1e-19", "--seed", "1"]) == 1
+        assert "failed_stage: matching" in capsys.readouterr().out.splitlines()
+
     def test_json_format(self, capsys):
         assert run("pipeline", "--n", "8", "--p", "1.0", "--seed", "2",
                    "--format", "json") == 0

@@ -297,6 +297,12 @@ class TestIsolatedExperiment:
         assert full.z_score == 0.0
         assert full.prob_at_least_one == 0.0
 
+    def test_every_vertex_isolated_at_tiny_p(self):
+        # p is about 3e-19 here, below where a raw geometric gap wraps int64
+        (cell,) = isolated_experiment([8], [1e-17], 3, 0)
+        assert cell.mean_isolated == 8.0
+        assert cell.z_score == 0.0
+
     def test_mean_matches_closed_form(self):
         (cell,) = isolated_experiment((16,), (0.5,), trials=10_000, seed=6)
         assert abs(cell.z_score) <= 3.0

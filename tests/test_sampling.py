@@ -214,6 +214,26 @@ class TestSampleGamma:
         assert abs(hits / trials - p1) <= 3 * sigma
 
 
+class TestTinyProbability:
+    # below about 1e-18 geometric gaps come near the int64 limit and
+    # their raw sum wraps, so the position draw must clip them
+    TINY = [1e-19, 1e-30, 5e-324]
+
+    @pytest.mark.parametrize("p", TINY)
+    def test_h3_draws_no_triple(self, p):
+        assert sample_h3(16, p, derived_rng(1)).edge_list == ()
+
+    @pytest.mark.parametrize("p", TINY)
+    def test_gamma_draws_no_triple(self, p):
+        assert sample_gamma(range(9, 13), p, derived_rng(1)).present == frozenset()
+
+    @pytest.mark.parametrize("p", TINY)
+    def test_coupled_draws_no_triple(self, p):
+        h, systems = sample_coupled(16, p, 1, derived_rng(1))
+        assert all(ts.present == frozenset() for ts in systems)
+        assert h.edge_list == ()
+
+
 class TestSampleCoupled:
     def test_rejects_bad_n(self):
         for n in (6, 10, 4):
