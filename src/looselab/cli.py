@@ -14,18 +14,21 @@ budget, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
+import tempfile
 from contextlib import ExitStack, contextmanager
 
 from . import __version__
-from .colored import read_colored, read_rainbow_claim, verify_rainbow_hamilton, \
-    write_colored, write_rainbow_cert
-from .hypergraph import BudgetExhausted, FormatError, _write_rows, \
-    read_hypergraph, read_loose_cycle_claim, verify_loose_hamilton, \
-    write_hypergraph
-from .lab import SweepSpec, atomic_output, contiguity_probe, \
-    isolated_experiment, probability_from_c, run_sweep
+from .colored import RainbowCycleCert, read_colored, \
+    verify_rainbow_hamilton, write_colored
+from .hypergraph import BudgetExhausted, FormatError, LooseCycle, \
+    _write_rows, read_claim, read_hypergraph, verify_loose_hamilton, \
+    write_claim, write_hypergraph
+from .lab import SweepSpec, contiguity_probe, isolated_experiment, \
+    probability_from_c, run_sweep
 from .pipeline import run_pipeline
 from .sampling import derived_rng, hypergraph_from_triple_system, sample_gamma, \
     sample_h3, sample_pairing_regular, sample_union_matchings, \
@@ -51,13 +54,39 @@ def _resolve_p(args) -> float:
 
 
 @contextmanager
-def _output(out):
-    """Stdout, or the file ``out`` reserved on entry by ``atomic_output``."""
-    if out:
-        with atomic_output(out) as fh:
-            yield fh
-    else:
+def atomic_output(path):
+    """Yield ``sys.stdout`` when ``path`` is empty, else a text stream that
+    replaces ``path`` when the block ends.
+
+    On entry a directory at ``path`` is refused and the temporary file is
+    created beside ``path``, so a destination that cannot be written
+    fails, naming ``path``, before the block does any work; a block that
+    raises leaves ``path`` untouched and no temporary file behind.  The
+    file gets the mode ``open`` would give it, 0o666 less the umask, not
+    the 0o600 of ``mkstemp``.
+    """
+    if not path:
         yield sys.stdout
+        return
+    path = os.fspath(path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                   suffix=".tmp")
+    except OSError as exc:  # name the path given, not the temporary file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _cmd_sample(args) -> int:
@@ -65,7 +94,7 @@ def _cmd_sample(args) -> int:
         if args.model != "h3" and getattr(args, flag) is not None:
             raise FormatError(f"--{flag} applies only to --model h3")
     gen = derived_rng(args.seed)
-    with _output(args.out) as out:
+    with atomic_output(args.out) as out:
         if args.model == "h3":
             h = sample_h3(args.n, _resolve_p(args), gen)
             write_hypergraph(h, out)
@@ -103,22 +132,22 @@ def _cmd_solve_rainbow(args) -> int:
     if cert is None:
         print("no rainbow Hamilton cycle found")
         return 1
-    write_rainbow_cert(cert, sys.stdout)
+    write_claim(cert, sys.stdout)
     return 0
 
 
-# kind -> (instance reader, claim reader, verifier)
+# kind -> (instance reader, claim record, verifier)
 _VERIFIERS = {
-    "loose": (read_hypergraph, read_loose_cycle_claim, verify_loose_hamilton),
-    "rainbow": (lambda f: read_colored(f)[0], read_rainbow_claim,
+    "loose": (read_hypergraph, LooseCycle, verify_loose_hamilton),
+    "rainbow": (lambda f: read_colored(f)[0], RainbowCycleCert,
                 verify_rainbow_hamilton),
 }
 
 
 def _cmd_verify(args) -> int:
-    read_instance, read_claim, verify = _VERIFIERS[args.kind]
+    read_instance, record, verify = _VERIFIERS[args.kind]
     instance = read_instance(args.instance)
-    claim = read_claim(args.cert)
+    claim = read_claim(args.cert, record)
     verdict = verify(instance, claim)
     if verdict:
         print(f"valid {args.kind} Hamilton cycle")
@@ -151,9 +180,9 @@ def _cmd_sweep(args) -> int:
     with ExitStack() as stack:
         # every output file is reserved before the first trial runs;
         # stdout takes one format, the CSV for "both"
-        sinks = [(fmt, stack.enter_context(
-                     atomic_output(f"{args.out}.{fmt}"))) for fmt in formats] \
-            if args.out else [(formats[0], sys.stdout)]
+        sinks = [(fmt, stack.enter_context(atomic_output(
+                     args.out and f"{args.out}.{fmt}")))
+                 for fmt in formats[:None if args.out else 1]]
         result = run_sweep(spec, workers=args.workers)
         for fmt, fh in sinks:
             fh.write(result.to_csv_text() if fmt == "csv"
@@ -162,14 +191,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_probe_isolated(args) -> int:
-    with _output(args.out) as fh:
+    with atomic_output(args.out) as fh:
         cells = isolated_experiment(args.n, args.c, args.trials, args.seed)
         fh.write(json.dumps([cell.record() for cell in cells], indent=2) + "\n")
     return 0
 
 
 def _cmd_probe_contiguity(args) -> int:
-    with _output(args.out) as fh:
+    with atomic_output(args.out) as fh:
         report = contiguity_probe(args.m2, args.r, args.trials, args.seed)
         fh.write(report.to_json() + "\n")
     return 0

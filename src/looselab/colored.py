@@ -5,8 +5,8 @@ The derived graph of a hypergraph instance lives on the link vertices
 (x, x', y), for every hypergraph edge {x, y, x'} whose middle y lies in
 2m+1..4m.  A rainbow Hamilton cycle of the derived graph lifts directly
 to a loose Hamilton cycle of the hypergraph: cycle vertices become
-links, edge colors become middles.  The file formats here use the row
-helpers of ``hypergraph``.
+links, edge colors become middles.  The multigraph file format uses the
+row helpers of ``hypergraph``, whose ``read_claim`` reads certificates.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .hypergraph import FormatError, LooseCycle, Verdict, _read_rows, \
-    _read_table, _write_rows
+from .hypergraph import FormatError, LooseCycle, Verdict, _read_table, \
+    _write_rows
 
 
 class ColoredMultigraph:
@@ -154,18 +154,3 @@ def read_colored(f) -> tuple[ColoredMultigraph, int]:
     if 0 in colors and len(colors) > 1:
         raise FormatError("file mixes colored and uncolored edges")
     return ColoredMultigraph(m2, [row for _k, row in body]), r
-
-
-def write_rainbow_cert(cert: RainbowCycleCert, f) -> None:
-    _write_rows(f, (cert.order, cert.colors))
-
-
-def read_rainbow_claim(f) -> RainbowCycleCert:
-    """Read a claimed rainbow cycle (order line, colors line) as a record.
-
-    Only the two-line integer format is checked here; a bogus claim
-    reaches ``verify_rainbow_hamilton`` and comes back as a false verdict."""
-    rows = _read_rows(f)
-    if len(rows) != 2:
-        raise FormatError(f"expected 2 lines (order, colors), found {len(rows)}")
-    return RainbowCycleCert(rows[0][1], rows[1][1])

@@ -7,6 +7,7 @@ vertices y_1..y_(n/2) together cover every vertex exactly once.
 
 Instance and certificate files are lines of integers: ``_read_rows`` alone
 parses them, naming the line of a bad field, and ``_write_rows`` writes them.
+``read_claim`` and ``write_claim`` carry both certificate records.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, Iterable, Optional, Sequence
 
 
@@ -330,12 +331,17 @@ def read_hypergraph(f) -> Hypergraph3:
     return Hypergraph3._from_sorted(n, sorted(seen))
 
 
-def read_loose_cycle_claim(f) -> LooseCycle:
-    """Read a claimed loose cycle (links line, middles line) as a record.
-
-    Only the two-line integer format is checked here; a bogus claim
-    reaches ``verify_loose_hamilton`` and comes back as a false verdict."""
+def read_claim(f, record):
+    """Read a claimed cycle as ``record`` (``LooseCycle`` or
+    ``RainbowCycleCert``), one line per field.  Only the two-line integer
+    format is checked; a bogus claim gets a false verdict from its verifier."""
+    names = ", ".join(fl.name for fl in fields(record))
     rows = _read_rows(f)
     if len(rows) != 2:
-        raise FormatError(f"expected 2 lines (links, middles), found {len(rows)}")
-    return LooseCycle(rows[0][1], rows[1][1])
+        raise FormatError(f"expected 2 lines ({names}), found {len(rows)}")
+    return record(rows[0][1], rows[1][1])
+
+
+def write_claim(claim, f) -> None:
+    """Write a cycle record as ``read_claim`` reads it, one line per field."""
+    _write_rows(f, astuple(claim))

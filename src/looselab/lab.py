@@ -5,20 +5,17 @@ Edge probabilities are derived from a sweep coefficient c as
 p = min(1, c * log(n) / n^2) with the natural log; the coefficient grid is
 the swept variable.  Every trial draws its own stream from (master seed,
 cell index, trial index), so results are reproducible byte-for-byte for
-any worker count, and cells are embarrassingly parallel.
+any worker count, and cells are embarrassingly parallel.  Results come
+back as objects and text; the CLI's ``atomic_output`` writes every file.
 """
 
 from __future__ import annotations
 
-import errno
 import json
 import math
-import os
 import statistics
-import tempfile
 import time
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from statistics import NormalDist
 from typing import ClassVar, Optional, Sequence
@@ -153,38 +150,6 @@ class SweepResult:
 
     def to_json_text(self) -> str:
         return json.dumps([c.record() for c in self.cells], indent=2) + "\n"
-
-
-@contextmanager
-def atomic_output(path):
-    """Yield a text stream that replaces ``path`` when the block ends.
-
-    On entry a directory at ``path`` is refused and the temporary file is
-    created beside ``path``, so a destination that cannot be written
-    fails, naming ``path``, before the block does any work; a block that
-    raises leaves ``path`` untouched and no temporary file behind.  The
-    file gets the mode ``open`` would give it, 0o666 less the umask, not
-    the 0o600 of ``mkstemp``.
-    """
-    path = os.fspath(path)
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                                   suffix=".tmp")
-    except OSError as exc:  # name the path given, not the temporary file
-        raise type(exc)(exc.errno, exc.strerror, path) from None
-    try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _trial(task) -> tuple[bool, float]:

@@ -35,6 +35,8 @@ def derived_rng(master_seed: int, *path: int) -> np.random.Generator:
 
     With no path this is the stream of ``SeedSequence(master_seed)``.
     """
+    if master_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {master_seed}")
     return np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=tuple(path))
     )

@@ -20,9 +20,8 @@ from itertools import combinations, permutations, product
 from typing import Optional
 
 from looselab import BudgetExhausted, ColoredMultigraph, Hypergraph3, \
-    LooseCycle, exact_matching
+    exact_matching
 from looselab.colored import RainbowCycleCert
-from looselab.hypergraph import _write_rows
 from looselab.sampling import TripleSystem
 from looselab.solvers import DEFAULT_RAINBOW_BUDGET, _cert
 
@@ -424,9 +423,3 @@ def is_equitable(g: ColoredMultigraph, r: int, colors) -> bool:
     """True iff the edges use exactly the given colors, each r times."""
     usage = Counter(c for _u, _v, c in g.edges)
     return usage == Counter(dict.fromkeys(colors, r))
-
-
-def write_loose_cycle(cycle: LooseCycle, f) -> None:
-    """Write a loose cycle as the two-line claim (links, middles) that
-    ``read_loose_cycle_claim`` reads."""
-    _write_rows(f, (cycle.links, cycle.middles))

@@ -1,10 +1,13 @@
 import json
+import os
 import shlex
+import stat
+import sys
 from pathlib import Path
 
 import pytest
 
-from looselab.cli import build_parser, main
+from looselab.cli import atomic_output, build_parser, main
 from looselab.lab import CSV_HEADER
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -73,6 +76,21 @@ class TestVerifyCommand:
     def test_missing_file_exits_two(self, tmp_path):
         assert run("verify", "loose", "--instance", str(tmp_path / "no.txt"),
                    "--cert", str(tmp_path / "no2.txt")) == 2
+
+    @pytest.mark.parametrize("kind,instance,fields", [
+        ("loose", "4 2\n1 2 3\n1 2 4\n", "links, middles"),
+        ("rainbow", "4 1\n1 2 5\n2 3 6\n3 4 7\n1 4 8\n", "order, colors"),
+    ], ids=["loose", "rainbow"])
+    def test_three_line_cert_exits_two(self, kind, instance, fields, tmp_path,
+                                       capsys):
+        inst = tmp_path / "i.txt"
+        inst.write_text(instance)
+        cert = tmp_path / "c.txt"
+        cert.write_text("1 2\n3 4\n5\n")
+        assert run("verify", kind, "--instance", str(inst),
+                   "--cert", str(cert)) == 2
+        assert capsys.readouterr().err.endswith(
+            f"input error: expected 2 lines ({fields}), found 3\n")
 
 
 class TestSampleCommand:
@@ -280,6 +298,13 @@ class TestSweepCommand:
     def test_infeasible_combo_exits_two(self, capsys):
         assert run("sweep", "--n", "20", "--c", "2", "--trials", "5") == 2
 
+    def test_negative_seed_names_the_seed(self, capsys):
+        assert run("sweep", "--n", "8", "--c", "16", "--trials", "2",
+                   "--seed", "-1", "--workers", "2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: seed must be >= 0, got -1\n")
+
 
 class TestProbeCommand:
     def test_isolated(self, tmp_path):
@@ -344,6 +369,51 @@ class TestProbeCommand:
         assert run("sweep", *grid, "--trials", "5") == 2
         assert "error: n and c grids must be non-empty" in \
             capsys.readouterr().err
+
+
+class TestAtomicOutput:
+    def test_replaces_path_when_the_block_ends(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        with atomic_output(path) as fh:
+            fh.write("new\n")
+            assert path.read_text() == "old\n"
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_raising_block_leaves_nothing(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with atomic_output(tmp_path / "out.csv") as fh:
+                fh.write("partial")
+                raise RuntimeError("trial failed")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_refused_before_the_block(self, tmp_path):
+        ran = False
+        with pytest.raises(IsADirectoryError):
+            with atomic_output(tmp_path):
+                ran = True
+        assert not ran
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        path = tmp_path / "out.csv"
+        old = os.umask(umask)
+        try:
+            with atomic_output(path) as fh:
+                fh.write("x\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+
+    @pytest.mark.parametrize("path", [None, ""], ids=["none", "empty"])
+    def test_empty_path_yields_stdout(self, path, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with atomic_output(path) as fh:
+            assert fh is sys.stdout
+        assert list(tmp_path.iterdir()) == []
 
 
 # (argv, the looselab.cli name of the experiment it runs)

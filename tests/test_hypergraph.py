@@ -17,12 +17,12 @@ from looselab import (
     write_hypergraph,
 )
 from looselab.hypergraph import LOOSE_CAP, expected_isolated, \
-    isolated_vertices, read_loose_cycle_claim, triple
+    isolated_vertices, read_claim, triple, write_claim
 from looselab.lab import probability_from_c
 from looselab.sampling import derived_rng
 
 from oracles import complete_hypergraph, loose_hamilton_exists_naive, \
-    random_hypergraph_instance, write_loose_cycle
+    random_hypergraph_instance
 
 
 class TestTriple:
@@ -311,5 +311,5 @@ class TestFileFormat:
     def test_cycle_claim_round_trip(self, tmp_path):
         c = LooseCycle((1, 2), (3, 4))
         path = tmp_path / "c.txt"
-        write_loose_cycle(c, path)
-        assert read_loose_cycle_claim(path) == c
+        write_claim(c, path)
+        assert read_claim(path, LooseCycle) == c

@@ -2,7 +2,6 @@ import gc
 import json
 import math
 import os
-import stat
 import statistics
 import subprocess
 import sys
@@ -22,7 +21,7 @@ from looselab import (
     run_sweep,
 )
 from looselab import lab
-from looselab.lab import CSV_HEADER, atomic_output, wilson_interval
+from looselab.lab import CSV_HEADER, wilson_interval
 from looselab.sampling import derived_rng, sample_pairing_regular, \
     sample_union_matchings
 
@@ -244,44 +243,6 @@ class TestRunSweep:
         res = run_sweep(spec)
         assert [(c.n, c.c) for c in res.cells] == \
             [(8, 2.0), (8, 4.0), (12, 2.0), (12, 4.0)]
-
-
-class TestAtomicOutput:
-    def test_replaces_path_when_the_block_ends(self, tmp_path):
-        path = tmp_path / "out.csv"
-        path.write_text("old\n")
-        with atomic_output(path) as fh:
-            fh.write("new\n")
-            assert path.read_text() == "old\n"
-        assert path.read_text() == "new\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
-
-    def test_raising_block_leaves_nothing(self, tmp_path):
-        with pytest.raises(RuntimeError):
-            with atomic_output(tmp_path / "out.csv") as fh:
-                fh.write("partial")
-                raise RuntimeError("trial failed")
-        assert list(tmp_path.iterdir()) == []
-
-    def test_directory_refused_before_the_block(self, tmp_path):
-        ran = False
-        with pytest.raises(IsADirectoryError):
-            with atomic_output(tmp_path):
-                ran = True
-        assert not ran
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
-                             ids=["umask022", "umask077"])
-    def test_mode_follows_umask(self, tmp_path, umask, mode):
-        path = tmp_path / "out.csv"
-        old = os.umask(umask)
-        try:
-            with atomic_output(path) as fh:
-                fh.write("x\n")
-        finally:
-            os.umask(old)
-        assert stat.S_IMODE(path.stat().st_mode) == mode
 
 
 class TestIsolatedExperiment:

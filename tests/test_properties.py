@@ -22,13 +22,10 @@ from looselab import (
     write_colored,
     write_hypergraph,
 )
-from looselab.colored import RainbowCycleCert, read_rainbow_claim, \
-    write_rainbow_cert
-from looselab.hypergraph import read_loose_cycle_claim
+from looselab.colored import RainbowCycleCert
+from looselab.hypergraph import read_claim, write_claim
 from looselab.sampling import TripleSystem
 from looselab.solvers import verify_matching
-
-from oracles import write_loose_cycle
 
 
 def round_trip(write, read, obj):
@@ -105,22 +102,23 @@ class TestRoundTrips:
     @settings(max_examples=60, deadline=None)
     @given(loose_cycles())
     def test_loose_certificate(self, cycle):
-        assert round_trip(write_loose_cycle, read_loose_cycle_claim,
+        assert round_trip(write_claim, lambda f: read_claim(f, LooseCycle),
                           cycle) == (cycle, cycle)
 
     @settings(max_examples=60, deadline=None)
     @given(ints, ints)
     def test_rainbow_certificate(self, order, colors):
         cert = RainbowCycleCert(order, colors)
-        assert round_trip(write_rainbow_cert, read_rainbow_claim,
+        assert round_trip(write_claim,
+                          lambda f: read_claim(f, RainbowCycleCert),
                           cert) == (cert, cert)
 
 
 @pytest.mark.parametrize("read,text", [
     (read_hypergraph, "4 1\n\n1 2 x\n"),
     (read_colored, "4 1\n\n1 2 x\n"),
-    (read_loose_cycle_claim, "1 2\n\n3 x\n"),
-    (read_rainbow_claim, "1 2\n\n3 x\n"),
+    (lambda f: read_claim(f, LooseCycle), "1 2\n\n3 x\n"),
+    (lambda f: read_claim(f, RainbowCycleCert), "1 2\n\n3 x\n"),
 ], ids=["hypergraph", "colored", "loose", "rainbow"])
 def test_non_integer_field_names_its_line(read, text):
     # blank lines count towards the line number
