@@ -20,6 +20,7 @@ import os
 import sys
 import tempfile
 from contextlib import ExitStack, contextmanager
+from dataclasses import asdict
 
 from . import __version__
 from .colored import RainbowCycleCert, read_colored, \
@@ -51,6 +52,10 @@ def _resolve_p(args) -> float:
     if args.c is not None:
         return probability_from_c(args.n, args.c)
     raise FormatError("one of --p or --c is required")
+
+
+def _json_text(value) -> str:
+    return json.dumps(value, indent=2) + "\n"
 
 
 @contextmanager
@@ -160,7 +165,7 @@ def _cmd_verify(args) -> int:
 def _cmd_pipeline(args) -> int:
     rep = run_pipeline(args.n, _resolve_p(args), args.r, args.seed)
     if args.format == "json":
-        print(rep.to_json())
+        sys.stdout.write(_json_text(rep.to_dict()))
     else:
         d = rep.to_dict()
         for key in ("n", "p", "r", "seed", "matchings_found",
@@ -185,22 +190,22 @@ def _cmd_sweep(args) -> int:
                  for fmt in formats[:None if args.out else 1]]
         result = run_sweep(spec, workers=args.workers)
         for fmt, fh in sinks:
-            fh.write(result.to_csv_text() if fmt == "csv"
-                     else result.to_json_text())
+            fh.write(result.to_csv_text() if fmt == "csv" else
+                     _json_text([cell.record() for cell in result.cells]))
     return 0
 
 
 def _cmd_probe_isolated(args) -> int:
     with atomic_output(args.out) as fh:
         cells = isolated_experiment(args.n, args.c, args.trials, args.seed)
-        fh.write(json.dumps([cell.record() for cell in cells], indent=2) + "\n")
+        fh.write(_json_text([cell.record() for cell in cells]))
     return 0
 
 
 def _cmd_probe_contiguity(args) -> int:
     with atomic_output(args.out) as fh:
         report = contiguity_probe(args.m2, args.r, args.trials, args.seed)
-        fh.write(report.to_json() + "\n")
+        fh.write(_json_text(asdict(report)))
     return 0
 
 

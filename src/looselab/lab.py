@@ -6,12 +6,12 @@ p = min(1, c * log(n) / n^2) with the natural log; the coefficient grid is
 the swept variable.  Every trial draws its own stream from (master seed,
 cell index, trial index), so results are reproducible byte-for-byte for
 any worker count, and cells are embarrassingly parallel.  Results come
-back as objects and text; the CLI's ``atomic_output`` writes every file.
+back as records, which the CLI renders as JSON and writes to file; the
+sweep CSV, which ``perfbench`` digests, is the one text rendered here.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 import time
@@ -101,6 +101,8 @@ class SweepSpec:
             raise ValueError("every c must be positive")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.r < 1:
             raise ValueError("r must be >= 1")
         if self.method not in ("exact", "pipeline"):
@@ -147,9 +149,6 @@ class SweepResult:
 
     def to_csv_text(self) -> str:
         return "\n".join([CSV_HEADER] + [c.csv_row() for c in self.cells]) + "\n"
-
-    def to_json_text(self) -> str:
-        return json.dumps([c.record() for c in self.cells], indent=2) + "\n"
 
 
 def _trial(task) -> tuple[bool, float]:
@@ -304,12 +303,6 @@ class ContiguityReport:
     trials: int
     union: ModelStats
     pairing: ModelStats
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _triangle_count(pairs: Counter) -> int:

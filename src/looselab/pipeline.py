@@ -10,7 +10,7 @@ all project into the coupled hypergraph.  The lift only reads the cert's
 vertex order as links and its colors as middles; ``verify_loose_hamilton``
 is the stage's one check, against the sampled instance rather than the
 construction, and a cert that does not lift fails the lift stage through
-its verdict.
+its verdict.  A run comes back as a report whose record is ``to_dict()``.
 
 Both searches are the complete engines of ``solvers``.  The matching
 engine is handed the trial's generator, so each system is searched under
@@ -23,7 +23,6 @@ search that spends its node budget undecided fails the rainbow stage with
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
@@ -93,9 +92,6 @@ class PipelineReport:
         d = asdict(replace(self, hypergraph=None, gstar=None))
         del d["hypergraph"], d["gstar"]
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _run_pipeline_stream(n: int, p: float, r: int, gen, *,

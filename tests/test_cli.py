@@ -107,6 +107,13 @@ class TestSampleCommand:
         assert run("sample", "--model", "h3", "--n", "8", "--c", "4.0",
                    "--seed", "3", "--out", str(out)) == 0
 
+    def test_h3_needs_p_or_c(self, capsys):
+        assert run("sample", "--model", "h3", "--n", "8") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "\ninput error: one of --p or --c is required\n")
+
     def test_p_and_c_mutually_exclusive(self, tmp_path):
         assert run("sample", "--model", "h3", "--n", "8", "--p", "0.5",
                    "--c", "2.0") == 2
@@ -298,7 +305,12 @@ class TestSweepCommand:
     def test_infeasible_combo_exits_two(self, capsys):
         assert run("sweep", "--n", "20", "--c", "2", "--trials", "5") == 2
 
-    def test_negative_seed_names_the_seed(self, capsys):
+    def test_negative_seed_names_the_seed(self, capsys, monkeypatch):
+        # refused by the spec, before any pool is built
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         assert run("sweep", "--n", "8", "--c", "16", "--trials", "2",
                    "--seed", "-1", "--workers", "2") == 2
         captured = capsys.readouterr()

@@ -1,10 +1,10 @@
 import gc
-import json
 import math
 import os
 import statistics
 import subprocess
 import sys
+from dataclasses import asdict
 from itertools import combinations
 from pathlib import Path
 
@@ -125,6 +125,8 @@ class TestSweepSpec:
             SweepSpec(trials=0)
         with pytest.raises(ValueError):
             SweepSpec(method="guess")
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            SweepSpec(seed=-1)
 
     def test_exact_method_needs_cap(self):
         with pytest.raises(ValueError):
@@ -166,7 +168,8 @@ class TestRunSweep:
         base = run_sweep(spec, workers=1)
         res = run_sweep(spec, workers=workers)
         assert res.to_csv_text() == base.to_csv_text()
-        assert res.to_json_text() == base.to_json_text()
+        assert [c.record() for c in res.cells] == \
+            [c.record() for c in base.cells]
 
     def test_pool_never_larger_than_the_task_list(self, monkeypatch):
         # the executor forks every worker at its first submit, so the
@@ -232,7 +235,7 @@ class TestRunSweep:
         assert len(lines) == 1 + 2
         first = lines[1].split(",")
         assert first[0] == "8" and first[9] == "3" and first[10] == "4"
-        rows = json.loads(res.to_json_text())
+        rows = [c.record() for c in res.cells]
         assert len(rows) == 2
         assert set(rows[0]) == {"n", "c", "p", "trials", "successes", "freq",
                                 "ci_low", "ci_high", "method", "seed", "r"}
@@ -339,7 +342,7 @@ class TestContiguityProbe:
         assert report.union.all_regular
         assert report.pairing.all_regular
         assert report.union.degree == report.pairing.degree == 8
-        payload = json.loads(report.to_json())
+        payload = asdict(report)
         assert payload["m2"] == m2
         assert payload["union"]["parallel_dist"]
         assert payload["pairing"]["triangle_mean"] >= 0.0

@@ -1,4 +1,3 @@
-import json
 from collections import Counter
 
 import pytest
@@ -175,7 +174,7 @@ class TestRunPipeline:
 
     def test_report_serializes(self):
         rep = run_pipeline(8, 1.0, 4, seed=1)
-        payload = json.loads(rep.to_json())
+        payload = rep.to_dict()
         assert payload["success"] is True
         assert payload["rainbow_undecided"] is False
         assert payload["loose_cycle"]["links"]

@@ -234,6 +234,28 @@ class TestTinyProbability:
         assert h.edge_list == ()
 
 
+class TestPositionDraw:
+    def test_short_first_draw_is_topped_up(self):
+        # the first draw falls short only some 6 sigma out; a stub makes
+        # it all ones, then every later gap 2, so three top-ups are needed
+        class Stub:
+            def __init__(self):
+                self.sizes = []
+
+            def geometric(self, prob, size):
+                assert prob == 0.1
+                self.sizes.append(size)
+                return np.full(size, 1 if len(self.sizes) == 1 else 2,
+                               dtype=np.int64)
+
+        gen = Stub()
+        pts = sampling._included_positions(gen, 200, 0.1)
+        # mean 20: the first draw is int(20 + 6 sqrt(20) + 16) = 62 gaps
+        assert gen.sizes == [62, 32, 32, 32]
+        assert pts.tolist() == list(range(62)) + list(range(63, 200, 2))
+        assert np.all(np.diff(pts) > 0) and 0 <= pts[0] and pts[-1] < 200
+
+
 class TestSampleCoupled:
     def test_rejects_bad_n(self):
         for n in (6, 10, 4):
