@@ -45,12 +45,13 @@ class Hypergraph3:
     """Immutable 3-uniform hypergraph on vertices 1..n.
 
     Edges are one strictly ascending tuple of sorted triples (``edge_list``,
-    giving each edge a stable id); ``e in h`` binary-searches it.  The
+    giving each edge a stable id), which ``e in h`` binary-searches.  The
     constructor validates; samplers are trusted, via ``_from_sorted`` or
-    ``_deferred`` (built on first read), as ``TestSortedEdgeList`` checks.
+    ``_deferred`` (built on first read, ``e in h`` answered by its own
+    function), as ``TestSortedEdgeList`` and ``TestMembership`` check.
     """
 
-    __slots__ = ("n", "_edges", "_build")
+    __slots__ = ("n", "_edges", "_build", "_has")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         n = int(n)
@@ -64,22 +65,24 @@ class Hypergraph3:
             raise ValueError("edge vertex outside 1..n")
         self.n = n
         self._edges: tuple[Triple, ...] = tuple(canon)
-        self._build = None
+        self._build = self._has = None
 
     @classmethod
     def _from_sorted(cls, n: int, edge_list: Sequence[Triple]) -> "Hypergraph3":
         # Trusted fast path for samplers and checked files: edges already
         # sorted ascending, distinct, canonical, and within range.
         self = cls.__new__(cls)
-        self.n, self._edges, self._build = n, tuple(edge_list), None
+        self.n, self._edges = n, tuple(edge_list)
+        self._build = self._has = None
         return self
 
     @classmethod
-    def _deferred(cls, n: int, build: Callable) -> "Hypergraph3":
-        # As _from_sorted, but the edges are what build() returns; it is
-        # called once, on the first read of edge_list.
+    def _deferred(cls, n: int, build: Callable,
+                  has: Callable) -> "Hypergraph3":
+        # As _from_sorted, but build() gives the edges, called once on the
+        # first read of edge_list, and ``e in h`` is always has(tuple(e)).
         self = cls.__new__(cls)
-        self.n, self._build = n, build
+        self.n, self._build, self._has = n, build, has
         return self
 
     @property
@@ -90,6 +93,8 @@ class Hypergraph3:
         return self._edges
 
     def __contains__(self, e) -> bool:
+        if self._has is not None:
+            return self._has(tuple(e))
         e, edges = tuple(e), self.edge_list
         i = bisect_left(edges, e)
         return i < len(edges) and edges[i] == e

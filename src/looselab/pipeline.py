@@ -8,9 +8,10 @@ against its system with ``verify_matching`` before using it.  A rainbow
 Hamilton cycle of that graph lifts to a loose Hamilton cycle whose windows
 all project into the coupled hypergraph.  The lift only reads the cert's
 vertex order as links and its colors as middles; ``verify_loose_hamilton``
-is the stage's one check, against the sampled instance rather than the
-construction, and a cert that does not lift fails the lift stage through
-its verdict.  A run comes back as a report whose record is ``to_dict()``.
+is the stage's one check, asking the sampled instance (not the construction)
+about the n/2 windows, which it answers from its draws without assembling
+its edge list.  A cert that does not lift fails the lift stage through its
+verdict.  A run comes back as a report whose record is ``to_dict()``.
 
 Both searches are the complete engines of ``solvers``.  The matching
 engine is handed the trial's generator, so each system is searched under

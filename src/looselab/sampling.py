@@ -132,6 +132,16 @@ def unrank_triples(n: int, ranks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b + 1, c + 1
 
 
+def _pair_rank(m: int, u: int, v: int) -> int:
+    """Lexicographic rank of the pair 1 <= u < v <= m; inverts unrank_pairs."""
+    return int(_offsets(m, 2)[u - 1]) + v - u - 1
+
+
+def _triple_rank(n: int, a: int, b: int, c: int) -> int:
+    """Lexicographic rank of 1 <= a < b < c <= n; inverts unrank_triples."""
+    return int(_offsets(n, 3)[a - 1]) + _pair_rank(n - a, b - a, c - a)
+
+
 # ---------------------------------------------------------------------------
 # the binomial random hypergraph
 # ---------------------------------------------------------------------------
@@ -258,8 +268,8 @@ def sample_coupled(n: int, p: float, r: int, gen: np.random.Generator
       for a total presence probability 1-(1-p1)^r * (1-q) = p;
     * every triple of any other shape is placed independently at p.
 
-    All draws are made here; the hypergraph is assembled from them on the
-    first read of its ``edge_list``, which draws nothing.
+    All draws are made here.  The hypergraph answers ``e in h`` from them
+    and assembles its ``edge_list`` on first read, neither drawing anything.
     """
     if n % 4 or n < 8:
         raise ValueError(f"need n divisible by 4 and >= 8, got {n}")
@@ -271,8 +281,9 @@ def sample_coupled(n: int, p: float, r: int, gen: np.random.Generator
     topup = _included_positions(gen, math.comb(two_m, 2) * two_m, params.q)
     # every other shape at rate p, drawn over all of C(n,3) as sample_h3 does
     rest = _included_positions(gen, math.comb(n, 3), p)
-    return Hypergraph3._deferred(n, functools.partial(
-        _coupled_edges, n, systems, topup, rest)), systems
+    draws = (n, systems, topup, rest)
+    return Hypergraph3._deferred(n, functools.partial(_coupled_edges, *draws),
+                                 functools.partial(_coupled_has, *draws)), systems
 
 
 def _coupled_edges(n: int, systems: tuple[TripleSystem, ...],
@@ -295,6 +306,23 @@ def _coupled_edges(n: int, systems: tuple[TripleSystem, ...],
     ab, c = np.divmod(keys, base)
     a, b = np.divmod(ab, base)
     return list(zip(a.tolist(), b.tolist(), c.tolist()))
+
+
+def _coupled_has(n: int, systems: tuple[TripleSystem, ...],
+                 topup: np.ndarray, rest: np.ndarray, t: tuple) -> bool:
+    """Whether ``t`` is among ``_coupled_edges(n, systems, topup, rest)``."""
+    if len(t) != 3 or not 1 <= t[0] < t[1] < t[2] <= n:
+        return False
+    a, b, c = t
+    two_m = n // 2
+    coupled = b <= two_m < c
+    ranks, key = ((topup, _pair_rank(two_m, a, b) * two_m + c - two_m - 1)
+                  if coupled else (rest, _triple_rank(n, a, b, c)))
+    i = ranks.searchsorted(key)
+    if i < len(ranks) and ranks[i] == key:
+        return True
+    return coupled and any((a, b, (c, k)) in ts.present for ts in systems
+                           for k in range(1, len(systems) // 2 + 1))
 
 
 # ---------------------------------------------------------------------------

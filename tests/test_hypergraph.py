@@ -1,6 +1,6 @@
 import gc
 import math
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -84,6 +84,31 @@ class TestMembership:
         # n = 8 is the smallest size the coupled sampler accepts
         for seed in range(3):
             self.check(sample_coupled(8, p, 2, derived_rng(seed))[0])
+
+    @pytest.mark.parametrize("n", [8, 12])
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_sample_coupled_unread(self, n, r):
+        # a coupled hypergraph answers from its draws; its answers, all
+        # given before edge_list is read, match a same-seed twin's edges
+        tuples = [t for k in (2, 3, 4) for t in product(range(n + 2), repeat=k)]
+        for seed, p in enumerate((0.05, 0.3, 0.9, 1.0)):
+            h, _systems = sample_coupled(n, p, r, derived_rng(seed))
+            answers = [t in h for t in tuples]
+            assert h._build is not None  # edge_list still unread
+            twin, _systems = sample_coupled(n, p, r, derived_rng(seed))
+            edges = set(twin.edge_list)
+            assert answers == [t in edges for t in tuples]
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 20, 24, 28])
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.9, 1.0])
+    def test_sample_coupled_every_triple(self, n, p):
+        triples = list(combinations(range(1, n + 1), 3))
+        for seed in range(2):
+            h, _systems = sample_coupled(n, p, 4, derived_rng(seed))
+            answers = [t in h for t in triples]
+            twin, _systems = sample_coupled(n, p, 4, derived_rng(seed))
+            edges = set(twin.edge_list)
+            assert answers == [t in edges for t in triples]
 
 
 class TestLooseCycle:
@@ -177,8 +202,11 @@ class TestExactSearch:
         def build():
             raise AssertionError("edges read before refusing")
 
+        def has(e):
+            raise AssertionError("membership asked before refusing")
+
         with pytest.raises(ValueError) as searched:
-            exact_loose_hamilton(Hypergraph3._deferred(n, build))
+            exact_loose_hamilton(Hypergraph3._deferred(n, build, has))
         if n > LOOSE_CAP:
             words = f"n={n} exceeds the exact-search cap {LOOSE_CAP}"
         else:

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from looselab import (
+    Hypergraph3,
     build_gstar,
     exact_loose_hamilton,
     run_pipeline,
@@ -113,6 +114,22 @@ class TestRunPipeline:
                     assert exact_loose_hamilton(rep.hypergraph) is not None
         assert successes[8] == 100
         assert successes[16] >= 1
+
+    def test_successes_verify_against_the_checked_build(self):
+        # the lift asks the coupled draws about each window; here every
+        # success also faces its edge list rebuilt by the checking
+        # constructor and searched by bisect, so the draws never judge
+        # alone (at n=8 only p=1 gets past matching)
+        successes = Counter()
+        for n, p in ((8, 0.9), (8, 1.0), (16, 0.9), (28, 0.9)):
+            for seed in range(50):
+                rep = run_pipeline(n, p, 4, seed=seed, keep_instance=True)
+                if rep.success:
+                    successes[n, p] += 1
+                    checked = Hypergraph3(n, rep.hypergraph.edge_list)
+                    assert verify_loose_hamilton(checked, rep.loose_cycle)
+        assert successes[8, 1.0] == 50
+        assert successes[16, 0.9] >= 1 and successes[28, 0.9] >= 1
 
     def test_n64_dense_succeeds_within_the_default_budget(self):
         # n=64 at p=0.9: every seed gets through matching, and the rainbow

@@ -23,6 +23,8 @@ from looselab import read_hypergraph, sampling, write_hypergraph
 from looselab.sampling import (
     TripleSystem,
     _coupled_edges as coupled_edges,
+    _pair_rank,
+    _triple_rank,
     derived_rng,
     hypergraph_from_triple_system,
     split_probability,
@@ -115,6 +117,17 @@ class TestUnranking:
         u, v = unrank_pairs(m, np.arange(math.comb(m, 2)))
         assert list(zip(u.tolist(), v.tolist())) == \
             list(combinations(range(1, m + 1), 2))
+
+    def test_ranks_invert_the_decoders(self):
+        for m in range(2, 31):
+            u, v = unrank_pairs(m, np.arange(math.comb(m, 2)))
+            assert [_pair_rank(m, *t) for t in zip(u.tolist(), v.tolist())] \
+                == list(range(math.comb(m, 2)))
+        for n in range(3, 31):
+            a, b, c = unrank_triples(n, np.arange(math.comb(n, 3)))
+            assert [_triple_rank(n, *t) for t in
+                    zip(a.tolist(), b.tolist(), c.tolist())] \
+                == list(range(math.comb(n, 3)))
 
     @pytest.mark.parametrize("ranks", [np.arange(10), np.arange(0), [0, 9], []],
                              ids=["array", "empty-array", "list", "empty-list"])
@@ -313,8 +326,8 @@ class TestSampleCoupled:
 
 
 class TestDeferredAssembly:
-    """``sample_coupled`` makes every draw eagerly and assembles its
-    hypergraph from them on the first read of ``edge_list``."""
+    """``sample_coupled`` makes every draw eagerly, answers ``e in h`` from
+    them, and assembles its hypergraph on the first read of ``edge_list``."""
 
     def test_reading_the_edges_draws_nothing(self):
         gen = derived_rng(4)
@@ -355,17 +368,23 @@ class TestDeferredAssembly:
         rep.hypergraph.edge_list
         assert len(calls) == 1
         calls.clear()
+        # the lift asks the draws about its windows, so success assembles
+        # nothing either
         rep = run_pipeline(8, 1.0, 1, seed=0, keep_instance=True)
-        assert rep.success and len(calls) == 1
+        assert rep.success and calls == []
+        rep.hypergraph.edge_list
+        assert len(calls) == 1
         rep.hypergraph.edge_list
         assert len(calls) == 1
 
 
 class TestSortedEdgeList:
     """The samplers build their hypergraphs through the trusted
-    ``Hypergraph3._from_sorted`` or ``_deferred``; membership is a binary
-    search, so each edge list must be what the checking constructor makes
-    of it: sorted triples, strictly ascending, inside 1..n."""
+    ``Hypergraph3._from_sorted`` or ``_deferred``; equality, hashing and
+    ``sample_h3``'s membership (a binary search) read the edge list, so it
+    must be what the checking constructor makes of it: sorted triples,
+    strictly ascending, inside 1..n.  A coupled hypergraph answers
+    membership from its draws instead, as ``TestMembership`` checks."""
 
     CASES = pytest.mark.parametrize("n, p", [
         pytest.param(8, 0.0, id="n8-p0"),
