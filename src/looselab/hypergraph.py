@@ -204,15 +204,22 @@ def expected_isolated(n: int, p: float) -> float:
     return n * (1.0 - p) ** math.comb(n - 1, 2)
 
 
-def exact_loose_hamilton(h: Hypergraph3, *,
-                         cap: int = LOOSE_CAP) -> Optional[LooseCycle]:
+def exact_loose_hamilton(h: Hypergraph3, *, cap: int = LOOSE_CAP,
+                         stats: Optional[dict] = None) -> Optional[LooseCycle]:
     """Complete search for a loose Hamilton cycle; None iff none exists.
 
     Branches on the next link and middle simultaneously, anchored at the
-    smallest link vertex, and returns the first cycle the search reaches.
-    Raises ValueError, before reading an edge, for n odd, below 4 or above
-    ``cap``.  The search is a loop over an explicit stack with one frame
-    per link, and the cycle is read off the frames.
+    smallest link vertex v0, and returns the first cycle the search
+    reaches.  Raises ValueError, before reading an edge, for n odd, below
+    4 or above ``cap``.  The search is a loop over an explicit stack with
+    one frame per link, and the cycle is read off the frames;
+    ``stats["nodes"]`` accumulates the frames pushed, roots included.
+
+    Two checks drop only children with no cycle below them, so the first
+    cycle reached stays the same.  Closing: the last window {x_s, y_s, v0}
+    needs an edge {a, b, v0} with max(a, b) > v0 whose a and b are unused
+    or the new link w.  Coverage: each unused vertex's window lies inside
+    the unused vertices, w and v0, so it needs an edge there.
     """
     n = h.n
     if n < 4 or n % 2:
@@ -223,32 +230,59 @@ def exact_loose_hamilton(h: Hypergraph3, *,
     if len(h.edge_list) < s or isolated_vertices(h):
         return None
 
-    cand: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, n + 1)}
+    # vertex v is bit v; per vertex, its (middle, next link, their bits)
+    # candidates, each edge's other two vertices as bits, and near[v] the
+    # vertices sharing an edge with v
+    cand: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
+    pairs: list[list[int]] = [[] for _ in range(n + 1)]
+    near = [0] * (n + 1)
     for a, b, c in h.edge_list:
-        cand[a] += ((b, c), (c, b))
-        cand[b] += ((a, c), (c, a))
-        cand[c] += ((a, b), (b, a))
+        for v, y, w in ((a, b, c), (b, a, c), (c, a, b)):
+            bits = 1 << y | 1 << w
+            cand[v] += ((y, w, bits), (w, y, bits))
+            pairs[v].append(bits)
+            near[v] |= bits
 
-    full = (1 << n + 1) - 2  # vertex v is bit v
+    tally = {} if stats is None else stats
+    tally["nodes"] = tally.get("nodes", 0)
+    full = (1 << n + 1) - 2
     for v0 in range(1, s + 2):
-        # a frame: [link, used vertices, its untried (middle, next link)
-        # pairs, the middle taken]; the s-th link closes the cycle
+        close = [m for m in pairs[v0] if m >> v0 + 1]  # max(a, b) > v0
+        # a frame: [link, used vertices, its untried candidates, the
+        # middle taken]; the s-th link closes the cycle
         stack = [[v0, 1 << v0, iter(cand[v0]), 0]]
+        tally["nodes"] += 1
         while stack:
             frame = stack[-1]
             u, used, untried, _ = frame
-            if len(stack) == s:
+            if len(stack) == s:  # the closing check found {u, y, v0}
                 y = (full & ~used).bit_length() - 1  # the one vertex left
-                if tuple(sorted((u, y, v0))) in h:
-                    return LooseCycle([f[0] for f in stack],
-                                      [f[3] for f in stack[:-1]] + [y])
-                stack.pop()
-                continue
-            for y, w in untried:
-                if w > v0 and not used >> y & 1 and not used >> w & 1:
-                    frame[3] = y
-                    stack.append([w, used | 1 << y | 1 << w, iter(cand[w]), 0])
-                    break
+                return LooseCycle([f[0] for f in stack],
+                                  [f[3] for f in stack[:-1]] + [y])
+            for y, w, bits in untried:
+                if w > v0 and not used & bits:
+                    # the vertices used after the push, less w and v0
+                    out = used ^ 1 << v0 | 1 << y
+                    for m in close:  # a closing pair is still free
+                        if not m & out:
+                            break
+                    else:
+                        continue
+                    # a push takes only u and y out of the coverage set
+                    left = (near[u] | near[y]) & ~(used | bits)
+                    while left:
+                        z = left & -left
+                        left ^= z
+                        for m in pairs[z.bit_length() - 1]:
+                            if not m & out:
+                                break
+                        else:
+                            break
+                    else:
+                        frame[3] = y
+                        stack.append([w, used | bits, iter(cand[w]), 0])
+                        tally["nodes"] += 1
+                        break
             else:
                 stack.pop()
     return None

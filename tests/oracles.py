@@ -2,7 +2,7 @@
 helpers no library code calls.
 
 Every oracle is deliberately naive: plain permutation scans with no
-pruning and no shared code with the engines under test.  There are four
+pruning and no shared code with the engines under test.  There are five
 exceptions.  ``relabelled_matching`` pins how the matching engine reads
 a generator by rebuilding the relabelled system that engine's column
 numbering stands in for.  ``rainbow_full_scan`` is a pruned path-growing
@@ -12,7 +12,9 @@ node counts differ.  ``matching_list_filter`` and ``rainbow_list_filter``
 run the two engines' searches over filtered lists in place of int
 bitsets, as references for every output: witness, node count and the
 budget at which the search gives up; the rainbow one walks its cert with
-the engine's own ``_cert``.
+the engine's own ``_cert``.  ``loose_unpruned`` is the loose search before
+its closing and coverage checks, a reference for its cycle and an upper
+bound on its node count.
 """
 
 from collections import Counter
@@ -21,6 +23,7 @@ from typing import Optional
 
 from looselab import BudgetExhausted, ColoredMultigraph, Hypergraph3, \
     exact_matching
+from looselab.hypergraph import LOOSE_CAP, LooseCycle, isolated_vertices
 from looselab.colored import RainbowCycleCert
 from looselab.sampling import TripleSystem
 from looselab.solvers import DEFAULT_RAINBOW_BUDGET, _cert
@@ -396,6 +399,58 @@ def rainbow_list_filter(g: ColoredMultigraph, *,
     finally:
         if stats is not None:
             stats["nodes"] = stats.get("nodes", 0) + nodes
+
+
+def loose_unpruned(h: Hypergraph3, *, cap: int = LOOSE_CAP,
+                   stats: Optional[dict] = None) -> Optional[LooseCycle]:
+    """``exact_loose_hamilton`` without its closing and coverage checks:
+    the same search order, pruned only on used vertices and ``w > v0``,
+    with the same node counter (frames pushed, roots included)."""
+    n = h.n
+    if n < 4 or n % 2:
+        raise ValueError(f"loose Hamilton cycles need even n >= 4, got n={n}")
+    if n > cap:
+        raise ValueError(f"n={n} exceeds the exact-search cap {cap}")
+    s = n // 2
+    if len(h.edge_list) < s or isolated_vertices(h):
+        return None
+
+    cand: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, n + 1)}
+    for a, b, c in h.edge_list:
+        cand[a] += ((b, c), (c, b))
+        cand[b] += ((a, c), (c, a))
+        cand[c] += ((a, b), (b, a))
+
+    full, nodes = (1 << n + 1) - 2, 0  # vertex v is bit v
+    try:
+        for v0 in range(1, s + 2):
+            # a frame: [link, used vertices, its untried (middle, next link)
+            # pairs, the middle taken]; the s-th link closes the cycle
+            stack = [[v0, 1 << v0, iter(cand[v0]), 0]]
+            nodes += 1
+            while stack:
+                frame = stack[-1]
+                u, used, untried, _ = frame
+                if len(stack) == s:
+                    y = (full & ~used).bit_length() - 1  # the one vertex left
+                    if tuple(sorted((u, y, v0))) in h:
+                        return LooseCycle([f[0] for f in stack],
+                                          [f[3] for f in stack[:-1]] + [y])
+                    stack.pop()
+                    continue
+                for y, w in untried:
+                    if w > v0 and not used >> y & 1 and not used >> w & 1:
+                        frame[3] = y
+                        stack.append([w, used | 1 << y | 1 << w,
+                                      iter(cand[w]), 0])
+                        nodes += 1
+                        break
+                else:
+                    stack.pop()
+    finally:
+        if stats is not None:
+            stats["nodes"] = stats.get("nodes", 0) + nodes
+    return None
 
 
 def random_hypergraph_instance(rng, n: int, max_edges: int) -> Hypergraph3:

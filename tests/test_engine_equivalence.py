@@ -1,4 +1,4 @@
-"""The exact engines against their list-filter forms, and their outputs
+"""The exact engines against their reference forms, and their outputs
 against the numbering of their bits.
 
 ``exact_matching`` and ``exact_rainbow_hamilton`` hold each node's live
@@ -7,6 +7,10 @@ rows or usable edges as an int bitset.  ``matching_list_filter`` and
 two forms must agree on every output: the witness or ``None``,
 ``stats["nodes"]``, the generator's state after the call, and the
 budget at which the search raises ``BudgetExhausted``.
+
+``exact_loose_hamilton`` prunes with a closing and a coverage check that
+``loose_unpruned`` lacks; both must return the same cycle or ``None``,
+the pruned search in no more nodes.
 """
 
 import copy
@@ -18,12 +22,15 @@ import numpy as np
 import pytest
 
 import looselab
-from looselab import BudgetExhausted, ColoredMultigraph, build_gstar, \
-    exact_matching, exact_rainbow_hamilton
+from looselab import BudgetExhausted, ColoredMultigraph, Hypergraph3, \
+    build_gstar, exact_loose_hamilton, exact_matching, \
+    exact_rainbow_hamilton, sample_h3
+from looselab.hypergraph import triple
 from looselab.lab import probability_from_c
 from looselab.sampling import derived_rng, sample_coupled
 
-from oracles import matching_list_filter, rainbow_list_filter
+from oracles import loose_unpruned, matching_list_filter, \
+    rainbow_list_filter
 from test_solvers import random_system
 
 
@@ -117,6 +124,66 @@ def test_pipeline_systems_and_gstar(n, p):
         for budget in {1, max(1, nodes // 2), nodes - 1 or 1, nodes}:
             assert outcome(exact_rainbow_hamilton, g, budget=budget) == \
                 outcome(rainbow_list_filter, g, budget=budget)
+
+
+def assert_loose_agree(h, **kwargs):
+    """The pruned search returns the unpruned one's cycle, or both None,
+    in no more nodes; returns ((links, middles) or None, pruned nodes)."""
+    runs = []
+    for engine in (exact_loose_hamilton, loose_unpruned):
+        stats = {}
+        cycle = engine(h, stats=stats, **kwargs)
+        runs.append((None if cycle is None else (cycle.links, cycle.middles),
+                     stats.get("nodes", 0)))
+    (got, nodes), (want, ref_nodes) = runs
+    assert got == want, h.edge_list
+    assert nodes <= ref_nodes, h.edge_list
+    return got, nodes
+
+
+def planted_cycle(rng, n, decoys):
+    """A loose Hamilton cycle through a uniform order of 1..n, plus up to
+    ``decoys`` uniform edges."""
+    order = (rng.permutation(n) + 1).tolist()
+    links, middles, s = order[0::2], order[1::2], n // 2
+    edges = {triple(links[i], middles[i], links[(i + 1) % s])
+             for i in range(s)}
+    for _ in range(decoys):
+        edges.add(triple(*(rng.choice(n, size=3, replace=False) + 1).tolist()))
+    return Hypergraph3(n, edges)
+
+
+def test_loose_random_hypergraphs():
+    """n = 4..16 at c log-uniform in [1, 40], across the threshold."""
+    rng = np.random.default_rng(30)
+    found = searched_absent = 0
+    for trial in range(2100):
+        n = 4 + 2 * (trial % 7)
+        c = float(np.exp(rng.uniform(0, np.log(40))))
+        cycle, nodes = assert_loose_agree(
+            sample_h3(n, probability_from_c(n, c), rng))
+        found += cycle is not None
+        searched_absent += cycle is None and nodes > 0
+    assert found > 1000 and searched_absent > 100
+
+
+def test_loose_planted_cycles():
+    rng = np.random.default_rng(31)
+    for trial in range(600):
+        n = 4 + 2 * (trial % 7)
+        h = planted_cycle(rng, n, int(rng.integers(0, 3 * n)))
+        assert assert_loose_agree(h)[0] is not None
+
+
+def test_loose_pipeline_scale_draws():
+    """Past the default cap, where the unpruned search's tail is long."""
+    found = 0
+    for n in (20, 24, 28):
+        for c in (2, 4, 8):
+            for seed in range(5):
+                h = sample_h3(n, probability_from_c(n, c), derived_rng(seed))
+                found += assert_loose_agree(h, cap=28)[0] is not None
+    assert 0 < found < 45
 
 
 # Systems with string slots, whose frozenset order follows the hash seed;

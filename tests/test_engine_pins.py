@@ -12,7 +12,8 @@ are pinned first, by a digest of each draw and of the generator's next
 value, so a rewrite must make the same generator calls and return the
 same objects.  The exact loose oracle's cycles on seeded ``sample_h3``
 draws are pinned literally, links and middles, so a rewrite of its
-search must keep its branch order.
+search must keep its branch order, and its node counts on the same draws
+too, so a weakened prune shows.
 """
 
 import hashlib
@@ -211,3 +212,23 @@ def test_loose_cycles_pinned(n, c):
         cycle = exact_loose_hamilton(h)
         found.append(None if cycle is None else (cycle.links, cycle.middles))
     assert found == LOOSE_PINS[n, c]
+
+
+# (n, c) -> the nodes exact_loose_hamilton expands over the LOOSE_PINS
+# draws of that cell; the unpruned reference search takes 6,749 in all
+LOOSE_NODE_PINS = {
+    (8, 2): 10, (8, 4): 27, (8, 16): 12,
+    (12, 2): 0, (12, 4): 185, (12, 16): 34,
+    (16, 2): 0, (16, 4): 220, (16, 16): 30,
+}
+
+
+def test_loose_node_counts_pinned():
+    nodes = {}
+    for n, c in LOOSE_NODE_PINS:
+        stats = {}
+        for seed in range(3):
+            h = sample_h3(n, probability_from_c(n, c), derived_rng(seed))
+            exact_loose_hamilton(h, stats=stats)
+        nodes[n, c] = stats.get("nodes", 0)
+    assert nodes == LOOSE_NODE_PINS
