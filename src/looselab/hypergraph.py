@@ -16,6 +16,7 @@ import math
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields
+from functools import cache
 from typing import Callable, Iterable, Optional, Sequence
 
 
@@ -204,6 +205,14 @@ def expected_isolated(n: int, p: float) -> float:
     return n * (1.0 - p) ** math.comb(n - 1, 2)
 
 
+@cache
+def _candidates(n: int) -> tuple[tuple[Triple, ...], ...]:
+    """``[y][w]`` is the candidate (y, w, 1 << y | 1 << w) for 0 <= y, w <= n,
+    one tuple shared by every search on n vertices."""
+    return tuple(tuple((y, w, 1 << y | 1 << w) for w in range(n + 1))
+                 for y in range(n + 1))
+
+
 def exact_loose_hamilton(h: Hypergraph3, *, cap: int = LOOSE_CAP,
                          stats: Optional[dict] = None) -> Optional[LooseCycle]:
     """Complete search for a loose Hamilton cycle; None iff none exists.
@@ -227,21 +236,30 @@ def exact_loose_hamilton(h: Hypergraph3, *, cap: int = LOOSE_CAP,
     if n > cap:
         raise ValueError(f"n={n} exceeds the exact-search cap {cap}")
     s = n // 2
-    if len(h.edge_list) < s or isolated_vertices(h):
+    if len(h.edge_list) < s:
         return None
 
     # vertex v is bit v; per vertex, its (middle, next link, their bits)
-    # candidates, each edge's other two vertices as bits, and near[v] the
-    # vertices sharing an edge with v
+    # candidates, taken from the shared table, each edge's other two
+    # vertices as bits, and near[v] the vertices sharing an edge with v
     cand: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
     pairs: list[list[int]] = [[] for _ in range(n + 1)]
     near = [0] * (n + 1)
+    table = _candidates(n)
     for a, b, c in h.edge_list:
-        for v, y, w in ((a, b, c), (b, a, c), (c, a, b)):
-            bits = 1 << y | 1 << w
-            cand[v] += ((y, w, bits), (w, y, bits))
-            pairs[v].append(bits)
-            near[v] |= bits
+        ta, tb, tc = table[a], table[b], table[c]
+        bc, ac, ab = tb[c], ta[c], ta[b]
+        cand[a] += (bc, tc[b])
+        cand[b] += (ac, tc[a])
+        cand[c] += (ab, tb[a])
+        pairs[a].append(bc[2])
+        pairs[b].append(ac[2])
+        pairs[c].append(ab[2])
+        near[a] |= bc[2]
+        near[b] |= ac[2]
+        near[c] |= ab[2]
+    if not all(near[1:]):  # an isolated vertex
+        return None
 
     tally = {} if stats is None else stats
     tally["nodes"] = tally.get("nodes", 0)

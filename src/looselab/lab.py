@@ -164,13 +164,21 @@ def _trial(task) -> tuple[bool, float]:
     return ok, time.perf_counter() - t0
 
 
+def _trials(tasks) -> list[tuple[bool, float]]:
+    """A share of the sweep's trials, run in order in one process."""
+    return list(map(_trial, tasks))
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Run the grid; cells are emitted n-major in grid order.
 
-    The trials form one task list, cell-major then trial, mapped in order
-    in-process or over a pool of at most ``workers`` processes.  Every
-    trial owns a derived stream keyed by (seed, cell, trial), so the
-    emitted CSV/JSON bytes are identical for any ``workers``.
+    The trials form one task list, cell-major then trial, run in-process
+    or split over k = min(workers, tasks) processes: the calling one and
+    a pool of k - 1 helpers.  Process i runs tasks i, i + k, i + 2k, ...
+    (process 0 being the caller), and the shares are interleaved back
+    into task order.  Every trial owns a derived stream keyed by (seed,
+    cell, trial), so the emitted CSV/JSON bytes are identical for any
+    ``workers``.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -180,17 +188,23 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     tasks = [(spec, ci, n, p, t)
              for ci, n, _c, p in grid for t in range(spec.trials)]
     # the pool forks all its processes at the first submit, so it gets no
-    # more than the tasks; a chunk of ceil(trials / procs) trials matched
-    # the speed of half that size, and smaller chunks were slower
+    # more helpers than there are shares left for them
     procs = min(workers, len(tasks))
     if procs == 1:
-        rows = list(map(_trial, tasks))
+        rows = _trials(tasks)
     else:
-        # imported here: a process that never forks does not load the pool
+        # imported here: a process that never forks does not load the
+        # pool, and numpy's lazy random module, loaded before the fork, is
+        # not loaded again by each helper on its first trial
+        import numpy.random  # noqa: F401
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            rows = list(pool.map(_trial, tasks,
-                                 chunksize=math.ceil(spec.trials / procs)))
+        rows = [None] * len(tasks)
+        with ProcessPoolExecutor(max_workers=procs - 1) as pool:
+            shares = [pool.submit(_trials, tasks[k::procs])
+                      for k in range(1, procs)]
+            rows[0::procs] = _trials(tasks[0::procs])
+            for k, share in enumerate(shares, 1):
+                rows[k::procs] = share.result()
     cells = []
     for ci, n, c, p in grid:
         cell = rows[ci * spec.trials:(ci + 1) * spec.trials]

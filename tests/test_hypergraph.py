@@ -185,9 +185,15 @@ class TestExactSearch:
         assert verify_loose_hamilton(complete_hypergraph(8), c)
 
     def test_isolated_vertex_means_none(self):
-        h = Hypergraph3(6, [(1, 2, 3), (1, 4, 5), (2, 4, 5), (3, 4, 5)])
-        assert 6 in isolated_vertices(h)
-        assert exact_loose_hamilton(h) is None
+        # both have at least n/2 edges, so only the isolated-vertex exit
+        # answers, and it returns before the search counts a node
+        sparse = Hypergraph3(6, [(1, 2, 3), (1, 4, 5), (2, 4, 5), (3, 4, 5)])
+        dense = Hypergraph3(8, combinations(range(2, 9), 3))
+        for h, lone in ((sparse, 6), (dense, 1)):
+            assert isolated_vertices(h) == {lone}
+            stats = {}
+            assert exact_loose_hamilton(h, stats=stats) is None
+            assert stats == {}
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError,

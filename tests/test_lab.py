@@ -7,6 +7,7 @@ import sys
 from dataclasses import asdict
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,8 +162,8 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("trials,workers", [(1, 2), (5, 3)])
     def test_edge_worker_counts_match_one_worker(self, trials, workers):
-        # fewer trials than workers, and a chunk size that does not
-        # divide the trials
+        # fewer trials per cell than workers, and 20 tasks over 3
+        # processes, whose shares differ in length
         spec = SweepSpec(n_values=(8, 12), c_values=(2.0, 6.0), trials=trials,
                          seed=11)
         base = run_sweep(spec, workers=1)
@@ -173,8 +174,9 @@ class TestRunSweep:
 
     def test_pool_never_larger_than_the_task_list(self, monkeypatch):
         # the executor forks every worker at its first submit, so the
-        # requested count must be capped before the pool is made, and a
-        # single task makes none; the recorder starts no process
+        # requested count must be capped before the pool is made: this
+        # process runs one share itself, each helper one more, and a
+        # single task makes no pool; the recorder starts no process
         sizes = []
 
         class Recorder:
@@ -187,8 +189,9 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
+            def submit(self, fn, *args):
+                share = fn(*args)
+                return SimpleNamespace(result=lambda: share)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             Recorder)
@@ -197,8 +200,10 @@ class TestRunSweep:
                         seed=1)
         assert run_sweep(one, workers=64).to_csv_text() == \
             run_sweep(one).to_csv_text()
-        run_sweep(six, workers=64)
-        assert sizes == [6]
+        assert sizes == []
+        assert run_sweep(six, workers=64).to_csv_text() == \
+            run_sweep(six).to_csv_text()
+        assert sizes == [5]
 
     def test_import_loads_no_process_pool(self):
         # only a sweep run over several workers imports concurrent.futures
