@@ -169,16 +169,38 @@ def _trials(tasks) -> list[tuple[bool, float]]:
     return list(map(_trial, tasks))
 
 
+def _send_trials(tasks, conn) -> None:
+    """A helper's body: send back its share's rows, or what the share raised."""
+    try:
+        conn.send(_trials(tasks))
+    except Exception as exc:
+        conn.send(exc)
+
+
+def _fork_helper(tasks):
+    """Fork a helper holding ``tasks``; return it and its pipe's reading end."""
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_send_trials, args=(tasks, send))
+    proc.start()
+    send.close()  # the helper holds the only sending end: its death is EOF
+    return proc, recv
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Run the grid; cells are emitted n-major in grid order.
 
     The trials form one task list, cell-major then trial, run in-process
     or split over k = min(workers, tasks) processes: the calling one and
-    a pool of k - 1 helpers.  Process i runs tasks i, i + k, i + 2k, ...
+    k - 1 helpers forked with their share in hand, which send their rows
+    back over a pipe.  Process i runs tasks i, i + k, i + 2k, ...
     (process 0 being the caller), and the shares are interleaved back
     into task order.  Every trial owns a derived stream keyed by (seed,
     cell, trial), so the emitted CSV/JSON bytes are identical for any
-    ``workers``.
+    ``workers``, and without the fork start method the sweep runs
+    in-process.  What a helper raises is raised here, a helper that dies
+    silently raises RuntimeError, and no helper outlives the call.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -187,24 +209,40 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
                 (n, c) for n in spec.n_values for c in spec.c_values)]
     tasks = [(spec, ci, n, p, t)
              for ci, n, _c, p in grid for t in range(spec.trials)]
-    # the pool forks all its processes at the first submit, so it gets no
-    # more helpers than there are shares left for them
     procs = min(workers, len(tasks))
+    if procs > 1:
+        import multiprocessing  # here: a process that never forks skips it
+        if "fork" not in multiprocessing.get_all_start_methods():
+            procs = 1
     if procs == 1:
         rows = _trials(tasks)
     else:
-        # imported here: a process that never forks does not load the
-        # pool, and numpy's lazy random module, loaded before the fork, is
-        # not loaded again by each helper on its first trial
-        import numpy.random  # noqa: F401
-        from concurrent.futures import ProcessPoolExecutor
+        import numpy.random  # noqa: F401  (lazy: load it once, not per helper)
         rows = [None] * len(tasks)
-        with ProcessPoolExecutor(max_workers=procs - 1) as pool:
-            shares = [pool.submit(_trials, tasks[k::procs])
-                      for k in range(1, procs)]
+        helpers = []
+        try:
+            for k in range(1, procs):
+                helpers.append(_fork_helper(tasks[k::procs]))
             rows[0::procs] = _trials(tasks[0::procs])
-            for k, share in enumerate(shares, 1):
-                rows[k::procs] = share.result()
+            for k, (proc, conn) in enumerate(helpers, 1):
+                try:
+                    share = conn.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(
+                        f"sweep helper {k} exited with code {proc.exitcode} "
+                        "before replying") from None
+                if isinstance(share, Exception):
+                    raise share
+                rows[k::procs] = share
+        except BaseException:
+            for proc, _conn in helpers:
+                proc.kill()
+            raise
+        finally:
+            for proc, conn in helpers:
+                conn.close()
+                proc.join()
     cells = []
     for ci, n, c, p in grid:
         cell = rows[ci * spec.trials:(ci + 1) * spec.trials]

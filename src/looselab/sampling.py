@@ -111,25 +111,33 @@ def _offsets(n: int, k: int) -> np.ndarray:
                      dtype=np.int64)
 
 
+@functools.cache
+def _pair_shift(m: int) -> np.ndarray:
+    """Entry u takes the rank of a pair (u, v) of 1..m to v."""
+    return np.concatenate([[0], np.arange(2, m + 1) - _offsets(m, 2)])
+
+
+@functools.cache
+def _triple_shift(n: int) -> np.ndarray:
+    """Entry a takes the rank of a triple (a, b, c) of 1..n to the rank of
+    (b, c) among the pairs of 1..n, whose last C(n - a, 2) lie above a."""
+    k = np.arange(n - 1, 1, -1)  # n - a for a = 1..n-2
+    return np.concatenate([[0], math.comb(n, 2) - k * (k - 1) // 2
+                           - _offsets(n, 3)])
+
+
 def unrank_pairs(m: int, ranks) -> tuple[np.ndarray, np.ndarray]:
     """Lexicographic rank -> pair (u, v), 1 <= u < v <= m."""
     ranks = np.asarray(ranks, dtype=np.int64)
-    off = _offsets(m, 2)
-    u = np.searchsorted(off, ranks, side="right")
-    return u, u + 1 + ranks - off[u - 1]
+    u = _offsets(m, 2).searchsorted(ranks, "right")
+    return u, ranks + _pair_shift(m)[u]
 
 
 def unrank_triples(n: int, ranks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lexicographic rank -> triple (a, b, c), 1 <= a < b < c <= n."""
     ranks = np.asarray(ranks, dtype=np.int64)
-    off = _offsets(n, 3)
-    a = np.searchsorted(off, ranks, side="right")
-    # (b, c) is a pair of the last k elements of 1..n-1, shifted up by
-    # one; those pairs are the last C(k, 2) in lexicographic order
-    k = n - a
-    b, c = unrank_pairs(n - 1, math.comb(n - 1, 2) - k * (k - 1) // 2
-                        + (ranks - off[a - 1]))
-    return a, b + 1, c + 1
+    a = _offsets(n, 3).searchsorted(ranks, "right")
+    return (a, *unrank_pairs(n, ranks + _triple_shift(n)[a]))
 
 
 def _pair_rank(m: int, u: int, v: int) -> int:

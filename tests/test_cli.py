@@ -306,11 +306,11 @@ class TestSweepCommand:
         assert run("sweep", "--n", "20", "--c", "2", "--trials", "5") == 2
 
     def test_negative_seed_names_the_seed(self, capsys, monkeypatch):
-        # refused by the spec, before any pool is built
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was built")
+        # refused by the spec, before any helper is forked
+        def no_helper(tasks):
+            raise AssertionError("a sweep helper was forked")
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("looselab.lab._fork_helper", no_helper)
         assert run("sweep", "--n", "8", "--c", "16", "--trials", "2",
                    "--seed", "-1", "--workers", "2") == 2
         captured = capsys.readouterr()

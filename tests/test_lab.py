@@ -1,9 +1,12 @@
 import gc
 import math
+import multiprocessing
 import os
+import signal
 import statistics
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 from itertools import combinations
 from pathlib import Path
@@ -173,48 +176,51 @@ class TestRunSweep:
             [c.record() for c in base.cells]
 
     def test_pool_never_larger_than_the_task_list(self, monkeypatch):
-        # the executor forks every worker at its first submit, so the
-        # requested count must be capped before the pool is made: this
-        # process runs one share itself, each helper one more, and a
-        # single task makes no pool; the recorder starts no process
-        sizes = []
+        # no helper is forked without a share to hold: this process runs
+        # one share itself, each helper one more, and a single task forks
+        # no helper; the recorder runs each share here and forks nothing
+        shares = []
 
-        class Recorder:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def record(tasks):
+            shares.append(len(tasks))
+            rows = lab._trials(tasks)
+            return (SimpleNamespace(kill=lambda: None, join=lambda: None),
+                    SimpleNamespace(recv=lambda: rows, close=lambda: None))
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                share = fn(*args)
-                return SimpleNamespace(result=lambda: share)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                            Recorder)
+        monkeypatch.setattr(lab, "_fork_helper", record)
         one = SweepSpec(n_values=(8,), c_values=(16.0,), trials=1, seed=1)
         six = SweepSpec(n_values=(8,), c_values=(2.0, 16.0), trials=3,
                         seed=1)
         assert run_sweep(one, workers=64).to_csv_text() == \
             run_sweep(one).to_csv_text()
-        assert sizes == []
+        assert shares == []
         assert run_sweep(six, workers=64).to_csv_text() == \
             run_sweep(six).to_csv_text()
-        assert sizes == [5]
+        assert shares == [1] * 5
 
     def test_import_loads_no_process_pool(self):
-        # only a sweep run over several workers imports concurrent.futures
+        # only a sweep run over several workers imports multiprocessing
         src = str(Path(lab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run(
             [sys.executable, "-c", "import looselab, sys; "
-             "print('concurrent.futures' in sys.modules)"],
+             "print('concurrent.futures' in sys.modules, "
+             "'multiprocessing' in sys.modules)"],
             env=env, capture_output=True, text=True, check=True).stdout
-        assert out == "False\n"
+        assert out == "False False\n"
+
+    def test_without_fork_the_sweep_runs_in_process(self, monkeypatch):
+        def no_helper(tasks):
+            raise AssertionError("a helper was forked")
+
+        spec = SweepSpec(n_values=(8, 12), c_values=(2.0, 6.0), trials=5,
+                         seed=13)
+        base = run_sweep(spec).to_csv_text()
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        monkeypatch.setattr(lab, "_fork_helper", no_helper)
+        assert run_sweep(spec, workers=3).to_csv_text() == base
 
     def test_pipeline_matching_has_no_size_cap(self):
         # m = 260/4 = 65 triple-system slots: decided, not refused mid-sweep
@@ -251,6 +257,68 @@ class TestRunSweep:
         res = run_sweep(spec)
         assert [(c.n, c.c) for c in res.cells] == \
             [(8, 2.0), (8, 4.0), (12, 2.0), (12, 4.0)]
+
+
+class TestSweepHelperFailures:
+    """Helpers inherit a patched ``lab._trial`` through the fork."""
+
+    SPEC = SweepSpec(n_values=(8,), c_values=(2.0, 16.0), trials=6, seed=14)
+
+    @staticmethod
+    def patch_trial(monkeypatch, in_helper=None, in_caller=None):
+        caller, real = os.getpid(), lab._trial
+
+        def trial(task):
+            hook = in_caller if os.getpid() == caller else in_helper
+            if hook is not None:
+                hook()
+            return real(task)
+
+        monkeypatch.setattr(lab, "_trial", trial)
+
+    def test_helper_exception_raised_in_caller(self, monkeypatch):
+        def fail():
+            raise LookupError("trial 3 of the helper")
+
+        self.patch_trial(monkeypatch, in_helper=fail)
+        with pytest.raises(LookupError) as info:
+            run_sweep(self.SPEC, workers=2)
+        assert info.type is LookupError
+        assert str(info.value) == "trial 3 of the helper"
+        assert multiprocessing.active_children() == []
+
+    def test_helper_that_dies_names_its_exit_code(self, monkeypatch):
+        self.patch_trial(monkeypatch, in_helper=lambda: os._exit(7))
+        with pytest.raises(RuntimeError, match="exited with code 7 "):
+            run_sweep(self.SPEC, workers=3)
+        assert multiprocessing.active_children() == []
+
+    def test_caller_exception_kills_every_helper(self, monkeypatch):
+        def fail():
+            raise ValueError("caller share")
+
+        helpers = []
+        fork = lab._fork_helper
+
+        def record(tasks):
+            helper = fork(tasks)
+            helpers.append(helper[0])
+            return helper
+
+        # the helpers would sleep far longer than the test if left to run
+        self.patch_trial(monkeypatch, in_helper=lambda: time.sleep(20),
+                         in_caller=fail)
+        monkeypatch.setattr(lab, "_fork_helper", record)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="^caller share$"):
+            run_sweep(self.SPEC, workers=3)
+        assert time.perf_counter() - t0 < 10
+        assert [p.exitcode for p in helpers] == [-signal.SIGKILL] * 2
+        assert multiprocessing.active_children() == []
+
+    def test_no_child_left_after_a_sweep(self):
+        run_sweep(self.SPEC, workers=4)
+        assert multiprocessing.active_children() == []
 
 
 class TestIsolatedExperiment:
