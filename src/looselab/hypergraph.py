@@ -217,18 +217,21 @@ def exact_loose_hamilton(h: Hypergraph3, *, cap: int = LOOSE_CAP,
                          stats: Optional[dict] = None) -> Optional[LooseCycle]:
     """Complete search for a loose Hamilton cycle; None iff none exists.
 
-    Branches on the next link and middle simultaneously, anchored at the
-    smallest link vertex v0, and returns the first cycle the search
-    reaches.  Raises ValueError, before reading an edge, for n odd, below
-    4 or above ``cap``.  The search is a loop over an explicit stack with
-    one frame per link, and the cycle is read off the frames;
-    ``stats["nodes"]`` accumulates the frames pushed, roots included.
+    Branches on the next link and middle simultaneously, and returns the
+    first cycle the search reaches.  The roots: vertex 1 as the link v0,
+    then, for each edge {1, a, b} with a < b, the link v0 = a with {a, 1, b}
+    its only first window, since vertex 1 is a link or the middle of one
+    window; so each cycle has one root and one direction.  Raises
+    ValueError, before reading an edge, for n odd, below 4 or above
+    ``cap``.  The search is a loop over an explicit stack with one frame
+    per link, and the cycle is read off the frames; ``stats["nodes"]``
+    accumulates the frames pushed, roots included.
 
     Two checks drop only children with no cycle below them, so the first
     cycle reached stays the same.  Closing: the last window {x_s, y_s, v0}
-    needs an edge {a, b, v0} with max(a, b) > v0 whose a and b are unused
-    or the new link w.  Coverage: each unused vertex's window lies inside
-    the unused vertices, w and v0, so it needs an edge there.
+    needs an edge {a, b, v0} whose a and b are unused or the new link w.
+    Coverage: each unused vertex's window lies inside the unused vertices,
+    w and v0, so it needs an edge there.
     """
     n = h.n
     if n < 4 or n % 2:
@@ -264,11 +267,13 @@ def exact_loose_hamilton(h: Hypergraph3, *, cap: int = LOOSE_CAP,
     tally = {} if stats is None else stats
     tally["nodes"] = tally.get("nodes", 0)
     full = (1 << n + 1) - 2
-    for v0 in range(1, s + 2):
-        close = [m for m in pairs[v0] if m >> v0 + 1]  # max(a, b) > v0
+    # cand[1] holds (a, b, ...) then (b, a, ...) per edge {1, a, b}, a < b
+    roots = [(1, cand[1])] + [(a, [table[1][b]]) for a, b, _ in cand[1][::2]]
+    for v0, first in roots:
+        close = pairs[v0]
         # a frame: [link, used vertices, its untried candidates, the
         # middle taken]; the s-th link closes the cycle
-        stack = [[v0, 1 << v0, iter(cand[v0]), 0]]
+        stack = [[v0, 1 << v0, iter(first), 0]]
         tally["nodes"] += 1
         while stack:
             frame = stack[-1]
@@ -278,7 +283,7 @@ def exact_loose_hamilton(h: Hypergraph3, *, cap: int = LOOSE_CAP,
                 return LooseCycle([f[0] for f in stack],
                                   [f[3] for f in stack[:-1]] + [y])
             for y, w, bits in untried:
-                if w > v0 and not used & bits:
+                if not used & bits:
                     # the vertices used after the push, less w and v0
                     out = used ^ 1 << v0 | 1 << y
                     for m in close:  # a closing pair is still free

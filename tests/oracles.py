@@ -404,8 +404,10 @@ def rainbow_list_filter(g: ColoredMultigraph, *,
 def loose_unpruned(h: Hypergraph3, *, cap: int = LOOSE_CAP,
                    stats: Optional[dict] = None) -> Optional[LooseCycle]:
     """``exact_loose_hamilton`` without its closing and coverage checks:
-    the same search order, pruned only on used vertices and ``w > v0``,
-    with the same node counter (frames pushed, roots included)."""
+    the same roots (vertex 1 as the link v0, then v0 = a with the one first
+    window {a, 1, b} per edge {1, a, b}, a < b) and the same search order,
+    pruned only on used vertices, with the same node counter (frames
+    pushed, roots included)."""
     n = h.n
     if n < 4 or n % 2:
         raise ValueError(f"loose Hamilton cycles need even n >= 4, got n={n}")
@@ -423,10 +425,12 @@ def loose_unpruned(h: Hypergraph3, *, cap: int = LOOSE_CAP,
 
     full, nodes = (1 << n + 1) - 2, 0  # vertex v is bit v
     try:
-        for v0 in range(1, s + 2):
+        # cand[1] holds (a, b) then (b, a) per edge {1, a, b}, a < b
+        roots = [(1, cand[1])] + [(a, [(1, b)]) for a, b in cand[1][::2]]
+        for v0, first in roots:
             # a frame: [link, used vertices, its untried (middle, next link)
             # pairs, the middle taken]; the s-th link closes the cycle
-            stack = [[v0, 1 << v0, iter(cand[v0]), 0]]
+            stack = [[v0, 1 << v0, iter(first), 0]]
             nodes += 1
             while stack:
                 frame = stack[-1]
@@ -439,7 +443,7 @@ def loose_unpruned(h: Hypergraph3, *, cap: int = LOOSE_CAP,
                     stack.pop()
                     continue
                 for y, w in untried:
-                    if w > v0 and not used >> y & 1 and not used >> w & 1:
+                    if not used >> y & 1 and not used >> w & 1:
                         frame[3] = y
                         stack.append([w, used | 1 << y | 1 << w,
                                       iter(cand[w]), 0])

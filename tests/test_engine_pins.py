@@ -13,7 +13,9 @@ value, so a rewrite must make the same generator calls and return the
 same objects.  The exact loose oracle's cycles on seeded ``sample_h3``
 draws are pinned literally, links and middles, so a rewrite of its
 search must keep its branch order, and its node counts on the same draws
-too, so a weakened prune shows.
+too, so a weakened prune shows.  Its decisions on the default exact sweep
+grid are pinned by a digest of the sweep's CSV, so a change to its roots,
+order or prunes that flips any decision fails whatever cycles it returns.
 """
 
 import hashlib
@@ -22,7 +24,7 @@ import pytest
 
 from looselab import BudgetExhausted, build_gstar, exact_loose_hamilton, \
     exact_matching, exact_rainbow_hamilton, sample_h3
-from looselab.lab import probability_from_c
+from looselab.lab import SweepSpec, probability_from_c, run_sweep
 from looselab.sampling import derived_rng, sample_coupled, sample_gamma
 
 
@@ -194,7 +196,8 @@ LOOSE_PINS = {
                ((1, 6, 4, 5, 7, 9), (2, 12, 3, 8, 11, 10)),
                ((1, 3, 5, 7, 8, 10), (2, 4, 6, 9, 11, 12))],
     (16, 2): [None, None, None],
-    # seed 1's cycle has smallest link 3: vertices 1 and 2 are middles
+    # seed 1's cycle is found at a middle root: vertex 1 is the middle of
+    # its first window {3, 1, 14}
     (16, 4): [None,
               ((3, 14, 8, 9, 4, 10, 5, 11), (1, 2, 12, 16, 15, 13, 6, 7)),
               ((1, 2, 15, 14, 13, 12, 6, 16), (5, 3, 4, 9, 7, 8, 10, 11))],
@@ -215,11 +218,11 @@ def test_loose_cycles_pinned(n, c):
 
 
 # (n, c) -> the nodes exact_loose_hamilton expands over the LOOSE_PINS
-# draws of that cell; the unpruned reference search takes 6,749 in all
+# draws of that cell; the unpruned reference search takes 3,540 in all
 LOOSE_NODE_PINS = {
-    (8, 2): 10, (8, 4): 27, (8, 16): 12,
-    (12, 2): 0, (12, 4): 185, (12, 16): 34,
-    (16, 2): 0, (16, 4): 220, (16, 16): 30,
+    (8, 2): 3, (8, 4): 22, (8, 16): 12,
+    (12, 2): 0, (12, 4): 81, (12, 16): 34,
+    (16, 2): 0, (16, 4): 114, (16, 16): 30,
 }
 
 
@@ -232,3 +235,16 @@ def test_loose_node_counts_pinned():
             exact_loose_hamilton(h, stats=stats)
         nodes[n, c] = stats.get("nodes", 0)
     assert nodes == LOOSE_NODE_PINS
+
+
+# sha256 of the CSV of the default-grid exact sweep at 100 trials, seed 7:
+# its 1,800 decisions, whatever cycles the oracle returns
+EXACT_SWEEP_SHA256 = \
+    "bcc007241c5cc81d9ab5f3365c5171cdc063a313cfc155ff8f1c99869603a516"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_exact_sweep_decisions_pinned(workers):
+    spec = SweepSpec(method="exact", trials=100, seed=7)
+    text = run_sweep(spec, workers=workers).to_csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == EXACT_SWEEP_SHA256

@@ -236,6 +236,65 @@ class TestExactSearch:
             assert (exact_loose_hamilton(h) is not None) == \
                 loose_hamilton_exists_naive(h)
 
+    @staticmethod
+    def middle_one_cycle(n, seed, decoys, through_one=0):
+        """Edges of a loose Hamilton cycle on 1..n in a seeded order whose
+        first middle is vertex 1, plus ``decoys`` uniform edges avoiding
+        vertex 1 and ``through_one`` uniform edges through it."""
+        rng = derived_rng(seed)
+        order = (rng.permutation(n - 1) + 2).tolist()
+        order.insert(1, 1)
+        links, middles, s = order[0::2], order[1::2], n // 2
+        edges = {triple(links[i], middles[i], links[(i + 1) % s])
+                 for i in range(s)}
+        for _ in range(decoys):
+            edges.add(triple(*(rng.choice(n - 1, 3, replace=False) + 2)))
+        for _ in range(through_one):
+            edges.add(triple(1, *(rng.choice(n - 1, 2, replace=False) + 2)))
+        return edges
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_finds_vertex_one_as_a_lone_middle(self, n):
+        # vertex 1 lies in one edge, so it is a middle in every cycle and
+        # only the root at that window's smaller link finds one
+        for seed in range(5):
+            h = Hypergraph3(n, self.middle_one_cycle(n, seed, decoys=n))
+            (_, a, b), = (e for e in h.edge_list if 1 in e)  # a < b
+            cycle = exact_loose_hamilton(h)
+            assert cycle is not None and verify_loose_hamilton(h, cycle)
+            assert (cycle.links[:2], cycle.middles[0]) == ((a, b), 1)
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_finds_vertex_one_as_a_middle_among_decoys(self, n):
+        for seed in range(5):
+            h = Hypergraph3(n, self.middle_one_cycle(n, seed, decoys=n,
+                                                     through_one=3))
+            cycle = exact_loose_hamilton(h)
+            assert cycle is not None and verify_loose_hamilton(h, cycle)
+
+    def test_degree_one_vertex_matches_naive_oracle(self):
+        # each draw keeps one edge through vertex 1, so any cycle has
+        # vertex 1 as a middle
+        rng = derived_rng(43)
+        found = absent = 0
+        for trial in range(150):
+            n = (4, 6, 8)[trial % 3]
+            h = sample_h3(n, float(rng.uniform(0.2, 0.9)), rng)
+            ones = [e for e in h.edge_list if e[0] == 1]
+            if not ones:
+                continue
+            keep = ones[int(rng.integers(len(ones)))]
+            h = Hypergraph3(n, [e for e in h.edge_list
+                                if e[0] != 1 or e == keep])
+            cycle = exact_loose_hamilton(h)
+            assert (cycle is not None) == loose_hamilton_exists_naive(h)
+            if cycle is not None:
+                assert verify_loose_hamilton(h, cycle)
+                assert cycle.middles.count(1) == 1
+            found += cycle is not None
+            absent += cycle is None
+        assert found > 50 and absent > 20
+
     def test_leaves_no_cyclic_garbage(self):
         # a search's state is freed by reference counting when it returns,
         # found, absent or refused early for an isolated vertex alike

@@ -1,6 +1,10 @@
+import ast
 import types
+from pathlib import Path
 
 import looselab
+
+REPO = Path(__file__).resolve().parents[1]
 
 ENTRY_POINTS = {
     "BudgetExhausted", "ColoredMultigraph", "FormatError", "Hypergraph3",
@@ -22,3 +26,29 @@ def test_root_exports_only_the_entry_points():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)}
     assert public == ENTRY_POINTS
+
+
+def test_every_definition_has_a_caller():
+    """Each module-level def or class in looselab is named, as a name or an
+    attribute, outside its own body in looselab or perfbench's program
+    files; the root's re-exports and the tests do not count as callers."""
+    package = REPO / "src" / "looselab"
+    modules = sorted(p for p in package.glob("*.py")
+                     if p.name != "__init__.py")
+    callers = modules + sorted(p for p in (REPO / "perfbench").glob("*.py")
+                               if not p.name.startswith("test_"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in callers}
+    uses = {}  # name -> [(file, line)]
+    for p, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                uses.setdefault(name, []).append((p, node.lineno))
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defs = [(p, d) for p in modules for d in trees[p].body
+            if isinstance(d, kinds)]
+    orphans = [f"{p.name}:{d.name}" for p, d in defs
+               if all(q == p and d.lineno <= line <= d.end_lineno
+                      for q, line in uses.get(d.name, []))]
+    assert len(defs) > 80
+    assert orphans == []
