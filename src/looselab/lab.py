@@ -12,6 +12,7 @@ sweep CSV, which ``perfbench`` digests, is the one text rendered here.
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 import time
@@ -24,8 +25,9 @@ from .colored import ColoredMultigraph
 from .hypergraph import LOOSE_CAP, exact_loose_hamilton, expected_isolated, \
     isolated_vertices
 from .pipeline import _run_pipeline_stream
-from .sampling import derived_rng, sample_h3, sample_pairing_regular, \
-    sample_union_matchings
+# sample_h3 stays bound here: perfbench's tracer patches lab.sample_h3
+from .sampling import _sample_h3_batch, derived_rng, sample_h3, \
+    sample_pairing_regular, sample_union_matchings  # noqa: F401
 from .solvers import exact_rainbow_hamilton
 
 DEFAULT_N_VALUES = (8, 12, 16)
@@ -38,6 +40,10 @@ DEFAULT_SEED = 20260809
 # took at most 84 search nodes for m2 <= 12, up to 277,982 at m2 = 42, and
 # at m2 = 46, 56 and 58 one graph each spent the default budget undecided.
 HAMILTON_LIMIT = 12
+
+# A cell's trials t with one t // _BATCH are drawn together; past 64 draws
+# the garbage collector's passes over the batch raise the cost per draw.
+_BATCH = 64
 
 
 def probability_from_c(n: int, c: float) -> float:
@@ -127,6 +133,7 @@ class SweepCell:
     method: str
     seed: int
     r: int
+    # an exact trial's include an equal share of its batch's draw
     mean_runtime: float  # seconds per trial; excluded from CSV/JSON
 
     def record(self) -> dict:
@@ -153,20 +160,29 @@ class SweepResult:
 
 def _trial(task) -> tuple[bool, float]:
     """One sweep trial: whether it succeeded, and its wall time in seconds."""
-    spec, cell_index, n, p, trial = task
+    spec, cell_index, n, p, trial, *drawn = task
     t0 = time.perf_counter()
-    gen = derived_rng(spec.seed, cell_index, trial)
     if spec.method == "exact":
-        h = sample_h3(n, p, gen)
-        ok = exact_loose_hamilton(h, cap=spec.loose_cap) is not None
+        ok = exact_loose_hamilton(drawn[0], cap=spec.loose_cap) is not None
     else:
+        gen = derived_rng(spec.seed, cell_index, trial)
         ok = _run_pipeline_stream(n, p, spec.r, gen).success
     return ok, time.perf_counter() - t0
 
 
 def _trials(tasks) -> list[tuple[bool, float]]:
-    """A share of the sweep's trials, run in order in one process."""
-    return list(map(_trial, tasks))
+    """A share of the sweep's trials, run in order in one process.  An exact
+    task gets its hypergraph and an equal share of the time from a batch."""
+    rows = []
+    for _, batch in itertools.groupby(tasks, lambda t: (t[1], t[4] // _BATCH)):
+        batch, draw, t0 = list(batch), 0.0, time.perf_counter()
+        spec, ci, n, p, _ = batch[0]
+        if spec.method == "exact":
+            gens = [derived_rng(spec.seed, ci, t) for *_, t in batch]
+            batch = [(*task, h) for task, h in zip(batch, _sample_h3_batch(n, p, gens))]
+            draw = (time.perf_counter() - t0) / len(batch)
+        rows += [(ok, s + draw) for ok, s in map(_trial, batch)]
+    return rows
 
 
 def _send_trials(tasks, conn) -> None:
@@ -199,8 +215,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     into task order.  Every trial owns a derived stream keyed by (seed,
     cell, trial), so the emitted CSV/JSON bytes are identical for any
     ``workers``, and without the fork start method the sweep runs
-    in-process.  What a helper raises is raised here, a helper that dies
-    silently raises RuntimeError, and no helper outlives the call.
+    in-process; a process draws its exact trials of a cell in batches.
+    What a helper raises is raised here, a helper that dies silently
+    raises RuntimeError, and no helper outlives the call.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -305,9 +322,9 @@ def isolated_experiment(n_values: Sequence[int], c_values: Sequence[float],
     cells = []
     for n, ci, c, p in grid:
         counts = []
-        for t in range(trials):
-            gen = derived_rng(seed, ci, t)
-            counts.append(len(isolated_vertices(sample_h3(n, p, gen))))
+        for _, batch in itertools.groupby(range(trials), lambda t: t // _BATCH):
+            hs = _sample_h3_batch(n, p, [derived_rng(seed, ci, t) for t in batch])
+            counts += map(len, map(isolated_vertices, hs))
         mean = sum(counts) / trials
         exp = expected_isolated(n, p)
         gap = mean - exp

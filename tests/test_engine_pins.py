@@ -243,7 +243,7 @@ EXACT_SWEEP_SHA256 = \
     "bcc007241c5cc81d9ab5f3365c5171cdc063a313cfc155ff8f1c99869603a516"
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_exact_sweep_decisions_pinned(workers):
     spec = SweepSpec(method="exact", trials=100, seed=7)
     text = run_sweep(spec, workers=workers).to_csv_text()

@@ -25,9 +25,10 @@ from looselab import (
     run_sweep,
 )
 from looselab import lab
+from looselab.hypergraph import isolated_vertices
 from looselab.lab import CSV_HEADER, wilson_interval
-from looselab.sampling import derived_rng, sample_pairing_regular, \
-    sample_union_matchings
+from looselab.sampling import derived_rng, sample_h3, \
+    sample_pairing_regular, sample_union_matchings
 
 from oracles import hamilton_exists_naive
 
@@ -376,11 +377,21 @@ class TestIsolatedExperiment:
     def test_grid_refused_before_any_trial(self, n_values, c_values, message,
                                            monkeypatch):
         trials = []
-        monkeypatch.setattr(lab, "sample_h3",
+        monkeypatch.setattr(lab, "_sample_h3_batch",
                             lambda *args: trials.append(args))
         with pytest.raises(ValueError, match=message):
             isolated_experiment(n_values, c_values, trials=5, seed=7)
         assert not trials
+
+    def test_batches_match_one_draw_per_trial(self):
+        # 150 trials span three batches, the last one short
+        trials, seed = 150, 8
+        (cell,) = isolated_experiment((12,), (2.0,), trials, seed)
+        p = probability_from_c(12, 2.0)
+        counts = [len(isolated_vertices(
+            sample_h3(12, p, derived_rng(seed, 0, t)))) for t in range(trials)]
+        assert cell.mean_isolated == sum(counts) / trials
+        assert cell.prob_at_least_one == sum(k >= 1 for k in counts) / trials
 
     def test_record_fields(self):
         (cell,) = isolated_experiment((8,), (1.0,), trials=50, seed=7)

@@ -164,6 +164,60 @@ class TestSampleH3:
         assert abs(hits / trials - p) <= 3 * sigma
 
 
+class TestSampleH3Batch:
+    @pytest.mark.parametrize("size", [1, 2, 7])
+    @pytest.mark.parametrize("p", [0.0, 1e-19, 0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [3, 4, 8, 16, 40])
+    def test_equals_one_draw_per_stream(self, n, p, size):
+        got = sampling._sample_h3_batch(
+            n, p, [derived_rng(5, n, k) for k in range(size)])
+        assert [h.edge_list for h in got] == [
+            sample_h3(n, p, derived_rng(5, n, k)).edge_list
+            for k in range(size)]
+        # and each is the position draw over the ranked triples
+        for k, h in enumerate(got):
+            pos = sampling._included_positions(
+                derived_rng(5, n, k), math.comb(n, 3), p)
+            assert h.edge_list == tuple(zip(*(
+                x.tolist() for x in unrank_triples(n, pos))))
+
+    class Short:
+        """A stream whose first draw is all ones and every later gap 2."""
+
+        def __init__(self):
+            self.sizes = []
+
+        def geometric(self, prob, size):
+            self.sizes.append(size)
+            return np.full(size, 1 if len(self.sizes) == 1 else 2,
+                           dtype=np.int64)
+
+    def test_short_draw_is_topped_up_from_its_own_stream(self):
+        # n = 8, p = 0.1: 56 triples, a first draw of int(5.6 + 6
+        # sqrt(5.6) + 16) = 35 gaps reaching 0..34, then 36, 38, ..., 54
+        n, p = 8, 0.1
+        want = tuple(zip(*(x.tolist() for x in unrank_triples(
+            n, list(range(35)) + list(range(36, 56, 2))))))
+        assert sample_h3(n, p, self.Short()).edge_list == want
+        gens = [derived_rng(1), self.Short(), derived_rng(2), self.Short()]
+        got = sampling._sample_h3_batch(n, p, gens)
+        assert [h.edge_list for h in got] == [
+            sample_h3(n, p, derived_rng(1)).edge_list, want,
+            sample_h3(n, p, derived_rng(2)).edge_list, want]
+        assert gens[1].sizes == gens[3].sizes == [35, 32]
+
+    @pytest.mark.parametrize("n,p,message", [
+        (2, 0.5, "need n >= 3, got 2"),
+        (8, 1.5, r"p must lie in \[0, 1\], got 1.5"),
+        (8, -0.1, r"p must lie in \[0, 1\], got -0.1"),
+    ])
+    def test_refused_before_any_draw(self, n, p, message):
+        gen = self.Short()
+        with pytest.raises(ValueError, match=message):
+            sampling._sample_h3_batch(n, p, [derived_rng(0), gen])
+        assert gen.sizes == []
+
+
 class TestCopySet:
     def test_block_sizes_and_multiplicity(self):
         blocks = sample_copyset_partition(3, 4, derived_rng(5))
