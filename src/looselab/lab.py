@@ -133,7 +133,8 @@ class SweepCell:
     method: str
     seed: int
     r: int
-    # an exact trial's include an equal share of its batch's draw
+    # an exact trial's seconds include an equal share of its batch's
+    # stream setup and draw
     mean_runtime: float  # seconds per trial; excluded from CSV/JSON
 
     def record(self) -> dict:

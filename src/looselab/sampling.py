@@ -84,32 +84,24 @@ def split_probability(p: float, r: int) -> SplitParams:
 # ---------------------------------------------------------------------------
 
 
-def _gap_count(count: int, prob: float) -> int:
-    mean = count * prob  # a first draw: six standard deviations over the mean
-    return int(mean + 6.0 * math.sqrt(mean) + 16.0)
-
-
-def _clip(gaps: np.ndarray, count: int) -> np.ndarray:
-    # a longer gap leaves range(count) anyway; the clip keeps sums in int64
-    return np.minimum(gaps, count + 1, out=gaps)
-
-
-def _top_up(gen, pts: np.ndarray, count: int, prob: float) -> np.ndarray:
-    """Running positions ``pts`` extended 32 gaps of ``gen`` at a time
-    until one reaches count, then cut below count."""
-    while pts[-1] < count:
-        pts = np.append(pts, pts[-1] + _clip(gen.geometric(prob, 32), count).cumsum())
-    return pts[:pts.searchsorted(count)]
-
-
 def _included_positions(gen: np.random.Generator, count: int, prob: float) -> np.ndarray:
-    """Ascending positions of an iid Bernoulli(prob) process over range(count)."""
+    """Ascending positions of an iid Bernoulli(prob) process over range(count).
+
+    Each geometric gap is clipped at count + 1: a gap that long already
+    leaves the range, and the clip keeps the running sum inside int64
+    however small prob is.
+    """
     if count <= 0 or prob <= 0.0:
         return np.empty(0, dtype=np.int64)
     if prob >= 1.0:
         return np.arange(count, dtype=np.int64)
-    gaps = _clip(gen.geometric(prob, size=_gap_count(count, prob)), count)
-    return _top_up(gen, gaps.cumsum() - 1, count, prob)
+    mean = count * prob
+    gaps = gen.geometric(prob, size=int(mean + 6.0 * math.sqrt(mean) + 16.0))
+    pts = np.minimum(gaps, count + 1, out=gaps).cumsum() - 1
+    while pts[-1] < count:
+        gaps = np.minimum(gen.geometric(prob, size=32), count + 1)
+        pts = np.append(pts, pts[-1] + gaps.cumsum())
+    return pts[:pts.searchsorted(count)]
 
 
 @functools.cache
@@ -172,26 +164,14 @@ def sample_h3(n: int, p: float, gen: np.random.Generator) -> Hypergraph3:
 def _sample_h3_batch(n: int, p: float,
                      gens: Sequence[np.random.Generator]) -> list[Hypergraph3]:
     """``[sample_h3(n, p, gen) for gen in gens]``, gens non-empty: each
-    stream draws its own gaps, then the batch is cut and unranked at once."""
+    stream draws its own positions, then the batch is unranked at once."""
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    count = math.comb(n, 3)
-    if 0.0 < p < 1.0:
-        size = _gap_count(count, p)
-        draws = np.array([gen.geometric(p, size) for gen in gens])
-        pts = _clip(draws, count).cumsum(axis=1) - 1
-    else:  # no draw: every row holds positions 0..count at p = 1, count at 0
-        pts = np.tile(np.arange(0 if p else count, count + 1), (len(gens), 1))
-    keep = pts < count
-    flat, ends = pts[keep], keep.sum(axis=1).cumsum()  # row i ends at ends[i]
-    for i in np.flatnonzero(keep[:, -1]):  # a short row: every position kept
-        tail = _top_up(gens[i], pts[i, -1:], count, p)[1:]
-        flat = np.insert(flat, ends[i], tail)
-        ends[i:] += tail.size
-    edges = tuple(zip(*(x.tolist() for x in unrank_triples(n, flat))))
-    ends = [0, *ends.tolist()]
+    pos = [_included_positions(gen, math.comb(n, 3), p) for gen in gens]
+    edges = tuple(zip(*(x.tolist() for x in unrank_triples(n, np.concatenate(pos)))))
+    ends = np.cumsum([0, *map(len, pos)]).tolist()
     return [Hypergraph3._from_sorted(n, edges[a:b]) for a, b in zip(ends, ends[1:])]
 
 

@@ -358,7 +358,7 @@ class TestProbeCommand:
             trials.append(args)
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr("looselab.lab.sample_h3", never)
+        monkeypatch.setattr("looselab.lab._sample_h3_batch", never)
         assert run("probe", "isolated", f"--n={ns}", "--trials", "5") == 2
         assert not trials
         err = capsys.readouterr().err
@@ -371,7 +371,7 @@ class TestProbeCommand:
             self, grid, monkeypatch, capsys):
         # the same refusal and message as sweep's
         trials = []
-        monkeypatch.setattr("looselab.lab.sample_h3",
+        monkeypatch.setattr("looselab.lab._sample_h3_batch",
                             lambda *args: trials.append(args))
         assert run("probe", "isolated", *grid, "--trials", "5") == 2
         assert not trials
