@@ -12,8 +12,8 @@ sweep CSV, which ``perfbench`` digests, is the one text rendered here.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 import statistics
 import time
 from collections import Counter
@@ -41,8 +41,8 @@ DEFAULT_SEED = 20260809
 # at m2 = 46, 56 and 58 one graph each spent the default budget undecided.
 HAMILTON_LIMIT = 12
 
-# A cell's trials t with one t // _BATCH are drawn together; past 64 draws
-# the garbage collector's passes over the batch raise the cost per draw.
+# _hypergraphs draws this many trial streams at once; past 64 draws the
+# garbage collector's passes over the batch raise the cost per draw.
 _BATCH = 64
 
 
@@ -95,8 +95,12 @@ class SweepSpec:
     loose_cap: ClassVar[int] = LOOSE_CAP
 
     def __post_init__(self):
+        # operator.index keeps numpy integers and refuses 8.7 rather than
+        # running n=8
         object.__setattr__(self, "n_values",
-                           tuple(int(n) for n in self.n_values))
+                           tuple(map(operator.index, self.n_values)))
+        for name in ("r", "trials", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         object.__setattr__(self, "c_values",
                            tuple(float(c) for c in self.c_values))
         if not self.n_values or not self.c_values:
@@ -133,8 +137,8 @@ class SweepCell:
     method: str
     seed: int
     r: int
-    # an exact trial's seconds include an equal share of its batch's
-    # stream setup and draw
+    # the cell's wall time in every process that ran it, summed; stream
+    # setup and draws included
     mean_runtime: float  # seconds per trial; excluded from CSV/JSON
 
     def record(self) -> dict:
@@ -159,47 +163,47 @@ class SweepResult:
         return "\n".join([CSV_HEADER] + [c.csv_row() for c in self.cells]) + "\n"
 
 
-def _trial(task) -> tuple[bool, float]:
-    """One sweep trial: whether it succeeded, and its wall time in seconds."""
-    spec, cell_index, n, p, trial, *drawn = task
-    t0 = time.perf_counter()
-    if spec.method == "exact":
-        ok = exact_loose_hamilton(drawn[0], cap=spec.loose_cap) is not None
-    else:
-        gen = derived_rng(spec.seed, cell_index, trial)
-        ok = _run_pipeline_stream(n, p, spec.r, gen).success
-    return ok, time.perf_counter() - t0
+def _hypergraphs(n: int, p: float, seed: int, ci: int, ts: range):
+    """Yield ``sample_h3(n, p, derived_rng(seed, ci, t))`` for each t in
+    ``ts``, drawing ``_BATCH`` streams at a time."""
+    for j in range(0, len(ts), _BATCH):
+        gens = [derived_rng(seed, ci, t) for t in ts[j:j + _BATCH]]
+        yield from _sample_h3_batch(n, p, gens)
 
 
-def _trials(tasks) -> list[tuple[bool, float]]:
-    """A share of the sweep's trials, run in order in one process.  An exact
-    task gets its hypergraph and an equal share of the time from a batch."""
-    rows = []
-    for _, batch in itertools.groupby(tasks, lambda t: (t[1], t[4] // _BATCH)):
-        batch, draw, t0 = list(batch), 0.0, time.perf_counter()
-        spec, ci, n, p, _ = batch[0]
+def _share(spec: SweepSpec, grid, i: int, k: int) -> list[tuple[int, float]]:
+    """Process i of k's share of the sweep: the trials at positions i,
+    i + k, i + 2k, ... of the cell-major order, as one (successes,
+    seconds) pair per cell."""
+    pairs = []
+    for ci, n, _c, p in grid:
+        ts = range((i - ci * spec.trials) % k, spec.trials, k)
+        t0 = time.perf_counter()
         if spec.method == "exact":
-            gens = [derived_rng(spec.seed, ci, t) for *_, t in batch]
-            batch = [(*task, h) for task, h in zip(batch, _sample_h3_batch(n, p, gens))]
-            draw = (time.perf_counter() - t0) / len(batch)
-        rows += [(ok, s + draw) for ok, s in map(_trial, batch)]
-    return rows
+            ok = sum(exact_loose_hamilton(h, cap=spec.loose_cap) is not None
+                     for h in _hypergraphs(n, p, spec.seed, ci, ts))
+        else:
+            ok = sum(_run_pipeline_stream(
+                n, p, spec.r, derived_rng(spec.seed, ci, t)).success for t in ts)
+        pairs.append((ok, time.perf_counter() - t0))
+    return pairs
 
 
-def _send_trials(tasks, conn) -> None:
-    """A helper's body: send back its share's rows, or what the share raised."""
+def _send_share(conn, *share) -> None:
+    """A helper's body: send back ``_share(*share)``, or what it raised."""
     try:
-        conn.send(_trials(tasks))
+        conn.send(_share(*share))
     except Exception as exc:
         conn.send(exc)
 
 
-def _fork_helper(tasks):
-    """Fork a helper holding ``tasks``; return it and its pipe's reading end."""
+def _fork_helper(*share):
+    """Fork a helper running ``_share(*share)``; return it and its pipe's
+    reading end."""
     import multiprocessing
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_send_trials, args=(tasks, send))
+    proc = ctx.Process(target=_send_share, args=(send, *share))
     proc.start()
     send.close()  # the helper holds the only sending end: its death is EOF
     return proc, recv
@@ -208,69 +212,60 @@ def _fork_helper(tasks):
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Run the grid; cells are emitted n-major in grid order.
 
-    The trials form one task list, cell-major then trial, run in-process
-    or split over k = min(workers, tasks) processes: the calling one and
-    k - 1 helpers forked with their share in hand, which send their rows
-    back over a pipe.  Process i runs tasks i, i + k, i + 2k, ...
-    (process 0 being the caller), and the shares are interleaved back
-    into task order.  Every trial owns a derived stream keyed by (seed,
-    cell, trial), so the emitted CSV/JSON bytes are identical for any
-    ``workers``, and without the fork start method the sweep runs
-    in-process; a process draws its exact trials of a cell in batches.
-    What a helper raises is raised here, a helper that dies silently
-    raises RuntimeError, and no helper outlives the call.
+    The trials, cell-major then trial, are split over k = min(workers,
+    trials) processes: the calling one and k - 1 helpers forked with
+    their share in hand.  Process i runs the trials at positions i, i + k,
+    i + 2k, ... (process 0 being the caller) and replies with one
+    (successes, seconds) pair per cell, which a helper sends back over a
+    pipe.  Every trial owns a derived stream keyed by (seed, cell, trial),
+    so the emitted CSV/JSON bytes are identical for any ``workers``, and
+    without the fork start method the sweep runs in-process.  What a
+    helper raises is raised here, a helper that dies silently raises
+    RuntimeError, and no helper outlives the call.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     grid = [(ci, n, c, probability_from_c(n, c))
             for ci, (n, c) in enumerate(
                 (n, c) for n in spec.n_values for c in spec.c_values)]
-    tasks = [(spec, ci, n, p, t)
-             for ci, n, _c, p in grid for t in range(spec.trials)]
-    procs = min(workers, len(tasks))
+    procs = min(workers, len(grid) * spec.trials)
     if procs > 1:
         import multiprocessing  # here: a process that never forks skips it
         if "fork" not in multiprocessing.get_all_start_methods():
             procs = 1
-    if procs == 1:
-        rows = _trials(tasks)
-    else:
         import numpy.random  # noqa: F401  (lazy: load it once, not per helper)
-        rows = [None] * len(tasks)
-        helpers = []
-        try:
-            for k in range(1, procs):
-                helpers.append(_fork_helper(tasks[k::procs]))
-            rows[0::procs] = _trials(tasks[0::procs])
-            for k, (proc, conn) in enumerate(helpers, 1):
-                try:
-                    share = conn.recv()
-                except EOFError:
-                    proc.join()
-                    raise RuntimeError(
-                        f"sweep helper {k} exited with code {proc.exitcode} "
-                        "before replying") from None
-                if isinstance(share, Exception):
-                    raise share
-                rows[k::procs] = share
-        except BaseException:
-            for proc, _conn in helpers:
-                proc.kill()
-            raise
-        finally:
-            for proc, conn in helpers:
-                conn.close()
+    helpers = []
+    try:
+        for i in range(1, procs):
+            helpers.append(_fork_helper(spec, grid, i, procs))
+        shares = [_share(spec, grid, 0, procs)]
+        for i, (proc, conn) in enumerate(helpers, 1):
+            try:
+                shares.append(conn.recv())
+            except EOFError:
                 proc.join()
+                raise RuntimeError(
+                    f"sweep helper {i} exited with code {proc.exitcode} "
+                    "before replying") from None
+            if isinstance(shares[-1], Exception):
+                raise shares[-1]
+    except BaseException:
+        for proc, _conn in helpers:
+            proc.kill()
+        raise
+    finally:
+        for proc, conn in helpers:
+            conn.close()
+            proc.join()
     cells = []
-    for ci, n, c, p in grid:
-        cell = rows[ci * spec.trials:(ci + 1) * spec.trials]
-        successes = sum(ok for ok, _ in cell)
+    for (_ci, n, c, p), *pairs in zip(grid, *shares):
+        successes = sum(ok for ok, _ in pairs)
         lo, hi = wilson_interval(successes, spec.trials)
         cells.append(SweepCell(
             n=n, c=c, p=p, trials=spec.trials, successes=successes,
             freq=successes / spec.trials, ci_low=lo, ci_high=hi,
             method=spec.method, seed=spec.seed, r=spec.r,
-            mean_runtime=sum(s for _, s in cell) / spec.trials))
+            mean_runtime=sum(s for _, s in pairs) / spec.trials))
     return SweepResult(tuple(cells))
 
 
@@ -311,7 +306,9 @@ def isolated_experiment(n_values: Sequence[int], c_values: Sequence[float],
     error; a zero-variance sample scores 0 when the gap is zero and
     +/-inf otherwise.
     """
+    n_values = tuple(map(operator.index, n_values))
     c_values = tuple(map(float, c_values))
+    trials, seed = operator.index(trials), operator.index(seed)
     if not n_values or not c_values:
         raise ValueError("n and c grids must be non-empty")
     if min(n_values) < 3:
@@ -322,10 +319,8 @@ def isolated_experiment(n_values: Sequence[int], c_values: Sequence[float],
             for n in n_values for ci, c in enumerate(c_values)]
     cells = []
     for n, ci, c, p in grid:
-        counts = []
-        for _, batch in itertools.groupby(range(trials), lambda t: t // _BATCH):
-            hs = _sample_h3_batch(n, p, [derived_rng(seed, ci, t) for t in batch])
-            counts += map(len, map(isolated_vertices, hs))
+        counts = [len(isolated_vertices(h))
+                  for h in _hypergraphs(n, p, seed, ci, range(trials))]
         mean = sum(counts) / trials
         exp = expected_isolated(n, p)
         gap = mean - exp

@@ -307,7 +307,7 @@ class TestSweepCommand:
 
     def test_negative_seed_names_the_seed(self, capsys, monkeypatch):
         # refused by the spec, before any helper is forked
-        def no_helper(tasks):
+        def no_helper(*share):
             raise AssertionError("a sweep helper was forked")
 
         monkeypatch.setattr("looselab.lab._fork_helper", no_helper)

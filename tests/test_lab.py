@@ -12,6 +12,7 @@ from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -141,6 +142,22 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(n_values=(4,), method="pipeline")
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_values", (8.7,)), ("n_values", (8, 12.0)), ("r", 2.0),
+        ("trials", 2.5), ("seed", 1.5),
+    ], ids=["n", "second-n", "r", "trials", "seed"])
+    def test_refuses_non_integral_sizes(self, field, value):
+        # 8.7 is not run as n=8, and 2.5 trials not left to the first trial
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            SweepSpec(**{field: value})
+
+    def test_numpy_integers_become_ints(self):
+        spec = SweepSpec(n_values=(np.int64(8),), r=np.int16(2),
+                         trials=np.int32(3), seed=np.uint8(1))
+        assert spec == SweepSpec(n_values=(8,), r=2, trials=3, seed=1)
+        assert all(type(v) is int for v in (*spec.n_values, spec.r,
+                                            spec.trials, spec.seed))
+
 
 class TestRunSweep:
     def test_extreme_cells(self):
@@ -178,15 +195,15 @@ class TestRunSweep:
 
     def test_pool_never_larger_than_the_task_list(self, monkeypatch):
         # no helper is forked without a share to hold: this process runs
-        # one share itself, each helper one more, and a single task forks
+        # one share itself, each helper one more, and a single trial forks
         # no helper; the recorder runs each share here and forks nothing
         shares = []
 
-        def record(tasks):
-            shares.append(len(tasks))
-            rows = lab._trials(tasks)
+        def record(spec, grid, i, k):
+            shares.append((i, k))
+            pairs = lab._share(spec, grid, i, k)
             return (SimpleNamespace(kill=lambda: None, join=lambda: None),
-                    SimpleNamespace(recv=lambda: rows, close=lambda: None))
+                    SimpleNamespace(recv=lambda: pairs, close=lambda: None))
 
         monkeypatch.setattr(lab, "_fork_helper", record)
         one = SweepSpec(n_values=(8,), c_values=(16.0,), trials=1, seed=1)
@@ -197,7 +214,28 @@ class TestRunSweep:
         assert shares == []
         assert run_sweep(six, workers=64).to_csv_text() == \
             run_sweep(six).to_csv_text()
-        assert shares == [1] * 5
+        # six trials over six processes: one trial each
+        assert shares == [(i, 6) for i in range(1, 6)]
+
+    def test_batch_boundaries_never_reach_the_output(self, monkeypatch):
+        # at three streams a batch, every process's share of a cell spans
+        # several batches, the last one short
+        spec = SweepSpec(n_values=(8, 12), c_values=(2.0, 6.0), trials=20,
+                         seed=15)
+        grid = (8, 12), (1.0, 4.0), 20, 15
+        sweep, isolated = run_sweep(spec).to_csv_text(), isolated_experiment(*grid)
+        monkeypatch.setattr(lab, "_BATCH", 3)
+        for workers in (1, 2, 3):
+            assert run_sweep(spec, workers=workers).to_csv_text() == sweep
+        assert isolated_experiment(*grid) == isolated
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("method", ["exact", "pipeline"])
+    def test_mean_runtime_finite_and_positive(self, method, workers):
+        spec = SweepSpec(n_values=(8, 12), c_values=(2.0, 16.0), trials=4,
+                         seed=16, method=method)
+        for cell in run_sweep(spec, workers=workers).cells:
+            assert math.isfinite(cell.mean_runtime) and cell.mean_runtime > 0
 
     def test_import_loads_no_process_pool(self):
         # only a sweep run over several workers imports multiprocessing
@@ -212,7 +250,7 @@ class TestRunSweep:
         assert out == "False False\n"
 
     def test_without_fork_the_sweep_runs_in_process(self, monkeypatch):
-        def no_helper(tasks):
+        def no_helper(*share):
             raise AssertionError("a helper was forked")
 
         spec = SweepSpec(n_values=(8, 12), c_values=(2.0, 6.0), trials=5,
@@ -261,21 +299,22 @@ class TestRunSweep:
 
 
 class TestSweepHelperFailures:
-    """Helpers inherit a patched ``lab._trial`` through the fork."""
+    """Helpers inherit a patched ``lab.exact_loose_hamilton`` through the
+    fork."""
 
     SPEC = SweepSpec(n_values=(8,), c_values=(2.0, 16.0), trials=6, seed=14)
 
     @staticmethod
     def patch_trial(monkeypatch, in_helper=None, in_caller=None):
-        caller, real = os.getpid(), lab._trial
+        caller, real = os.getpid(), lab.exact_loose_hamilton
 
-        def trial(task):
+        def trial(h, **kwargs):
             hook = in_caller if os.getpid() == caller else in_helper
             if hook is not None:
                 hook()
-            return real(task)
+            return real(h, **kwargs)
 
-        monkeypatch.setattr(lab, "_trial", trial)
+        monkeypatch.setattr(lab, "exact_loose_hamilton", trial)
 
     def test_helper_exception_raised_in_caller(self, monkeypatch):
         def fail():
@@ -301,8 +340,8 @@ class TestSweepHelperFailures:
         helpers = []
         fork = lab._fork_helper
 
-        def record(tasks):
-            helper = fork(tasks)
+        def record(*share):
+            helper = fork(*share)
             helpers.append(helper[0])
             return helper
 
@@ -368,20 +407,26 @@ class TestIsolatedExperiment:
             isolated_experiment((8,), c, trials, seed) + \
             isolated_experiment((16,), c, trials, seed)
 
-    @pytest.mark.parametrize("n_values,c_values,message", [
-        ((16, 2), (1.0,), "need n >= 3, got 2"),
-        ((8, 16), (), "n and c grids must be non-empty"),
-        ((8, 16), (1.0, math.nan), "c must be finite and >= 0, got nan"),
-        ((8, 16), (1.0, math.inf), "c must be finite and >= 0, got inf"),
-    ], ids=["n", "empty-c", "nan-c", "inf-c"])
-    def test_grid_refused_before_any_trial(self, n_values, c_values, message,
-                                           monkeypatch):
-        trials = []
+    @pytest.mark.parametrize("n_values,c_values,trials,seed,error,message", [
+        ((16, 2), (1.0,), 5, 7, ValueError, "need n >= 3, got 2"),
+        ((8, 16), (), 5, 7, ValueError, "n and c grids must be non-empty"),
+        ((8, 16), (1.0, math.nan), 5, 7, ValueError,
+         "c must be finite and >= 0, got nan"),
+        ((8, 16), (1.0, math.inf), 5, 7, ValueError,
+         "c must be finite and >= 0, got inf"),
+        ((8, 8.5), (1.0,), 3, 0, TypeError, "cannot be interpreted as an integer"),
+        ((8,), (1.0,), 2.5, 7, TypeError, "cannot be interpreted as an integer"),
+        ((8,), (1.0,), 5, 1.5, TypeError, "cannot be interpreted as an integer"),
+    ], ids=["n", "empty-c", "nan-c", "inf-c", "float-n", "float-trials",
+            "float-seed"])
+    def test_grid_refused_before_any_trial(self, n_values, c_values, trials,
+                                           seed, error, message, monkeypatch):
+        draws = []
         monkeypatch.setattr(lab, "_sample_h3_batch",
-                            lambda *args: trials.append(args))
-        with pytest.raises(ValueError, match=message):
-            isolated_experiment(n_values, c_values, trials=5, seed=7)
-        assert not trials
+                            lambda *args: draws.append(args))
+        with pytest.raises(error, match=message):
+            isolated_experiment(n_values, c_values, trials, seed)
+        assert not draws
 
     def test_batches_match_one_draw_per_trial(self):
         # 150 trials span three batches, the last one short
